@@ -5,42 +5,45 @@ convolution over the coarsest feature grid, trained with a from-scratch
 reverse-mode autodiff core on netpbm imagery. Includes dataset preparation
 (70/30 split plus flip/crop augmentation), IoU/Dice/mAP evaluation, and
 model reprogramming around a frozen base network.
+
+The exported names resolve on first use (PEP 562), so importing the package
+loads no numpy and ``floodseg.cli`` can pin its thread count first.
 """
 
-from .tensor import (GradCheckFailure, ShapeError, TapeError, Tensor, grad_check,
-                     no_grad)
-from .convnn import bce_loss, conv2d, dice_loss, dilated_conv2d, maxpool2, upsample2
-from .graphnn import (ChebParams, GatParams, Graph, NormalizedLaplacian,
-                      build_grid_graph, center_of_mass, cheb_conv, gat_conv)
-from .dataio import (DataError, ImagePair, PnmError, augment_expand, binarize_mask,
-                     discover_pairs, five_crop, load_image, load_mask,
-                     prepare_dataset, read_manifest, resize_bilinear, save_image,
-                     save_mask, split_dataset, write_manifest)
-from .model import (Model, ModelFormatError, ModelSpec, SpecError, build_model,
-                    init_params, load_model, model_checksum, save_model,
-                    serialize_model)
-from .metrics import MetricReport, dice_score, evaluate, iou, mean_average_precision
-from .optim import Adam
-from .train import NumericFailure, TrainResult, train_model
-from .reprogram import (FrozenBaseError, ReprogramWrapper, input_transform,
-                        load_wrapper, output_map, reprogram_train, save_wrapper)
-from .checks import run_gradient_suite
+from importlib import import_module
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "Adam", "ChebParams", "DataError", "FrozenBaseError", "GatParams",
-    "GradCheckFailure", "Graph", "ImagePair", "MetricReport", "Model",
-    "ModelFormatError", "ModelSpec", "NormalizedLaplacian", "NumericFailure",
-    "PnmError", "ReprogramWrapper", "ShapeError", "SpecError", "TapeError",
-    "Tensor", "TrainResult", "augment_expand", "bce_loss", "binarize_mask",
-    "build_grid_graph", "build_model", "center_of_mass", "cheb_conv", "conv2d",
-    "dice_loss", "dice_score", "dilated_conv2d", "discover_pairs", "evaluate",
-    "five_crop", "gat_conv", "grad_check", "init_params", "input_transform",
-    "iou", "load_image", "load_mask", "load_model", "load_wrapper", "maxpool2",
-    "mean_average_precision", "model_checksum", "no_grad", "output_map",
-    "prepare_dataset", "read_manifest", "reprogram_train", "resize_bilinear",
-    "run_gradient_suite", "save_image", "save_mask", "save_model", "save_wrapper",
-    "serialize_model", "split_dataset", "train_model", "upsample2",
-    "write_manifest",
-]
+_EXPORTS = {
+    "tensor": ("GradCheckFailure", "ShapeError", "TapeError", "Tensor", "grad_check",
+               "no_grad"),
+    "convnn": ("bce_loss", "conv2d", "dice_loss", "dilated_conv2d", "maxpool2", "upsample2"),
+    "graphnn": ("ChebParams", "GatParams", "Graph", "NormalizedLaplacian",
+                "build_grid_graph", "center_of_mass", "cheb_conv", "gat_conv"),
+    "dataio": ("DataError", "ImagePair", "PnmError", "augment_expand", "binarize_mask",
+               "discover_pairs", "five_crop", "load_image", "load_mask", "prepare_dataset",
+               "read_manifest", "resize_bilinear", "save_image", "save_mask",
+               "split_dataset", "write_manifest"),
+    "model": ("Model", "ModelFormatError", "ModelSpec", "SpecError", "build_model",
+              "init_params", "load_model", "model_checksum", "save_model",
+              "serialize_model"),
+    "metrics": ("MetricReport", "dice_score", "evaluate", "iou", "mean_average_precision"),
+    "optim": ("Adam",),
+    "train": ("NumericFailure", "TrainResult", "train_model"),
+    "reprogram": ("FrozenBaseError", "ReprogramWrapper", "input_transform", "load_wrapper",
+                  "output_map", "reprogram_train", "save_wrapper"),
+    "checks": ("run_gradient_suite",),
+}
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = sorted(_HOME)
+
+
+def __getattr__(name):
+    # Not cached in the package namespace: each access reads the submodule's
+    # current binding, so rebinding a submodule global is seen here too.
+    if name in _EXPORTS:
+        return import_module(f"{__name__}.{name}")
+    if name in _HOME:
+        return getattr(import_module(f"{__name__}.{_HOME[name]}"), name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -164,6 +164,9 @@ def dice_loss(pred: Tensor, target, eps: float = 1e-6) -> Tensor:
     return 1.0 - (2.0 * (intersection + eps)) / denom
 
 
+LOSSES = {"bce": bce_loss, "dice": dice_loss}
+
+
 @dataclass
 class ConvParams:
     """One convolutional layer: kernel, optional bias, and its geometry."""

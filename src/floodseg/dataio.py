@@ -204,6 +204,13 @@ def resize_pair(pair: ImagePair, size: int) -> ImagePair:
                      pair.source_id)
 
 
+def model_arrays(pair: ImagePair, size: int, dtype=np.float32) -> tuple[np.ndarray, np.ndarray]:
+    """Model inputs: the (3, size, size) image and re-binarized (size, size) mask."""
+    pair = resize_pair(pair, size)
+    return (np.ascontiguousarray(pair.image.transpose(2, 0, 1).astype(dtype)),
+            pair.mask.astype(dtype))
+
+
 def flip_horizontal(pair: ImagePair) -> ImagePair:
     return ImagePair(pair.image[:, ::-1].copy(), pair.mask[:, ::-1].copy(), pair.source_id)
 

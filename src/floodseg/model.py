@@ -20,8 +20,9 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import numbers
 import struct
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -70,6 +71,10 @@ class ModelSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "widths", tuple(int(w) for w in self.widths))
+        for name in ("input_size", "connectivity", "gat_out", "cheb_order", "cheb_out",
+                     "out_channels", "seed"):
+            if not isinstance(getattr(self, name), numbers.Integral):
+                raise SpecError(f"{name}: must be an integer, got {getattr(self, name)!r}")
         if not self.widths:
             raise SpecError("widths: need at least one encoder stage")
         if any(w < 1 for w in self.widths):
@@ -108,19 +113,14 @@ class ModelSpec:
         return self.cheb_out + (2 if self.com else 0)
 
     def to_json(self) -> str:
-        payload = {"input_size": self.input_size, "widths": list(self.widths),
-                   "variant": self.variant, "connectivity": self.connectivity,
-                   "gat_out": self.gat_out, "cheb_order": self.cheb_order,
-                   "cheb_out": self.cheb_out, "com": self.com,
-                   "out_channels": self.out_channels, "seed": self.seed}
-        return json.dumps(payload, sort_keys=True, separators=(",", ":"))
+        return json.dumps(asdict(self), sort_keys=True, separators=(",", ":"))
 
     @classmethod
-    def from_json(cls, text: str) -> "ModelSpec":
+    def from_json(cls, text: str | bytes) -> "ModelSpec":
+        payload = decode_config(text, "model")
         try:
-            payload = json.loads(text)
             return cls(**{k: (tuple(v) if k == "widths" else v) for k, v in payload.items()})
-        except (TypeError, ValueError, KeyError) as exc:
+        except (TypeError, ValueError, ArithmeticError) as exc:
             raise ModelFormatError(f"bad model configuration block: {exc}") from exc
 
 
@@ -240,9 +240,6 @@ class Model:
     def parameter_count(self) -> int:
         return sum(int(p.data.size) for p in self.params.values())
 
-    def named_parameters(self) -> dict[str, Tensor]:
-        return dict(self.params)
-
 
 def build_model(spec: ModelSpec, dtype=np.float32) -> Model:
     """Assemble a zero-initialized model for the given configuration."""
@@ -273,31 +270,69 @@ def _pack_header(kind: int, width: int, config: bytes) -> bytes:
     return MAGIC + struct.pack(_HEADER, FORMAT_VERSION, kind, width, len(config)) + config
 
 
-def _unpack_header(blob: bytes, path) -> tuple[int, int, bytes, bytes]:
+def _read_gacm(path, kind: int) -> tuple[int, bytes, bytes]:
+    """Float width, configuration block and payload of a .gacm file of ``kind``."""
+    what = "model" if kind == KIND_MODEL else "wrapper"
+    path = Path(path)
+    if not path.is_file():
+        raise ModelFormatError(f"{what} file not found: {path}")
+    blob = path.read_bytes()
     head = struct.calcsize(_HEADER)
     if blob[:4] != MAGIC:
         raise ModelFormatError(f"{path}: not a model file (bad magic bytes)")
     if len(blob) < 4 + head:
         raise ModelFormatError(f"{path}: truncated header")
-    version, kind, width, config_len = struct.unpack_from(_HEADER, blob, 4)
+    version, file_kind, width, config_len = struct.unpack_from(_HEADER, blob, 4)
     if version != FORMAT_VERSION:
         raise ModelFormatError(f"{path}: format version {version} is not supported "
                                f"(this build reads version {FORMAT_VERSION})")
+    if file_kind != kind:
+        raise ModelFormatError(f"{path}: not a {what} file (payload kind {file_kind})")
     if width not in (4, 8):
         raise ModelFormatError(f"{path}: bad float width {width}")
     start = 4 + head
     config = blob[start:start + config_len]
     if len(config) != config_len:
         raise ModelFormatError(f"{path}: truncated configuration block")
-    return kind, width, config, blob[start + config_len:]
+    return width, config, blob[start + config_len:]
+
+
+def decode_config(block, source) -> dict:
+    """The JSON object in a configuration block given as UTF-8 bytes or text."""
+    try:
+        config = json.loads(block.decode("utf-8") if isinstance(block, bytes) else block)
+    except (ValueError, RecursionError) as exc:
+        raise ModelFormatError(f"{source}: bad configuration block: {exc}") from exc
+    if not isinstance(config, dict):
+        raise ModelFormatError(f"{source}: configuration block is not a JSON object")
+    return config
+
+
+def pack_params(params: dict, width: int) -> bytes:
+    """Parameters as little-endian floats of ``width`` bytes, in dict order."""
+    return b"".join(p.data.astype(f"<f{width}", copy=False).tobytes()
+                    for p in params.values())
+
+
+def unpack_params(params: dict, payload: bytes, width: int, source):
+    """Fill ``params`` from a ``pack_params`` payload of finite values only."""
+    expected = sum(p.data.size for p in params.values()) * width
+    if len(payload) != expected:
+        raise ModelFormatError(f"{source}: parameter payload is {len(payload)} bytes, "
+                               f"expected {expected}")
+    values = np.frombuffer(payload, dtype=f"<f{width}")
+    if not np.isfinite(values).all():
+        raise ModelFormatError(f"{source}: parameter payload holds non-finite values")
+    offset = 0
+    for p in params.values():
+        p.data[...] = values[offset:offset + p.data.size].reshape(p.data.shape)
+        offset += p.data.size
 
 
 def serialize_model(model: Model) -> bytes:
     width = model.dtype.itemsize
     config = model.spec.to_json().encode("utf-8")
-    payload = b"".join(p.data.astype(f"<f{width}", copy=False).tobytes()
-                       for p in model.params.values())
-    return _pack_header(KIND_MODEL, width, config) + payload
+    return _pack_header(KIND_MODEL, width, config) + pack_params(model.params, width)
 
 
 def save_model(model: Model, path):
@@ -305,25 +340,9 @@ def save_model(model: Model, path):
 
 
 def load_model(path) -> Model:
-    path = Path(path)
-    if not path.is_file():
-        raise ModelFormatError(f"model file not found: {path}")
-    blob = path.read_bytes()
-    kind, width, config, payload = _unpack_header(blob, path)
-    if kind != KIND_MODEL:
-        raise ModelFormatError(f"{path}: file holds a reprogramming wrapper, not a model")
-    spec = ModelSpec.from_json(config.decode("utf-8"))
-    model = build_model(spec, np.float32 if width == 4 else np.float64)
-    expected = model.parameter_count() * width
-    if len(payload) != expected:
-        raise ModelFormatError(f"{path}: parameter payload is {len(payload)} bytes, "
-                               f"expected {expected}")
-    offset = 0
-    for p in model.params.values():
-        n = p.data.size * width
-        chunk = np.frombuffer(payload[offset:offset + n], dtype=f"<f{width}")
-        p.data[...] = chunk.reshape(p.data.shape)
-        offset += n
+    width, config, payload = _read_gacm(path, KIND_MODEL)
+    model = build_model(ModelSpec.from_json(config), np.float32 if width == 4 else np.float64)
+    unpack_params(model.params, payload, width, path)
     return model
 
 

@@ -5,7 +5,11 @@ every channel of the incoming image) and a 1x1 output map from the frozen
 base's channels to the new task's channels; the base itself never changes.
 Frozenness is enforced two ways: base parameters are marked as requiring no
 gradient updates, and a checksum over the serialized base is compared before
-and after training, failing hard on drift.
+and after training, failing hard on drift (``FrozenBaseError``).
+
+Training runs the shared fixed-step loop of ``train.py``, so a non-finite
+loss raises ``NumericFailure`` as it does for a model. Wrapper files are
+``.gacm`` files of the wrapper kind and use the model's parameter codec.
 """
 
 from __future__ import annotations
@@ -15,15 +19,14 @@ from pathlib import Path
 
 import numpy as np
 
-from .convnn import bce_loss, conv2d, dice_loss
-from .dataio import binarize_mask, resize_bilinear
+from .convnn import LOSSES, bce_loss, conv2d
+from .dataio import model_arrays
 from .model import (KIND_WRAPPER, Model, ModelFormatError, ModelSpec, _pack_header,
-                    _unpack_header, build_model, init_params, load_model,
-                    model_checksum)
+                    _read_gacm, build_model, decode_config, init_params, load_model,
+                    model_checksum, pack_params, unpack_params)
 from .optim import Adam
 from .tensor import ShapeError, Tensor, no_grad, sigmoid
-
-LOSSES = {"bce": bce_loss, "dice": dice_loss}
+from .train import train_for_steps
 
 
 class FrozenBaseError(RuntimeError):
@@ -105,29 +108,23 @@ class ReprogramWrapper:
                                   f"{self.base_checksum[:12]} -> {current[:12]}")
 
 
-def _pairs_to_arrays(pairs, size: int, dtype) -> list[tuple[np.ndarray, np.ndarray]]:
-    out = []
-    for pair in pairs:
-        image = resize_bilinear(pair.image, size, size)
-        mask = binarize_mask(resize_bilinear(pair.mask, size, size))
-        out.append((np.ascontiguousarray(image.transpose(2, 0, 1).astype(dtype)),
-                    mask.astype(dtype)))
-    return out
+def _wrapper_data(wrapper: ReprogramWrapper, pairs) -> list[tuple[np.ndarray, np.ndarray]]:
+    size, dtype = wrapper.base.spec.input_size, wrapper.base.dtype
+    return [(image, mask[None]) for image, mask
+            in (model_arrays(p, size, dtype) for p in pairs)]
 
 
 def dataset_loss(wrapper: ReprogramWrapper, pairs, loss: str = "dice") -> float:
     """Mean loss of the wrapper over all pairs, without touching gradients."""
     if loss not in LOSSES:
         raise ValueError(f"dataset_loss: unknown loss {loss!r}")
-    loss_fn = LOSSES[loss]
-    data = _pairs_to_arrays(pairs, wrapper.base.spec.input_size, wrapper.base.dtype)
+    data = _wrapper_data(wrapper, pairs)
     if not data:
         raise ValueError("dataset_loss: no pairs")
     total = 0.0
     with no_grad():
-        for image, mask in data:
-            pred = wrapper.forward(Tensor(image))
-            total += loss_fn(pred, Tensor(mask[None, :, :])).item()
+        for image, target in data:
+            total += LOSSES[loss](wrapper.forward(Tensor(image)), Tensor(target)).item()
     return total / len(data)
 
 
@@ -137,39 +134,16 @@ def reprogram_train(wrapper: ReprogramWrapper, pairs, steps: int, *, loss: str =
     """Train only the wrapper parameters for ``steps`` minibatch updates.
 
     Returns the per-step loss trajectory. The base checksum is verified
-    before and after; zero steps leaves every parameter untouched.
+    before and after; zero steps leaves every parameter untouched. A
+    non-finite loss raises ``NumericFailure``.
     """
     if loss not in LOSSES:
         raise ValueError(f"reprogram_train: unknown loss {loss!r}")
-    loss_fn = LOSSES[loss]
     wrapper.verify_frozen()
-    data = _pairs_to_arrays(pairs, wrapper.base.spec.input_size, wrapper.base.dtype)
-    if not data:
-        raise ValueError("reprogram_train: no training pairs")
+    data = _wrapper_data(wrapper, pairs)
     optimizer = Adam(wrapper.params, lr=lr, beta1=beta1, beta2=beta2, eps=eps)
-    rng = np.random.RandomState(seed)
-    order = []
-    losses = []
-    for step in range(steps):
-        if len(order) < batch_size:
-            order.extend(rng.permutation(len(data)))
-        batch = [order.pop(0) for _ in range(batch_size)]
-        optimizer.zero_grad()
-        sample_losses = []
-        for i in batch:
-            image, mask = data[i]
-            pred = wrapper.forward(Tensor(image))
-            sample_losses.append(loss_fn(pred, Tensor(mask[None, :, :])))
-        batch_loss = sample_losses[0]
-        for extra in sample_losses[1:]:
-            batch_loss = batch_loss + extra
-        batch_loss = batch_loss * (1.0 / len(sample_losses))
-        value = batch_loss.item()
-        if not np.isfinite(value):
-            raise FrozenBaseError(f"non-finite wrapper loss at step {step}")
-        batch_loss.backward()
-        optimizer.step()
-        losses.append(value)
+    losses = train_for_steps(wrapper.forward, optimizer, LOSSES[loss], data, steps,
+                             batch_size, seed)
     wrapper.verify_frozen()
     return losses
 
@@ -190,22 +164,8 @@ def make_pretrained_base(c_old: int = 8, size: int = 32, widths=(4, 8), seed: in
     scenes = generate_multiclass_set(count=12, size=size, classes=c_old, seed=seed)
     data = [(np.ascontiguousarray(img.transpose(2, 0, 1)), one_hot(labels, c_old))
             for img, labels in scenes]
-    optimizer = Adam(base.params, lr=lr)
-    rng = np.random.RandomState(seed)
-    order = []
-    for _ in range(steps):
-        if len(order) < 4:
-            order.extend(rng.permutation(len(data)))
-        optimizer.zero_grad()
-        sample_losses = []
-        for i in [order.pop(0) for _ in range(4)]:
-            image, target = data[i]
-            sample_losses.append(bce_loss(base.forward(Tensor(image)), Tensor(target)))
-        batch_loss = sample_losses[0]
-        for extra in sample_losses[1:]:
-            batch_loss = batch_loss + extra
-        (batch_loss * 0.25).backward()
-        optimizer.step()
+    train_for_steps(base.forward, Adam(base.params, lr=lr), bce_loss, data, steps,
+                    batch_size=4, seed=seed)
     return base
 
 
@@ -217,9 +177,7 @@ def serialize_wrapper(wrapper: ReprogramWrapper) -> bytes:
     config = json.dumps({"c_new": wrapper.c_new, "per_channel": wrapper.per_channel,
                          "base_checksum": wrapper.base_checksum},
                         sort_keys=True, separators=(",", ":")).encode("utf-8")
-    payload = b"".join(p.data.astype(f"<f{width}", copy=False).tobytes()
-                       for p in wrapper.params.values())
-    return _pack_header(KIND_WRAPPER, width, config) + payload
+    return _pack_header(KIND_WRAPPER, width, config) + pack_params(wrapper.params, width)
 
 
 def save_wrapper(wrapper: ReprogramWrapper, path):
@@ -230,29 +188,16 @@ def load_wrapper(path, base) -> ReprogramWrapper:
     """Rebuild a wrapper from ``path`` around ``base`` (a Model or a model path)."""
     if not isinstance(base, Model):
         base = load_model(base)
-    path = Path(path)
-    if not path.is_file():
-        raise ModelFormatError(f"wrapper file not found: {path}")
-    kind, width, config, payload = _unpack_header(path.read_bytes(), path)
-    if kind != KIND_WRAPPER:
-        raise ModelFormatError(f"{path}: file holds a model, not a reprogramming wrapper")
-    try:
-        meta = json.loads(config.decode("utf-8"))
-        c_new, per_channel, stored = meta["c_new"], meta["per_channel"], meta["base_checksum"]
-    except (ValueError, KeyError) as exc:
-        raise ModelFormatError(f"{path}: bad wrapper configuration block: {exc}") from exc
+    width, config, payload = _read_gacm(path, KIND_WRAPPER)
+    meta = decode_config(config, path)
+    c_new, per_channel, stored = (meta.get(k) for k in ("c_new", "per_channel", "base_checksum"))
+    if (type(c_new) is not int or c_new < 1 or not isinstance(per_channel, bool)
+            or not isinstance(stored, str)):
+        raise ModelFormatError(f"{path}: bad wrapper configuration block: need an integer "
+                               "c_new >= 1, a boolean per_channel and a base_checksum string")
     if model_checksum(base) != stored:
         raise ModelFormatError(f"{path}: wrapper was trained against a different base "
                                f"(checksum {stored[:12]})")
     wrapper = ReprogramWrapper(base, c_new=c_new, per_channel=per_channel)
-    expected = sum(p.data.size for p in wrapper.params.values()) * width
-    if len(payload) != expected:
-        raise ModelFormatError(f"{path}: wrapper payload is {len(payload)} bytes, "
-                               f"expected {expected}")
-    offset = 0
-    for p in wrapper.params.values():
-        n = p.data.size * width
-        p.data[...] = np.frombuffer(payload[offset:offset + n],
-                                    dtype=f"<f{width}").reshape(p.data.shape)
-        offset += n
+    unpack_params(wrapper.params, payload, width, path)
     return wrapper

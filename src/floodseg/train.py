@@ -1,11 +1,13 @@
-"""Minibatch training loop with validation-based model selection.
+"""Training: one minibatch step under two schedules.
 
-Pairs are loaded from manifest entries, resized to the model input size
-(masks re-binarized), and shuffled each epoch from one seeded stream, so a
-(config, seed) pair pins the whole trajectory. A non-finite batch loss
-aborts the run naming the offending batch. When validation entries are
-given, the best-validation-dice snapshot is kept; otherwise the final state
-is returned.
+``train_step`` is the only place a loss meets the optimizer. ``train_model``
+runs it over epochs: pairs are loaded from manifest entries at the model
+input size and shuffled each epoch from one seeded stream, and the
+best-validation-dice snapshot is kept when validation entries are given.
+``train_for_steps`` runs it a fixed number of times over a seeded refill
+queue, for reprogramming and base pretraining. The schedules draw from the
+seeded stream differently and stay separate; in both, a (config, seed) pair
+pins the whole trajectory.
 """
 
 from __future__ import annotations
@@ -14,22 +16,60 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .convnn import bce_loss, dice_loss
-from .dataio import binarize_mask, load_image, load_mask, resize_bilinear
+from .convnn import LOSSES
+from .dataio import ImagePair, load_image, load_mask, model_arrays
 from .metrics import dice_score, iou
 from .model import Model, serialize_model
 from .optim import Adam
 from .tensor import Tensor, no_grad
 
-LOSSES = {"bce": bce_loss, "dice": dice_loss}
-
 
 class NumericFailure(RuntimeError):
-    """Training hit a non-finite loss; carries the offending batch id."""
+    """A non-finite loss; ``batch_id`` is ``epoch:batch`` or the step index."""
 
     def __init__(self, message: str, batch_id: str):
         super().__init__(message)
         self.batch_id = batch_id
+
+
+def train_step(forward, optimizer: Adam, loss_fn, samples, batch_id: str) -> float:
+    """One Adam update on the mean loss over (input, target) ``samples``.
+
+    Returns the loss; a non-finite one raises before any backward pass.
+    """
+    optimizer.zero_grad()
+    losses = [loss_fn(forward(Tensor(x)), Tensor(y)) for x, y in samples]
+    batch_loss = losses[0]
+    for extra in losses[1:]:
+        batch_loss = batch_loss + extra
+    batch_loss = batch_loss * (1.0 / len(losses))
+    value = batch_loss.item()
+    if not np.isfinite(value):
+        raise NumericFailure(f"non-finite loss {value} in batch {batch_id}", batch_id)
+    batch_loss.backward()
+    optimizer.step()
+    return value
+
+
+def train_for_steps(forward, optimizer: Adam, loss_fn, data, steps: int,
+                    batch_size: int, seed: int) -> list[float]:
+    """``steps`` updates over ``data``; returns the per-step losses.
+
+    Batches come off a queue topped up with seeded permutations of ``data``
+    while it is shorter than ``batch_size``, so any data size fills a batch.
+    """
+    if not data or batch_size < 1:
+        raise ValueError(f"train_for_steps: need samples and batch_size >= 1, "
+                         f"got {len(data)} samples and batch_size {batch_size}")
+    rng = np.random.RandomState(seed)
+    order = []
+    losses = []
+    for step in range(steps):
+        while len(order) < batch_size:
+            order.extend(rng.permutation(len(data)))
+        batch = [data[order.pop(0)] for _ in range(batch_size)]
+        losses.append(train_step(forward, optimizer, loss_fn, batch, str(step)))
+    return losses
 
 
 @dataclass
@@ -61,10 +101,9 @@ class PairDataset:
         entry = self.entries[index]
         if self._cache is not None and index in self._cache:
             return self._cache[index]
-        image = resize_bilinear(load_image(entry.image_path), self.size, self.size)
-        mask = binarize_mask(resize_bilinear(load_mask(entry.mask_path), self.size, self.size))
-        item = (np.ascontiguousarray(image.transpose(2, 0, 1).astype(self.dtype)),
-                mask.astype(self.dtype))
+        pair = ImagePair(load_image(entry.image_path), load_mask(entry.mask_path),
+                         entry.image_path)
+        item = model_arrays(pair, self.size, self.dtype)
         if self._cache is not None:
             self._cache[index] = item
         return item
@@ -99,7 +138,6 @@ def train_model(model: Model, train_entries, val_entries=(), *, loss: str = "dic
         raise ValueError(f"train_model: unknown loss {loss!r}, expected one of {sorted(LOSSES)}")
     if batch_size < 1 or epochs < 0:
         raise ValueError("train_model: batch_size must be >= 1 and epochs >= 0")
-    loss_fn = LOSSES[loss]
     train_ds = PairDataset(train_entries, model.spec.input_size, model.dtype, cache)
     val_ds = PairDataset(val_entries, model.spec.input_size, model.dtype, cache)
     if len(train_ds) == 0:
@@ -117,26 +155,10 @@ def train_model(model: Model, train_entries, val_entries=(), *, loss: str = "dic
         total = 0.0
         batches = 0
         for start in range(0, len(order), batch_size):
-            batch = order[start:start + batch_size]
-            optimizer.zero_grad()
-            sample_losses = []
-            for i in batch:
-                image, mask = train_ds.get(int(i))
-                pred = model.forward(Tensor(image))
-                target = Tensor(mask[None, :, :])
-                sample_losses.append(loss_fn(pred, target))
-            batch_loss = sample_losses[0]
-            for extra in sample_losses[1:]:
-                batch_loss = batch_loss + extra
-            batch_loss = batch_loss * (1.0 / len(sample_losses))
-            value = batch_loss.item()
-            if not np.isfinite(value):
-                raise NumericFailure(
-                    f"non-finite loss {value} in epoch {epoch}, batch {batches}",
-                    batch_id=f"{epoch}:{batches}")
-            batch_loss.backward()
-            optimizer.step()
-            total += value
+            samples = ((image, mask[None]) for image, mask
+                       in map(train_ds.get, order[start:start + batch_size].tolist()))
+            total += train_step(model.forward, optimizer, LOSSES[loss], samples,
+                                f"{epoch}:{batches}")
             batches += 1
 
         val_iou = val_dice = None

@@ -1,13 +1,20 @@
 """Command-line driver: config resolution, all commands, exit codes."""
 
+import os
+import struct
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import floodseg
 from floodseg.checks import CheckResult
 from floodseg.cli import main
 from floodseg.dataio import load_mask, read_manifest
-from floodseg.model import (ModelSpec, build_model, init_params, load_model,
-                            serialize_model)
+from floodseg.model import (FORMAT_VERSION, KIND_MODEL, MAGIC, ModelSpec, build_model,
+                            init_params, load_model, serialize_model)
 from floodseg.synthetic import write_flood_set
 
 TRAIN_FLAGS = ["--input_size", "8", "--widths", "2,4", "--gat_out", "4",
@@ -259,3 +266,62 @@ def test_gradcheck_failure_exits_with_numeric_code(monkeypatch, capsys):
     monkeypatch.setattr("floodseg.checks.run_gradient_suite", broken_suite)
     assert main(["gradcheck"]) == 3
     assert "gradient check FAILED" in capsys.readouterr().out
+
+
+# ---- robustness -------------------------------------------------------------
+
+
+def test_reprogram_with_fewer_pairs_than_batch_size(workspace, tmp_path):
+    train_pairs = [e for e in read_manifest(workspace["manifest"]) if e.split == "train"]
+    assert len(train_pairs) < 64
+    assert main(["reprogram", "--base_model", str(tmp_path / "base.gacm"),
+                 "--manifest", str(workspace["manifest"]), "--out_dir", str(tmp_path / "rp"),
+                 "--init_base", "true", "--base_channels", "2", "--input_size", "8",
+                 "--steps", "2", "--batch_size", "64"]) == 0
+
+
+def test_eval_rejects_non_finite_model_as_data_error(workspace, tmp_path, capsys):
+    net = init_params(build_model(ModelSpec(input_size=8, widths=(2,),
+                                            variant="plain-unet")), 0)
+    net.params["head.w"].data[...] = np.nan
+    path = tmp_path / "nan.gacm"
+    path.write_bytes(serialize_model(net))
+    assert main(["eval", "--model", str(path), "--manifest", str(workspace["manifest"])]) == 2
+    assert "non-finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("config", [b"[]", b"null", b"\xff"])
+def test_eval_rejects_malformed_config_block_as_data_error(workspace, tmp_path, config):
+    path = tmp_path / "bad.gacm"
+    path.write_bytes(MAGIC + struct.pack("<HBBI", FORMAT_VERSION, KIND_MODEL, 4, len(config))
+                     + config)
+    assert main(["eval", "--model", str(path), "--manifest", str(workspace["manifest"])]) == 2
+
+
+DETERMINISTIC_PROBE = """
+import os, sys
+import floodseg.cli
+print("numpy loaded by import:", "numpy" in sys.modules)
+seen = []
+
+class Probe:
+    def find_spec(self, name, path=None, target=None):
+        if name == "numpy":
+            seen.append(os.environ.get("OPENBLAS_NUM_THREADS"))
+
+sys.meta_path.insert(0, Probe())
+code = floodseg.cli.main(["dataset-stats", "--dataset_dir", sys.argv[1], "--deterministic"])
+print("exit:", code)
+print("OPENBLAS_NUM_THREADS when numpy loaded:", seen[0])
+"""
+
+
+def test_deterministic_pins_threads_before_numpy_loads(workspace):
+    env = {k: v for k, v in os.environ.items() if not k.endswith("_NUM_THREADS")}
+    env["PYTHONPATH"] = str(Path(floodseg.__file__).parents[1])
+    result = subprocess.run([sys.executable, "-c", DETERMINISTIC_PROBE, str(workspace["raw"])],
+                            env=env, capture_output=True, text=True, timeout=120)
+    lines = result.stdout.splitlines()
+    assert "numpy loaded by import: False" in lines, result.stdout + result.stderr
+    assert "exit: 0" in lines
+    assert "OPENBLAS_NUM_THREADS when numpy loaded: 1" in lines

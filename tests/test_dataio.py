@@ -2,13 +2,16 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from floodseg.dataio import (DataError, ImagePair, PnmError, augment_expand,
                              binarize_mask, discover_pairs, five_crop,
                              flip_horizontal, flip_vertical, load_image,
-                             load_mask, prepare_dataset, read_manifest,
-                             resize_bilinear, save_image, save_mask,
+                             load_mask, model_arrays, prepare_dataset, read_manifest,
+                             resize_bilinear, resize_pair, save_image, save_mask,
                              split_dataset, write_manifest, ManifestEntry)
+from floodseg.dataio import _parse_pnm
 from floodseg.synthetic import write_flood_set
 
 
@@ -82,6 +85,24 @@ def test_parse_errors_carry_byte_offsets(tmp_path):
     path.write_bytes(b"P5\nab 2\n255\n" + bytes(4))
     with pytest.raises(PnmError):
         load_mask(path)
+
+
+HEADER_TOKENS = st.sampled_from([b"P5", b"P6", b"1", b"2", b"255", b"0", b"-3", b"1_0",
+                                 b"#x\n", b"#", b" ", b"\n", b"\t", b"\xff"])
+PNM_LIKE = st.builds(lambda head, tail: b"".join(head) + tail,
+                     st.lists(HEADER_TOKENS, max_size=12), st.binary(max_size=16))
+
+
+@settings(derandomize=True, database=None, deadline=None)
+@given(raw=st.one_of(st.binary(max_size=64), PNM_LIKE), magic=st.sampled_from([b"P5", b"P6"]))
+@example(raw=b"P5 1 1 255 \x00", magic=b"P5")
+@example(raw=b"P6\n1 1\n255\n\x00\x00\x00", magic=b"P6")
+def test_parse_pnm_raises_only_pnm_error(raw, magic):
+    try:
+        width, height, payload = _parse_pnm(raw, magic, "fuzz")
+    except PnmError:
+        return
+    assert len(payload) == width * height * (3 if magic == b"P6" else 1)
 
 
 def test_save_rejects_wrong_shapes(tmp_path):
@@ -308,3 +329,15 @@ def test_prepare_dataset_never_mutates_the_source(tmp_path):
     prepare_dataset(raw, tmp_path / "out", seed=0, resize=16, crop=8)
     after = {p.name: p.read_bytes() for p in raw.iterdir()}
     assert before == after
+
+
+def test_model_arrays_are_channels_first_and_rebinarized():
+    rng = np.random.RandomState(11)
+    pair = make_pair(rng, h=12, w=20)
+    image, mask = model_arrays(pair, 8, np.float64)
+    assert image.shape == (3, 8, 8) and image.dtype == np.float64
+    assert image.flags.c_contiguous
+    resized = resize_pair(pair, 8)
+    np.testing.assert_array_equal(image, resized.image.transpose(2, 0, 1))
+    np.testing.assert_array_equal(mask, resized.mask)
+    assert mask.dtype == np.float64

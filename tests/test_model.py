@@ -4,9 +4,11 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
-from floodseg.model import (FORMAT_VERSION, MAGIC, Model, ModelFormatError,
-                            ModelSpec, SpecError, build_model, init_params,
+from floodseg.model import (FORMAT_VERSION, KIND_MODEL, MAGIC, Model,
+                            ModelFormatError, ModelSpec, SpecError, build_model, init_params,
                             load_model, model_checksum, save_model,
                             serialize_model)
 from floodseg.tensor import ShapeError, Tensor
@@ -269,3 +271,34 @@ def test_checksum_tracks_parameter_changes():
     assert before == model_checksum(model)
     model.params["head.b"].data[0] += 1.0
     assert model_checksum(model) != before
+
+
+def test_load_rejects_non_finite_parameters(tmp_path):
+    path = tmp_path / "model.gacm"
+    for bad in (np.nan, np.inf, -np.inf):
+        model = init_params(build_model(small_spec()), seed=0)
+        model.params["head.w"].data[0] = bad
+        save_model(model, path)
+        with pytest.raises(ModelFormatError, match="non-finite"):
+            load_model(path)
+
+
+PROPERTY_CONFIG = small_spec().to_json().encode()
+
+
+@settings(derandomize=True, database=None, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(config=st.one_of(st.binary(max_size=64), st.just(PROPERTY_CONFIG)),
+       payload=st.binary(max_size=64))
+@example(config=b"[]", payload=b"")
+@example(config=b"null", payload=b"")
+@example(config=b"\xff", payload=b"")
+@example(config=b'{"widths": 4}', payload=b"")
+@example(config=b'{"widths": [1e400]}', payload=b"")
+@example(config=b'{"input_size": 16.0, "widths": [2]}', payload=b"")
+def test_load_model_raises_only_model_format_error(tmp_path, config, payload):
+    path = tmp_path / "fuzz.gacm"
+    path.write_bytes(MAGIC + struct.pack("<HBBI", FORMAT_VERSION, KIND_MODEL, 4, len(config))
+                     + config + payload)
+    with pytest.raises(ModelFormatError):
+        load_model(path)

@@ -1,16 +1,22 @@
 """Reprogramming wrapper: input program, output map, frozen-base guarantees."""
 
+import struct
+
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from floodseg.convnn import bce_loss
-from floodseg.model import (ModelFormatError, ModelSpec, build_model, init_params,
-                            model_checksum, save_model, serialize_model)
+from floodseg.model import (FORMAT_VERSION, KIND_WRAPPER, MAGIC, ModelFormatError,
+                            ModelSpec, build_model, init_params, model_checksum,
+                            save_model, serialize_model)
 from floodseg.reprogram import (FrozenBaseError, ReprogramWrapper, input_transform,
                                 load_wrapper, make_pretrained_base, output_map,
                                 reprogram_train, save_wrapper)
 from floodseg.synthetic import generate_flood_set
 from floodseg.tensor import ShapeError, Tensor, grad_check
+from floodseg.train import NumericFailure
 
 
 def small_base(out_channels=2, size=8, widths=(2,), seed=0, dtype=np.float32):
@@ -240,3 +246,59 @@ def test_wrapper_gradients_pass_numeric_check():
 
     inputs = list(wrapper.params.values()) + [x]
     assert grad_check(fn, inputs, step=1e-6) < 1e-4
+
+
+# ---- shared training step ---------------------------------------------------
+
+
+def test_non_finite_loss_raises_numeric_failure():
+    wrapper = ReprogramWrapper(small_base(), seed=13)
+    wrapper.params["reprog.out.w"].data[...] = np.nan
+    pairs = generate_flood_set(5, 8, seed=13)
+    with pytest.raises(NumericFailure) as info:
+        reprogram_train(wrapper, pairs, steps=2, seed=13)
+    assert info.value.batch_id == "0"
+
+
+def test_fewer_pairs_than_batch_size_still_fills_each_batch():
+    wrapper = ReprogramWrapper(small_base(), seed=14)
+    pairs = generate_flood_set(2, 8, seed=14)
+    losses = reprogram_train(wrapper, pairs, steps=3, batch_size=4, seed=14)
+    assert len(losses) == 3
+    assert all(np.isfinite(losses))
+
+
+# ---- malformed wrapper files --------------------------------------------------
+
+
+def test_load_wrapper_rejects_non_finite_parameters(tmp_path):
+    base = small_base(seed=15)
+    for bad in (np.nan, np.inf):
+        wrapper = ReprogramWrapper(base, seed=15)
+        wrapper.params["reprog.in.b"].data[0, 0] = bad
+        path = tmp_path / "wrapper.gacm"
+        save_wrapper(wrapper, path)
+        with pytest.raises(ModelFormatError, match="non-finite"):
+            load_wrapper(path, base)
+
+
+PROPERTY_BASE = small_base(seed=16)
+GOOD_CONFIG = ('{"base_checksum":"%s","c_new":1,"per_channel":false}'
+               % model_checksum(PROPERTY_BASE)).encode()
+
+
+@settings(derandomize=True, database=None, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(config=st.one_of(st.binary(max_size=64), st.just(GOOD_CONFIG)),
+       payload=st.binary(max_size=64))
+@example(config=b"[]", payload=b"")
+@example(config=b"null", payload=b"")
+@example(config=b"\xff", payload=b"")
+@example(config=b'{"c_new": "1", "per_channel": false, "base_checksum": "x"}', payload=b"")
+@example(config=b'{"c_new": 1, "per_channel": false, "base_checksum": 7}', payload=b"")
+def test_load_wrapper_raises_only_model_format_error(tmp_path, config, payload):
+    path = tmp_path / "fuzz.gacm"
+    path.write_bytes(MAGIC + struct.pack("<HBBI", FORMAT_VERSION, KIND_WRAPPER, 4, len(config))
+                     + config + payload)
+    with pytest.raises(ModelFormatError):
+        load_wrapper(path, PROPERTY_BASE)

@@ -3,10 +3,12 @@
 import numpy as np
 import pytest
 
-from floodseg.dataio import ManifestEntry
+from floodseg.convnn import dice_loss
+from floodseg.dataio import DataError, ManifestEntry, save_image, save_mask
 from floodseg.model import ModelSpec, build_model, init_params, serialize_model
+from floodseg.optim import Adam
 from floodseg.synthetic import write_flood_set
-from floodseg.train import EpochLog, NumericFailure, PairDataset, train_model
+from floodseg.train import EpochLog, NumericFailure, PairDataset, train_model, train_step
 
 
 @pytest.fixture(scope="module")
@@ -117,3 +119,26 @@ def test_argument_validation(entries):
         train_model(tiny_model(), entries, batch_size=0)
     with pytest.raises(ValueError):
         train_model(tiny_model(), [], epochs=1)
+
+
+def test_train_step_refuses_a_non_finite_loss_before_updating():
+    model = tiny_model(seed=7)
+    model.params["head.b"].data[...] = np.nan
+    before = {k: p.data.copy() for k, p in model.params.items()}
+    optimizer = Adam(model.params)
+    sample = (np.full((3, 16, 16), 0.5, dtype=np.float32), np.ones((1, 16, 16), np.float32))
+    with pytest.raises(NumericFailure) as info:
+        train_step(model.forward, optimizer, dice_loss, [sample, sample], "2:5")
+    assert info.value.batch_id == "2:5"
+    assert optimizer._t == 0
+    for k, p in model.params.items():
+        np.testing.assert_array_equal(p.data, before[k])
+
+
+def test_pair_dataset_rejects_a_mask_of_another_size(tmp_path):
+    save_image(tmp_path / "a.ppm", np.zeros((8, 8, 3), dtype=np.float32))
+    save_mask(tmp_path / "a.pgm", np.zeros((6, 8), dtype=np.float32))
+    ds = PairDataset([ManifestEntry(str(tmp_path / "a.ppm"), str(tmp_path / "a.pgm"), "train")],
+                     size=4)
+    with pytest.raises(DataError, match="a.ppm"):
+        ds.get(0)
