@@ -21,8 +21,6 @@ EXIT_USAGE = 1
 EXIT_DATA = 2
 EXIT_NUMERIC = 3
 
-COMMANDS = ("prepare", "train", "eval", "predict", "reprogram", "gradcheck", "dataset-stats")
-
 USAGE = """usage: floodseg COMMAND [--config FILE] [--deterministic] [--KEY VALUE ...]
 
 commands:
@@ -179,12 +177,10 @@ def _config_echo(config: dict) -> list:
 
 
 def _build_spec(config: dict):
+    from dataclasses import fields
+
     from .model import ModelSpec
-    return ModelSpec(input_size=config["input_size"], widths=config["widths"],
-                     variant=config["variant"], connectivity=config["connectivity"],
-                     gat_out=config["gat_out"], cheb_order=config["cheb_order"],
-                     cheb_out=config["cheb_out"], com=config["com"],
-                     out_channels=config["out_channels"], seed=config["seed"])
+    return ModelSpec(**{f.name: config[f.name] for f in fields(ModelSpec)})
 
 
 def _dtype(config: dict):
@@ -251,35 +247,19 @@ def cmd_train(config: dict) -> int:
     return EXIT_OK
 
 
-def _load_pairs(entries, limit_split: str):
-    from .dataio import ImagePair, binarize_mask, load_image, load_mask
-    pairs = []
-    for e in entries:
-        if limit_split != "all" and e.split != limit_split:
-            continue
-        stem = Path(e.image_path).stem
-        pairs.append(ImagePair(load_image(e.image_path),
-                               binarize_mask(load_mask(e.mask_path)), stem))
-    return pairs
-
-
 def cmd_eval(config: dict) -> int:
     _require(config, "eval", "model", "manifest")
-    from .dataio import DataError, read_manifest, resize_bilinear
+    from .dataio import DataError, load_pairs, read_manifest
     from .metrics import evaluate
     from .model import load_model
 
     net = load_model(config["model"])
-    pairs = _load_pairs(read_manifest(config["manifest"]), config["split"])
+    split = config["split"]
+    pairs = load_pairs(e for e in read_manifest(config["manifest"])
+                       if split == "all" or e.split == split)
     if not pairs:
-        raise DataError(f"manifest has no {config['split']!r} entries")
-    size = net.spec.input_size
-
-    def predict(image):
-        prob = net.predict_proba(resize_bilinear(image, size, size))
-        return resize_bilinear(prob, image.shape[0], image.shape[1])
-
-    report = evaluate(predict, pairs, config["pred_threshold"])
+        raise DataError(f"manifest has no {split!r} entries")
+    report = evaluate(net.predict_proba, pairs, config["pred_threshold"])
     text = str(report)
     print(text)
     if config["report"]:
@@ -289,14 +269,11 @@ def cmd_eval(config: dict) -> int:
 
 def cmd_predict(config: dict) -> int:
     _require(config, "predict", "model", "image", "output")
-    from .dataio import load_image, resize_bilinear, save_mask
+    from .dataio import load_image, save_mask
     from .model import load_model
 
     net = load_model(config["model"])
-    image = load_image(config["image"])
-    size = net.spec.input_size
-    prob = net.predict_proba(resize_bilinear(image, size, size))
-    prob = resize_bilinear(prob, image.shape[0], image.shape[1])
+    prob = net.predict_proba(load_image(config["image"]))
     save_mask(config["output"], (prob > config["pred_threshold"]).astype("float32"))
     print(f"mask: {config['output']}")
     return EXIT_OK
@@ -304,7 +281,7 @@ def cmd_predict(config: dict) -> int:
 
 def cmd_reprogram(config: dict) -> int:
     _require(config, "reprogram", "base_model", "manifest", "out_dir")
-    from .dataio import DataError, read_manifest
+    from .dataio import DataError, load_pairs, read_manifest
     from .model import load_model, model_checksum, save_model
     from .reprogram import (ReprogramWrapper, dataset_loss, make_pretrained_base,
                             reprogram_train, save_wrapper)
@@ -319,7 +296,7 @@ def cmd_reprogram(config: dict) -> int:
         raise DataError(f"base model not found: {base_path}")
     base = load_model(base_path)
 
-    pairs = _load_pairs(read_manifest(config["manifest"]), "train")
+    pairs = load_pairs(e for e in read_manifest(config["manifest"]) if e.split == "train")
     if not pairs:
         raise DataError("manifest has no train entries")
 
@@ -393,18 +370,18 @@ def main(argv=None) -> int:
         if config["deterministic"]:
             _set_single_threaded()
         from .dataio import DataError
-        from .model import ModelFormatError, SpecError
+        from .model import ModelFormatError
         from .reprogram import FrozenBaseError
         from .tensor import GradCheckFailure, ShapeError
         from .train import NumericFailure
         try:
             return HANDLERS[command](config)
-        except (UsageError, SpecError) as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_USAGE
         except (DataError, ModelFormatError, FileNotFoundError, ShapeError) as exc:
             print(f"error: {exc}", file=sys.stderr)
             return EXIT_DATA
+        except (UsageError, ValueError) as exc:    # bad arguments, SpecError included
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_USAGE
         except (NumericFailure, GradCheckFailure, FrozenBaseError) as exc:
             print(f"error: {exc}", file=sys.stderr)
             return EXIT_NUMERIC

@@ -311,6 +311,12 @@ def read_manifest(path) -> list[ManifestEntry]:
     return entries
 
 
+def load_pairs(entries) -> list[ImagePair]:
+    """Manifest entries as native-size pairs with binarized masks, named by image stem."""
+    return [ImagePair(load_image(e.image_path), binarize_mask(load_mask(e.mask_path)),
+                      Path(e.image_path).stem) for e in entries]
+
+
 @dataclass
 class PrepareResult:
     train_count: int

@@ -28,6 +28,7 @@ from pathlib import Path
 import numpy as np
 
 from .convnn import ConvParams, maxpool2, upsample2
+from .dataio import resize_bilinear
 from .graphnn import (ChebParams, GatParams, build_grid_graph, cheb_conv, center_of_mass,
                       gat_conv, normalized_laplacian)
 from .tensor import ShapeError, Tensor, concat, leaky_relu, no_grad, reshape, sigmoid, transpose
@@ -116,12 +117,13 @@ class ModelSpec:
         return json.dumps(asdict(self), sort_keys=True, separators=(",", ":"))
 
     @classmethod
-    def from_json(cls, text: str | bytes) -> "ModelSpec":
-        payload = decode_config(text, "model")
+    def from_json(cls, text: str | bytes, source="model") -> "ModelSpec":
+        """The spec in a configuration block; errors name ``source`` (a file path)."""
+        payload = decode_config(text, source)
         try:
             return cls(**{k: (tuple(v) if k == "widths" else v) for k, v in payload.items()})
         except (TypeError, ValueError, ArithmeticError) as exc:
-            raise ModelFormatError(f"bad model configuration block: {exc}") from exc
+            raise ModelFormatError(f"{source}: bad model configuration block: {exc}") from exc
 
 
 class Model:
@@ -213,32 +215,38 @@ class Model:
             h = leaky_relu(conv.apply(h), ACTIVATION_SLOPE)
         return sigmoid(self.head.apply(h))
 
-    def encoder_features(self, x: Tensor) -> list[np.ndarray]:
-        """Pre-pool feature maps of each encoder stage (no recording)."""
-        with no_grad():
-            maps = []
-            h = x
-            for conv, dconv in self.encoder:
-                h = leaky_relu(conv.apply(h), ACTIVATION_SLOPE)
-                h = leaky_relu(dconv.apply(h), ACTIVATION_SLOPE)
-                maps.append(h.data.copy())
-                h = maxpool2(h)
-        return maps
-
     def predict_proba(self, image_hwc: np.ndarray) -> np.ndarray:
-        """Probability map for an already-sized (H, W, 3) image in [0, 1].
+        """Probability map of an (H, W, 3) image in [0, 1] at its own size.
 
-        Returns (H, W) for single-channel heads, else (C, H, W).
+        Returns (H, W) for single-channel heads, else (C, H, W); see the
+        module-level ``predict_proba``.
         """
-        chw = np.ascontiguousarray(np.asarray(image_hwc, dtype=self.dtype).transpose(2, 0, 1))
-        with no_grad():
-            out = self.forward(Tensor(chw)).data
-        return out[0] if self.spec.out_channels == 1 else out
+        return predict_proba(self.forward, image_hwc, self.spec.input_size, self.dtype)
 
     # ---- bookkeeping ---------------------------------------------------------
 
     def parameter_count(self) -> int:
         return sum(int(p.data.size) for p in self.params.values())
+
+
+def predict_proba(forward, image_hwc: np.ndarray, size: int, dtype) -> np.ndarray:
+    """Run ``forward`` on an (H, W, 3) image of any size; the map comes back at (H, W).
+
+    The image is resized to the ``size`` x ``size`` input and cast to
+    ``dtype``; the output is computed without recording and each channel
+    is resized back. Returns float32 (H, W) for a single-channel output,
+    else (C, H, W).
+    """
+    image = np.asarray(image_hwc)
+    if image.ndim != 3 or image.shape[2] != 3:
+        raise ShapeError(f"predict_proba: expected an (H, W, 3) image, got {image.shape}")
+    h, w = image.shape[:2]
+    chw = resize_bilinear(image, size, size).transpose(2, 0, 1)
+    with no_grad():
+        out = forward(Tensor(np.ascontiguousarray(chw, dtype=dtype))).data
+    if out.shape[0] == 1:
+        return resize_bilinear(out[0], h, w)
+    return resize_bilinear(out.transpose(1, 2, 0), h, w).transpose(2, 0, 1)
 
 
 def build_model(spec: ModelSpec, dtype=np.float32) -> Model:
@@ -341,7 +349,8 @@ def save_model(model: Model, path):
 
 def load_model(path) -> Model:
     width, config, payload = _read_gacm(path, KIND_MODEL)
-    model = build_model(ModelSpec.from_json(config), np.float32 if width == 4 else np.float64)
+    spec = ModelSpec.from_json(config, path)
+    model = build_model(spec, np.float32 if width == 4 else np.float64)
     unpack_params(model.params, payload, width, path)
     return model
 

@@ -23,7 +23,7 @@ from .convnn import LOSSES, bce_loss, conv2d
 from .dataio import model_arrays
 from .model import (KIND_WRAPPER, Model, ModelFormatError, ModelSpec, _pack_header,
                     _read_gacm, build_model, decode_config, init_params, load_model,
-                    model_checksum, pack_params, unpack_params)
+                    model_checksum, pack_params, predict_proba, unpack_params)
 from .optim import Adam
 from .tensor import ShapeError, Tensor, no_grad, sigmoid
 from .train import train_for_steps
@@ -95,11 +95,8 @@ class ReprogramWrapper:
                           apply_sigmoid=self.c_new == 1)
 
     def predict_proba(self, image_hwc: np.ndarray) -> np.ndarray:
-        chw = np.ascontiguousarray(
-            np.asarray(image_hwc, dtype=self.base.dtype).transpose(2, 0, 1))
-        with no_grad():
-            out = self.forward(Tensor(chw)).data
-        return out[0] if self.c_new == 1 else out
+        """Probability map of an (H, W, 3) image at its own size, as ``Model.predict_proba``."""
+        return predict_proba(self.forward, image_hwc, self.base.spec.input_size, self.base.dtype)
 
     def verify_frozen(self):
         current = model_checksum(self.base)

@@ -2,8 +2,10 @@
 
 ``train_step`` is the only place a loss meets the optimizer. ``train_model``
 runs it over epochs: pairs are loaded from manifest entries at the model
-input size and shuffled each epoch from one seeded stream, and the
-best-validation-dice snapshot is kept when validation entries are given.
+input size and shuffled each epoch from one seeded stream. Validation is
+``metrics.evaluate`` over ``Model.predict_proba`` at each image's own size,
+the metric ``floodseg eval`` reports, and the best-validation-dice snapshot
+is kept when validation entries are given.
 ``train_for_steps`` runs it a fixed number of times over a seeded refill
 queue, for reprogramming and base pretraining. The schedules draw from the
 seeded stream differently and stay separate; in both, a (config, seed) pair
@@ -17,11 +19,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .convnn import LOSSES
-from .dataio import ImagePair, load_image, load_mask, model_arrays
-from .metrics import dice_score, iou
+from .dataio import ImagePair, load_image, load_mask, load_pairs, model_arrays
+from .metrics import evaluate
 from .model import Model, serialize_model
 from .optim import Adam
-from .tensor import Tensor, no_grad
+from .tensor import Tensor
 
 
 class NumericFailure(RuntimeError):
@@ -109,19 +111,6 @@ class PairDataset:
         return item
 
 
-def _mean_scores(model: Model, dataset: PairDataset, threshold: float = 0.5):
-    ious, dices = [], []
-    with no_grad():
-        for i in range(len(dataset)):
-            image, mask = dataset.get(i)
-            prob = model.forward(Tensor(image)).data[0]
-            pred = (prob > threshold).astype(np.uint8)
-            true = (mask > 0.5).astype(np.uint8)
-            ious.append(iou(pred, true))
-            dices.append(dice_score(pred, true))
-    return sum(ious) / len(ious), sum(dices) / len(dices)
-
-
 @dataclass
 class TrainResult:
     rows: list
@@ -139,9 +128,10 @@ def train_model(model: Model, train_entries, val_entries=(), *, loss: str = "dic
     if batch_size < 1 or epochs < 0:
         raise ValueError("train_model: batch_size must be >= 1 and epochs >= 0")
     train_ds = PairDataset(train_entries, model.spec.input_size, model.dtype, cache)
-    val_ds = PairDataset(val_entries, model.spec.input_size, model.dtype, cache)
     if len(train_ds) == 0:
         raise ValueError("train_model: no training entries")
+    val_pairs = load_pairs(val_entries)
+    train_pairs = load_pairs(train_entries) if early_stop_train_dice > 0.0 else []
 
     optimizer = Adam(model.params, lr=lr, beta1=beta1, beta2=beta2, eps=eps, freeze=freeze)
     rng = np.random.RandomState(seed)
@@ -162,8 +152,9 @@ def train_model(model: Model, train_entries, val_entries=(), *, loss: str = "dic
             batches += 1
 
         val_iou = val_dice = None
-        if len(val_ds):
-            val_iou, val_dice = _mean_scores(model, val_ds)
+        if val_pairs:
+            report = evaluate(model.predict_proba, val_pairs)
+            val_iou, val_dice = report.mean_iou, report.mean_dice
             if val_dice > best_dice:
                 best_dice = val_dice
                 best_bytes = serialize_model(model)
@@ -172,10 +163,9 @@ def train_model(model: Model, train_entries, val_entries=(), *, loss: str = "dic
         rows.append(row)
         if on_epoch is not None:
             on_epoch(row)
-        if early_stop_train_dice > 0.0:
-            _, train_dice = _mean_scores(model, train_ds)
-            if train_dice >= early_stop_train_dice:
-                break
+        if (train_pairs and evaluate(model.predict_proba, train_pairs).mean_dice
+                >= early_stop_train_dice):
+            break
 
     if best_bytes is None:
         best_bytes = serialize_model(model)

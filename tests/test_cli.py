@@ -177,9 +177,9 @@ def test_eval_matches_direct_library_computation(workspace, trained, tmp_path, c
 
     from floodseg.dataio import resize_bilinear
     from floodseg.metrics import evaluate
-    from floodseg.cli import _load_pairs
+    from floodseg.dataio import load_pairs
     net = load_model(trained / "model.gacm")
-    pairs = _load_pairs(read_manifest(workspace["manifest"]), "test")
+    pairs = load_pairs(e for e in read_manifest(workspace["manifest"]) if e.split == "test")
 
     def predict(image):
         prob = net.predict_proba(resize_bilinear(image, 8, 8))
@@ -291,11 +291,33 @@ def test_eval_rejects_non_finite_model_as_data_error(workspace, tmp_path, capsys
 
 
 @pytest.mark.parametrize("config", [b"[]", b"null", b"\xff"])
-def test_eval_rejects_malformed_config_block_as_data_error(workspace, tmp_path, config):
+def test_eval_rejects_malformed_config_block_as_data_error(workspace, tmp_path, config,
+                                                           capsys):
     path = tmp_path / "bad.gacm"
     path.write_bytes(MAGIC + struct.pack("<HBBI", FORMAT_VERSION, KIND_MODEL, 4, len(config))
                      + config)
     assert main(["eval", "--model", str(path), "--manifest", str(workspace["manifest"])]) == 2
+    assert f"error: {path}: " in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command,flags", [
+    ("train", ["--batch_size", "0"]),
+    ("train", ["--loss", "huber"]),
+    ("reprogram", ["--batch_size", "0"]),
+    ("reprogram", ["--loss", "huber"]),
+])
+def test_bad_library_arguments_end_in_an_error_line(workspace, tmp_path, command, flags):
+    paths = {"train": ["--out_dir", str(tmp_path / "out")] + TRAIN_FLAGS,
+             "reprogram": ["--out_dir", str(tmp_path / "rp"), "--init_base", "true",
+                           "--base_model", str(tmp_path / "base.gacm"),
+                           "--base_channels", "2", "--input_size", "8", "--steps", "1"]}
+    env = dict(os.environ, PYTHONPATH=str(Path(floodseg.__file__).parents[1]))
+    result = subprocess.run([sys.executable, "-m", "floodseg.cli", command,
+                             "--manifest", str(workspace["manifest"])] + paths[command] + flags,
+                            env=env, capture_output=True, text=True, timeout=120)
+    assert result.returncode == 1, result.stderr
+    assert result.stderr.startswith("error: ")
+    assert "Traceback" not in result.stderr
 
 
 DETERMINISTIC_PROBE = """

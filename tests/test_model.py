@@ -11,7 +11,8 @@ from floodseg.model import (FORMAT_VERSION, KIND_MODEL, MAGIC, Model,
                             ModelFormatError, ModelSpec, SpecError, build_model, init_params,
                             load_model, model_checksum, save_model,
                             serialize_model)
-from floodseg.tensor import ShapeError, Tensor
+from floodseg.dataio import resize_bilinear
+from floodseg.tensor import ShapeError, Tensor, no_grad
 
 
 def count_oracle(spec: ModelSpec) -> int:
@@ -148,14 +149,6 @@ def test_variants_share_encoder_draws_for_a_seed():
         if name.startswith("enc"):
             np.testing.assert_array_equal(gac.params[name].data, plain.params[name].data)
 
-    rng = np.random.RandomState(6)
-    x = Tensor(rng.uniform(0, 1, (3, 16, 16)).astype(np.float32))
-    gac_maps = gac.encoder_features(x)
-    plain_maps = plain.encoder_features(x)
-    assert len(gac_maps) == 2
-    for gm, pm in zip(gac_maps, plain_maps):
-        np.testing.assert_array_equal(gm, pm)
-
 
 # ---- forward pass ------------------------------------------------------------------
 
@@ -185,6 +178,21 @@ def test_forward_multichannel_head():
     prob = model.predict_proba(rng.uniform(0, 1, (16, 16, 3)).astype(np.float32))
     assert prob.shape == (4, 16, 16)
     assert np.all((prob > 0) & (prob < 1))
+
+
+@pytest.mark.parametrize("out_channels", [1, 4])
+def test_predict_proba_returns_the_map_at_the_image_size(out_channels):
+    model = init_params(build_model(small_spec(out_channels=out_channels)), seed=0)
+    image = np.random.RandomState(4).uniform(0, 1, (24, 40, 3)).astype(np.float32)
+    prob = model.predict_proba(image)
+    assert prob.shape == ((24, 40) if out_channels == 1 else (out_channels, 24, 40))
+    with no_grad():
+        at_input = model.forward(Tensor(resize_bilinear(image, 16, 16).transpose(2, 0, 1)
+                                        .copy())).data
+    want = np.stack([resize_bilinear(c, 24, 40) for c in at_input])
+    np.testing.assert_array_equal(prob, want[0] if out_channels == 1 else want)
+    with pytest.raises(ShapeError):
+        model.predict_proba(image[..., :2])
 
 
 def test_forward_shape_validation():

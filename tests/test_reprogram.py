@@ -8,6 +8,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from floodseg.convnn import bce_loss
+from floodseg.dataio import resize_bilinear
 from floodseg.model import (FORMAT_VERSION, KIND_WRAPPER, MAGIC, ModelFormatError,
                             ModelSpec, build_model, init_params, model_checksum,
                             save_model, serialize_model)
@@ -129,6 +130,15 @@ def test_predict_proba_shape_and_range():
     prob = wrapper.predict_proba(image)
     assert prob.shape == (8, 8)
     assert prob.min() > 0.0 and prob.max() < 1.0
+
+
+def test_predict_proba_returns_the_map_at_the_image_size():
+    wrapper = ReprogramWrapper(small_base(), c_new=1)
+    image = np.random.RandomState(6).uniform(0, 1, (20, 12, 3)).astype(np.float32)
+    prob = wrapper.predict_proba(image)
+    assert prob.shape == (20, 12)
+    at_input = wrapper.predict_proba(resize_bilinear(image, 8, 8))
+    np.testing.assert_array_equal(prob, resize_bilinear(at_input, 20, 12))
 
 
 def test_verify_frozen_detects_tampering():

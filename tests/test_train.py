@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from floodseg.convnn import dice_loss
-from floodseg.dataio import DataError, ManifestEntry, save_image, save_mask
-from floodseg.model import ModelSpec, build_model, init_params, serialize_model
+from floodseg.dataio import DataError, ManifestEntry, load_pairs, save_image, save_mask
+from floodseg.metrics import evaluate
+from floodseg.model import ModelSpec, build_model, init_params, load_model, serialize_model
 from floodseg.optim import Adam
 from floodseg.synthetic import write_flood_set
 from floodseg.train import EpochLog, NumericFailure, PairDataset, train_model, train_step
@@ -72,6 +73,17 @@ def test_best_validation_snapshot_is_kept(entries):
     want_epoch = dices.index(max(dices)) + 1
     assert result.best_epoch == want_epoch
     assert result.model_bytes == snapshots[want_epoch - 1]
+
+
+def test_validation_scores_the_kept_model_at_native_size(entries, tmp_path):
+    written = write_flood_set(tmp_path, count=2, size=40, seed=9)
+    val = [ManifestEntry(img, mask, "test") for img, mask in written]
+    result = train_model(tiny_model(seed=2), entries, val, epochs=3, batch_size=2,
+                         lr=0.01, seed=2)
+    (tmp_path / "kept.gacm").write_bytes(result.model_bytes)
+    report = evaluate(load_model(tmp_path / "kept.gacm").predict_proba, load_pairs(val))
+    row = result.rows[result.best_epoch - 1]
+    assert (row.val_iou, row.val_dice) == (report.mean_iou, report.mean_dice)
 
 
 def test_identical_runs_are_bit_identical(entries):
