@@ -139,12 +139,10 @@ def end_to_end_check(seed: int = 0) -> CheckResult:
     return CheckResult("end_to_end_gac_unet", err, END_TO_END_TOLERANCE)
 
 
-def run_gradient_suite(include_end_to_end: bool = True, seed: int = 0,
-                       extra=()) -> list[CheckResult]:
+def run_gradient_suite(seed: int = 0) -> list[CheckResult]:
     results = []
-    for name, tolerance, builder in list(_builders()) + list(extra):
+    for name, tolerance, builder in _builders():
         fn, inputs = builder(np.random.RandomState(seed))
         results.append(CheckResult(name, grad_check(fn, inputs), tolerance))
-    if include_end_to_end:
-        results.append(end_to_end_check(seed))
+    results.append(end_to_end_check(seed))
     return results

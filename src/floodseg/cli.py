@@ -183,6 +183,16 @@ def _build_spec(config: dict):
     return ModelSpec(**{f.name: config[f.name] for f in fields(ModelSpec)})
 
 
+def _load_mask_model(path: str):
+    """A saved model with the one output channel that a mask is cut from."""
+    from .dataio import DataError
+    from .model import load_model
+    net = load_model(path)
+    if net.spec.out_channels != 1:
+        raise DataError(f"{path}: model has {net.spec.out_channels} output channels, not 1")
+    return net
+
+
 def _dtype(config: dict):
     import numpy as np
     return np.float64 if config["float_width"] == 64 else np.float32
@@ -214,6 +224,8 @@ def cmd_dataset_stats(config: dict) -> int:
 
 def cmd_train(config: dict) -> int:
     _require(config, "train", "manifest", "out_dir")
+    if config["out_channels"] != 1:
+        raise UsageError(f"train needs --out_channels 1, got {config['out_channels']}")
     from .dataio import read_manifest
     from .model import build_model, init_params
     from .train import train_model
@@ -251,9 +263,8 @@ def cmd_eval(config: dict) -> int:
     _require(config, "eval", "model", "manifest")
     from .dataio import DataError, load_pairs, read_manifest
     from .metrics import evaluate
-    from .model import load_model
 
-    net = load_model(config["model"])
+    net = _load_mask_model(config["model"])
     split = config["split"]
     pairs = load_pairs(e for e in read_manifest(config["manifest"])
                        if split == "all" or e.split == split)
@@ -270,9 +281,8 @@ def cmd_eval(config: dict) -> int:
 def cmd_predict(config: dict) -> int:
     _require(config, "predict", "model", "image", "output")
     from .dataio import load_image, save_mask
-    from .model import load_model
 
-    net = load_model(config["model"])
+    net = _load_mask_model(config["model"])
     prob = net.predict_proba(load_image(config["image"]))
     save_mask(config["output"], (prob > config["pred_threshold"]).astype("float32"))
     print(f"mask: {config['output']}")

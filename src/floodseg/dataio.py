@@ -41,8 +41,6 @@ class PnmError(DataError):
 
 # ---- netpbm parsing and writing -------------------------------------------
 
-_WHITESPACE = b" \t\r\n"
-
 
 def _parse_pnm(raw: bytes, want_magic: bytes, path) -> tuple[int, int, bytes]:
     pos = 0

@@ -28,46 +28,49 @@ class Graph:
     def __init__(self, node_count: int, edges):
         if node_count < 1:
             raise ValueError(f"Graph: node_count must be positive, got {node_count}")
-        canonical = []
-        seen = set()
-        for u, v in edges:
-            u, v = int(u), int(v)
+        pairs = np.asarray(edges, dtype=np.int64)
+        if pairs.size and pairs.shape[1:] != (2,):
+            raise ValueError(f"Graph: edges must be (u, v) pairs, got shape {pairs.shape}")
+        pairs = pairs.reshape(-1, 2)
+        lo, hi = pairs.min(axis=1), pairs.max(axis=1)
+        # one key per edge, ordered as (min, max): sorting the keys sorts the edges
+        keys = lo * node_count + hi
+        unique, first = np.unique(keys, return_index=True)
+        bad = (lo == hi) | (lo < 0) | (hi >= node_count)
+        faulty = bad | ~np.isin(np.arange(keys.size), first)    # bad, or a key seen before
+        if faulty.any():
+            # the first faulty edge in input order; one that is not bad repeats
+            # an earlier edge that is not bad either, so it is a real duplicate
+            i = np.argmax(faulty)
+            u, v = pairs[i].tolist()
             if u == v:
                 raise ValueError(f"Graph: self-loop on node {u} is not allowed")
-            if not (0 <= u < node_count and 0 <= v < node_count):
+            if bad[i]:
                 raise ValueError(f"Graph: edge ({u},{v}) outside 0..{node_count - 1}")
-            key = (min(u, v), max(u, v))
-            if key in seen:
-                raise ValueError(f"Graph: duplicate edge {key}")
-            seen.add(key)
-            canonical.append(key)
+            raise ValueError(f"Graph: duplicate edge {(min(u, v), max(u, v))}")
         self.node_count = node_count
-        self.edges = sorted(canonical)
+        self._pairs = np.stack(np.divmod(unique, node_count), axis=1)
+        self.edges = list(map(tuple, self._pairs.tolist()))
         self._adjacency = None
         self._attention_mask = None
 
     @property
     def degrees(self) -> np.ndarray:
-        deg = np.zeros(self.node_count, dtype=np.int64)
-        for u, v in self.edges:
-            deg[u] += 1
-            deg[v] += 1
-        return deg
+        return np.bincount(self._pairs.ravel(), minlength=self.node_count)
 
     def adjacency(self) -> np.ndarray:
         """Dense symmetric 0/1 adjacency without self-loops (float64)."""
         if self._adjacency is None:
-            a = np.zeros((self.node_count, self.node_count), dtype=np.float64)
-            for u, v in self.edges:
-                a[u, v] = 1.0
-                a[v, u] = 1.0
-            self._adjacency = a
+            u, v = self._pairs.T
+            self._adjacency = np.zeros((self.node_count, self.node_count))
+            self._adjacency[u, v] = self._adjacency[v, u] = 1.0
         return self._adjacency
 
     def attention_mask(self) -> np.ndarray:
         """Adjacency plus the identity: the attention neighbourhood of each node."""
         if self._attention_mask is None:
-            self._attention_mask = self.adjacency() + np.eye(self.node_count)
+            self._attention_mask = self.adjacency().copy()
+            np.fill_diagonal(self._attention_mask, 1.0)
         return self._attention_mask
 
 
@@ -77,19 +80,11 @@ def build_grid_graph(height: int, width: int, connectivity: int = 4) -> Graph:
         raise ValueError(f"build_grid_graph: connectivity must be 4 or 8, got {connectivity}")
     if height < 1 or width < 1:
         raise ValueError(f"build_grid_graph: grid {height}x{width} is empty")
-    edges = []
-    for r in range(height):
-        for c in range(width):
-            node = r * width + c
-            if c + 1 < width:
-                edges.append((node, node + 1))
-            if r + 1 < height:
-                edges.append((node, node + width))
-            if connectivity == 8 and r + 1 < height:
-                if c + 1 < width:
-                    edges.append((node, node + width + 1))
-                if c - 1 >= 0:
-                    edges.append((node, node + width - 1))
+    cells = np.arange(height * width).reshape(height, width)
+    ends = [(cells[:, :-1], cells[:, 1:]), (cells[:-1], cells[1:])]
+    if connectivity == 8:
+        ends += [(cells[:-1, :-1], cells[1:, 1:]), (cells[:-1, 1:], cells[1:, :-1])]
+    edges = np.concatenate([np.stack([a.ravel(), b.ravel()], axis=1) for a, b in ends])
     return Graph(height * width, edges)
 
 
@@ -102,17 +97,17 @@ class NormalizedLaplacian:
     """
 
     def __init__(self, graph: Graph):
-        a = graph.adjacency()
-        deg = a.sum(axis=1)
-        inv_sqrt = np.zeros_like(deg)
+        deg = graph.degrees
         connected = deg > 0
+        inv_sqrt = np.zeros(graph.node_count)
         inv_sqrt[connected] = 1.0 / np.sqrt(deg[connected])
-        lap = -inv_sqrt[:, None] * a * inv_sqrt[None, :]
-        lap[np.diag_indices_from(lap)] = np.where(connected, 1.0, 0.0)
-        lap = (lap + lap.T) / 2.0
+        lap = -inv_sqrt[:, None] * graph.adjacency()
+        lap *= inv_sqrt
+        np.fill_diagonal(lap, connected)
         self.node_count = graph.node_count
         self.matrix = lap
-        self.scaled = lap - np.eye(graph.node_count)
+        self.scaled = lap.copy()
+        self.scaled[np.diag_indices(graph.node_count)] -= 1.0
         self._tensors: dict = {}
 
     def scaled_tensor(self, dtype) -> Tensor:

@@ -52,16 +52,13 @@ def input_transform(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
     return weight * x + bias
 
 
-def output_map(features: Tensor, kernel: Tensor, bias: Tensor,
-               apply_sigmoid: bool | None = None) -> Tensor:
-    """1x1 convolution across channels; sigmoid by default for 1-channel output."""
+def output_map(features: Tensor, kernel: Tensor, bias: Tensor) -> Tensor:
+    """1x1 convolution across channels; sigmoid for a 1-channel output."""
     if kernel.data.ndim != 4 or kernel.data.shape[2:] != (1, 1):
         raise ShapeError(f"output_map: kernel must be (C_new, C_old, 1, 1), "
                          f"got {kernel.data.shape}")
     out = conv2d(features, kernel, bias)
-    if apply_sigmoid is None:
-        apply_sigmoid = kernel.data.shape[0] == 1
-    return sigmoid(out) if apply_sigmoid else out
+    return sigmoid(out) if kernel.data.shape[0] == 1 else out
 
 
 class ReprogramWrapper:
@@ -91,8 +88,7 @@ class ReprogramWrapper:
     def forward(self, x: Tensor) -> Tensor:
         programmed = input_transform(x, self.params["reprog.in.w"], self.params["reprog.in.b"])
         features = self.base.forward(programmed)
-        return output_map(features, self.params["reprog.out.w"], self.params["reprog.out.b"],
-                          apply_sigmoid=self.c_new == 1)
+        return output_map(features, self.params["reprog.out.w"], self.params["reprog.out.b"])
 
     def predict_proba(self, image_hwc: np.ndarray) -> np.ndarray:
         """Probability map of an (H, W, 3) image at its own size, as ``Model.predict_proba``."""

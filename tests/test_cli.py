@@ -159,7 +159,40 @@ def test_train_rejects_malformed_manifest(tmp_path, capsys):
                  "--out_dir", str(tmp_path / "out")]) == 2
 
 
+def test_train_refuses_more_than_one_output_channel(tmp_path, capsys):
+    # the manifest does not exist: the key is refused before it would be read
+    assert main(["train", "--manifest", str(tmp_path / "none.tsv"),
+                 "--out_dir", str(tmp_path / "out"), "--out_channels", "4"]) == 1
+    assert capsys.readouterr().err == "error: train needs --out_channels 1, got 4\n"
+    assert not (tmp_path / "out").exists()
+
+
 # ---- eval / predict ---------------------------------------------------------
+
+
+@pytest.fixture
+def four_channel_model(tmp_path):
+    path = tmp_path / "base.gacm"
+    path.write_bytes(serialize_model(init_params(build_model(ModelSpec(
+        input_size=8, widths=(2,), variant="plain-unet", out_channels=4)), 0)))
+    return path
+
+
+def test_eval_refuses_a_multi_channel_model(workspace, four_channel_model, capsys):
+    assert main(["eval", "--model", str(four_channel_model),
+                 "--manifest", str(workspace["manifest"])]) == 2
+    assert capsys.readouterr().err == (f"error: {four_channel_model}: model has 4 output "
+                                       f"channels, not 1\n")
+
+
+def test_predict_refuses_a_multi_channel_model(workspace, four_channel_model, tmp_path,
+                                               capsys):
+    image = next(iter(sorted(workspace["raw"].glob("*.ppm"))))
+    assert main(["predict", "--model", str(four_channel_model), "--image", str(image),
+                 "--output", str(tmp_path / "pred.pgm")]) == 2
+    assert capsys.readouterr().err == (f"error: {four_channel_model}: model has 4 output "
+                                       f"channels, not 1\n")
+    assert not (tmp_path / "pred.pgm").exists()
 
 
 def test_eval_matches_direct_library_computation(workspace, trained, tmp_path, capsys):

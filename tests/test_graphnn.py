@@ -1,11 +1,13 @@
 """Graph layers against scalar and spectral oracles."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from floodseg.graphnn import (ChebParams, GatParams, Graph, NormalizedLaplacian,
                               build_grid_graph, center_of_mass, cheb_conv,
-                              gat_conv)
+                              gat_conv, normalized_laplacian)
 from floodseg.tensor import ShapeError, Tensor
 
 
@@ -66,6 +68,127 @@ def test_degrees_and_masks():
     np.testing.assert_array_equal(a, a.T)
     assert a.trace() == 0.0
     np.testing.assert_array_equal(g.attention_mask(), a + np.eye(4))
+
+
+def grid_edges_oracle(height, width, connectivity):
+    """Per-cell loop over the row-major grid: right, down and both diagonals."""
+    edges = []
+    for r in range(height):
+        for c in range(width):
+            node = r * width + c
+            if c + 1 < width:
+                edges.append((node, node + 1))
+            if r + 1 < height:
+                edges.append((node, node + width))
+            if connectivity == 8 and r + 1 < height:
+                if c + 1 < width:
+                    edges.append((node, node + width + 1))
+                if c - 1 >= 0:
+                    edges.append((node, node + width - 1))
+    return edges
+
+
+def dense_oracle(node_count, edges):
+    """Degrees, adjacency, attention mask and Laplacians from per-edge loops.
+
+    The Laplacian is the dense formula with its explicit symmetrisation and
+    identity, so the arrays under test must match it byte for byte. Yields
+    (name, array) one at a time, which keeps a 4096-node check to a few n x n
+    arrays alive at once.
+    """
+    deg = np.zeros(node_count, dtype=np.int64)
+    a = np.zeros((node_count, node_count))
+    for u, v in edges:
+        deg[u] += 1
+        deg[v] += 1
+        a[u, v] = a[v, u] = 1.0
+    yield "degrees", deg
+    yield "adjacency", a
+    yield "attention_mask", a + np.eye(node_count)
+    row_sum = a.sum(axis=1)
+    inv_sqrt = np.zeros_like(row_sum)
+    connected = row_sum > 0
+    inv_sqrt[connected] = 1.0 / np.sqrt(row_sum[connected])
+    lap = -inv_sqrt[:, None] * a * inv_sqrt[None, :]
+    del a
+    lap[np.diag_indices_from(lap)] = np.where(connected, 1.0, 0.0)
+    lap = (lap + lap.T) / 2.0
+    yield "matrix", lap
+    yield "scaled", lap - np.eye(node_count)
+
+
+GRAPH_ARRAYS = {"degrees": lambda g: g.degrees,
+                "adjacency": Graph.adjacency,
+                "attention_mask": Graph.attention_mask,
+                "matrix": lambda g: NormalizedLaplacian(g).matrix,
+                "scaled": lambda g: NormalizedLaplacian(g).scaled}
+
+
+def assert_matches_dense_oracle(make_graph, edges):
+    """Each array from a fresh graph, so no earlier array stays cached."""
+    compared = []
+    for name, want in dense_oracle(make_graph().node_count, edges):
+        got = GRAPH_ARRAYS[name](make_graph())
+        assert got.dtype == want.dtype and got.shape == want.shape, name
+        assert got.tobytes() == want.tobytes(), name
+        compared.append(name)
+        del got, want
+    assert compared == list(GRAPH_ARRAYS)
+
+
+@pytest.mark.parametrize("connectivity", [4, 8])
+@pytest.mark.parametrize("height,width", [(1, 1), (1, 5), (5, 1), (3, 4), (64, 64)])
+def test_grid_graph_matches_loop_and_dense_oracles(height, width, connectivity):
+    edges = grid_edges_oracle(height, width, connectivity)
+    g = build_grid_graph(height, width, connectivity)
+    assert g.edges == sorted(edges)
+    assert all(type(node) is int for edge in g.edges for node in edge)
+    assert_matches_dense_oracle(lambda: build_grid_graph(height, width, connectivity), edges)
+
+
+def test_random_graphs_with_isolated_nodes_match_dense_oracle():
+    rng = np.random.RandomState(10)
+    with_isolated = 0
+    for _ in range(30):
+        n = rng.randint(1, 25)
+        keys = {(min(u, v), max(u, v)) for u, v in rng.randint(0, n, (rng.randint(0, n), 2))
+                if u != v}
+        # either orientation, any order: the graph canonicalises both
+        edges = [(u, v) if rng.rand() < 0.5 else (v, u) for u, v in keys]
+        rng.shuffle(edges)
+        g = Graph(n, edges)
+        assert g.edges == sorted(keys)
+        assert_matches_dense_oracle(lambda: Graph(n, edges), edges)
+        with_isolated += bool((g.degrees == 0).any())
+    assert with_isolated >= 10
+
+
+def test_graph_reports_the_first_faulty_edge_in_input_order():
+    with pytest.raises(ValueError, match=r"duplicate edge \(0, 1\)"):
+        Graph(3, [(0, 1), (1, 0), (2, 2)])
+    with pytest.raises(ValueError, match="self-loop on node 2"):
+        Graph(3, [(0, 1), (2, 2), (1, 0)])
+    with pytest.raises(ValueError, match="self-loop on node 5"):
+        Graph(3, [(5, 5)])
+    with pytest.raises(ValueError, match=r"edge \(0,4\) outside 0..2"):
+        Graph(3, [(0, 4), (0, 1)])
+    # in a 3-node graph (0, 5) has the sort key of (1, 2); it is out of range
+    # all the same, not a duplicate
+    with pytest.raises(ValueError, match=r"edge \(0,5\) outside 0..2"):
+        Graph(3, [(1, 2), (0, 5)])
+    with pytest.raises(ValueError, match="pairs"):
+        Graph(3, [(0, 1, 2)])
+
+
+def test_laplacian_build_peaks_below_three_and_a_half_dense_matrices():
+    n = 32 * 32
+    tracemalloc.start()
+    try:
+        normalized_laplacian(build_grid_graph(32, 32))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 3.5 * n * n * 8
 
 
 # ---- normalized Laplacian ------------------------------------------------------
