@@ -81,7 +81,6 @@ KEYS = {
     "cheb_order": (int, 2),
     "cheb_out": (int, 0),
     "com": (_parse_bool, True),
-    "out_channels": (int, 1),
     "loss": (str, "dice"),
     "lr": (float, 1e-3),
     "beta1": (float, 0.9),
@@ -180,7 +179,7 @@ def _build_spec(config: dict):
     from dataclasses import fields
 
     from .model import ModelSpec
-    return ModelSpec(**{f.name: config[f.name] for f in fields(ModelSpec)})
+    return ModelSpec(**{f.name: config[f.name] for f in fields(ModelSpec) if f.name in config})
 
 
 def _load_mask_model(path: str):
@@ -224,8 +223,6 @@ def cmd_dataset_stats(config: dict) -> int:
 
 def cmd_train(config: dict) -> int:
     _require(config, "train", "manifest", "out_dir")
-    if config["out_channels"] != 1:
-        raise UsageError(f"train needs --out_channels 1, got {config['out_channels']}")
     from .dataio import read_manifest
     from .model import build_model, init_params
     from .train import train_model

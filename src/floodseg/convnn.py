@@ -1,11 +1,10 @@
 """Convolution, pooling, upsampling, and the two segmentation losses.
 
 All operators work on single samples laid out channels-first: images are
-``(C, H, W)`` and masks broadcast from ``(1, H, W)``. ``conv2d`` is a
-cross-correlation (no kernel flip) with zero padding; with ``padding=None``
-and stride 1 it pads to preserve the spatial extent, which needs an odd
-kernel. The heavy lifting runs through an im2col gather and one matrix
-multiply so CPU training stays tractable.
+``(C, H, W)`` and masks broadcast from ``(1, H, W)``. ``conv2d`` is a stride-1
+cross-correlation (no kernel flip) with an odd square kernel, zero-padded so
+the output keeps the input's extent. Forward and both gradients run through
+one im2col gather and a matrix multiply so CPU training stays tractable.
 """
 
 from __future__ import annotations
@@ -13,22 +12,31 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .tensor import (ShapeError, Tensor, _accum, _as_tensor, log, record_op,
                      tmean, tsum)
 
 
-def _out_extent(n: int, k: int, stride: int, dilation: int, padding: int) -> int:
-    effective = dilation * (k - 1) + 1
-    return (n + 2 * padding - effective) // stride + 1
+def _im2col(a: np.ndarray, k: int, dilation: int) -> np.ndarray:
+    """Same-padded k x k (dilated) windows of ``a`` (C,H,W) as (C*k*k, H*W) columns."""
+    c, h, w = a.shape
+    p = dilation * (k - 1) // 2
+    # A zero buffer, not np.pad: np.pad's fixed cost dominates on small maps.
+    padded = np.zeros((c, h + 2 * p, w + 2 * p), dtype=a.dtype)
+    padded[:, p:p + h, p:p + w] = a
+    span = dilation * (k - 1) + 1
+    taps = sliding_window_view(padded, (span, span), axis=(1, 2))[..., ::dilation, ::dilation]
+    return np.ascontiguousarray(taps.transpose(0, 3, 4, 1, 2)).reshape(c * k * k, h * w)
 
 
 def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None, *,
-           stride: int = 1, dilation: int = 1, padding: int | None = None) -> Tensor:
-    """Cross-correlate ``x`` (C_in,H,W) with ``weight`` (C_out,C_in,k,k).
+           dilation: int = 1) -> Tensor:
+    """Cross-correlate ``x`` (C_in,H,W) with ``weight`` (C_out,C_in,k,k), k odd.
 
-    ``padding=None`` selects same-size zero padding (stride 1, odd kernels).
-    Output extent follows floor((n + 2p - d*(k-1) - 1) / stride) + 1.
+    The input is zero-padded by dilation*(k-1)/2 on each side, so the output
+    is (C_out,H,W). The input gradient is the same correlation of the output
+    gradient with the flipped, channel-transposed kernel.
     """
     x = _as_tensor(x)
     weight = _as_tensor(weight)
@@ -41,58 +49,39 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None, *,
     if wc_in != c_in:
         raise ShapeError(f"conv2d: input has {c_in} channels but kernel expects {wc_in} "
                          f"(shapes {x.data.shape} and {weight.data.shape})")
-    if stride < 1 or dilation < 1:
-        raise ShapeError(f"conv2d: stride {stride} and dilation {dilation} must be >= 1")
-    if padding is None:
-        if stride != 1 or k % 2 == 0:
-            raise ShapeError("conv2d: same padding needs stride 1 and an odd kernel")
-        padding = dilation * (k - 1) // 2
-    ho = _out_extent(h, k, stride, dilation, padding)
-    wo = _out_extent(w, k, stride, dilation, padding)
-    if ho < 1 or wo < 1:
-        raise ShapeError(f"conv2d: kernel (effective {dilation*(k-1)+1}) exceeds padded input "
-                         f"{(h + 2*padding, w + 2*padding)}")
+    if dilation < 1:
+        raise ShapeError(f"conv2d: dilation {dilation} must be >= 1")
+    if k % 2 == 0:
+        raise ShapeError(f"conv2d: same padding needs an odd kernel, got {k}")
     if bias is not None:
         bias = _as_tensor(bias, like=x)
         if bias.data.shape != (c_out,):
             raise ShapeError(f"conv2d: bias shape {bias.data.shape} != ({c_out},)")
 
-    xp = np.pad(x.data, ((0, 0), (padding, padding), (padding, padding)))
-    cols = np.empty((c_in, k, k, ho, wo), dtype=x.data.dtype)
-    for ky in range(k):
-        for kx in range(k):
-            ys, xs = ky * dilation, kx * dilation
-            cols[:, ky, kx] = xp[:, ys:ys + stride * ho:stride, xs:xs + stride * wo:stride]
-    cols2 = cols.reshape(c_in * k * k, ho * wo)
-    w2 = weight.data.reshape(c_out, c_in * k * k)
-    out = (w2 @ cols2).reshape(c_out, ho, wo)
+    kernel = weight.data
+    cols = _im2col(x.data, k, dilation)
+    out = (kernel.reshape(c_out, c_in * k * k) @ cols).reshape(c_out, h, w)
     if bias is not None:
         out = out + bias.data[:, None, None]
 
     parents = (x, weight) if bias is None else (x, weight, bias)
 
     def backward(g):
-        g2 = g.reshape(c_out, ho * wo)
         if weight.requires_grad:
-            _accum(weight, (g2 @ cols2.T).reshape(weight.data.shape))
+            _accum(weight, (g.reshape(c_out, h * w) @ cols.T).reshape(kernel.shape))
         if bias is not None and bias.requires_grad:
             _accum(bias, g.sum(axis=(1, 2)))
         if x.requires_grad:
-            dcols = (w2.T @ g2).reshape(c_in, k, k, ho, wo)
-            dxp = np.zeros_like(xp)
-            for ky in range(k):
-                for kx in range(k):
-                    ys, xs = ky * dilation, kx * dilation
-                    dxp[:, ys:ys + stride * ho:stride, xs:xs + stride * wo:stride] += dcols[:, ky, kx]
-            _accum(x, dxp[:, padding:padding + h, padding:padding + w])
+            flipped = kernel[:, :, ::-1, ::-1].transpose(1, 0, 2, 3).reshape(c_in, -1)
+            _accum(x, (flipped @ _im2col(g, k, dilation)).reshape(c_in, h, w))
 
     return record_op(out, parents, backward)
 
 
 def dilated_conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None, *,
-                   dilation: int = 2, stride: int = 1, padding: int | None = None) -> Tensor:
+                   dilation: int = 2) -> Tensor:
     """conv2d with spread-out taps; dilation 1 reduces to plain conv2d."""
-    return conv2d(x, weight, bias, stride=stride, dilation=dilation, padding=padding)
+    return conv2d(x, weight, bias, dilation=dilation)
 
 
 def maxpool2(x: Tensor) -> Tensor:
@@ -169,13 +158,11 @@ LOSSES = {"bce": bce_loss, "dice": dice_loss}
 
 @dataclass
 class ConvParams:
-    """One convolutional layer: kernel, optional bias, and its geometry."""
+    """One convolutional layer: kernel, optional bias, and its dilation."""
 
     weight: Tensor
     bias: Tensor | None = None
-    stride: int = 1
     dilation: int = 1
-    padding: int | None = None
 
     def __post_init__(self):
         if self.weight.data.ndim != 4 or self.weight.data.shape[2] != self.weight.data.shape[3]:
@@ -183,9 +170,8 @@ class ConvParams:
         k = self.weight.data.shape[2]
         if k % 2 == 0:
             raise ShapeError(f"ConvParams: kernel extent must be odd, got {k}")
-        if self.dilation < 1 or self.stride < 1:
-            raise ShapeError("ConvParams: stride and dilation must be >= 1")
+        if self.dilation < 1:
+            raise ShapeError("ConvParams: dilation must be >= 1")
 
     def apply(self, x: Tensor) -> Tensor:
-        return conv2d(x, self.weight, self.bias,
-                      stride=self.stride, dilation=self.dilation, padding=self.padding)
+        return conv2d(x, self.weight, self.bias, dilation=self.dilation)

@@ -219,6 +219,8 @@ def flip_vertical(pair: ImagePair) -> ImagePair:
 
 def five_crop(pair: ImagePair, crop: int = 256) -> list[ImagePair]:
     """Four corner crops plus the centered crop, in tl/tr/bl/br/c order."""
+    if crop < 1:
+        raise ValueError(f"five_crop: crop must be >= 1, got {crop}")
     h, w = pair.mask.shape
     if crop > h or crop > w:
         raise DataError(f"five_crop: crop {crop} exceeds input {(h, w)} for {pair.source_id}")

@@ -9,7 +9,8 @@ class Adam:
     """Adam with bias correction; frozen name prefixes receive no updates.
 
     A parameter is frozen when its name starts with any entry of ``freeze``;
-    its gradient may still be computed, but ``step`` never touches it.
+    its gradient may still be computed, but ``step`` never touches it. A
+    prefix that matches no parameter is a ``ValueError``.
     """
 
     def __init__(self, params: dict, lr: float = 1e-3, beta1: float = 0.9,
@@ -20,6 +21,11 @@ class Adam:
         self.eps = float(eps)
         freeze = tuple(freeze)
         self._all = dict(params)
+        unmatched = [prefix for prefix in freeze
+                     if not any(name.startswith(prefix) for name in self._all)]
+        if unmatched:
+            raise ValueError("Adam: freeze prefix matches no parameter: "
+                             + ", ".join(map(repr, unmatched)))
         self._trainable = {name: p for name, p in self._all.items()
                            if not any(name.startswith(prefix) for prefix in freeze)}
         self._m = {name: np.zeros_like(p.data) for name, p in self._trainable.items()}

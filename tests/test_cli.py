@@ -114,6 +114,16 @@ def test_prepare_rejects_unmatched_stems(tmp_path, capsys):
     assert "unmatched" in capsys.readouterr().err
 
 
+def test_prepare_refuses_a_zero_crop_before_writing(tmp_path, capsys):
+    raw = tmp_path / "raw"
+    write_flood_set(raw, count=4, size=16, seed=1)
+    out = tmp_path / "out"
+    assert main(["prepare", "--dataset_dir", str(raw), "--out_dir", str(out),
+                 "--resize", "16", "--crop", "0"]) == 1
+    assert capsys.readouterr().err == "error: five_crop: crop must be >= 1, got 0\n"
+    assert not list(out.glob("*"))
+
+
 def test_dataset_stats(workspace, capsys):
     assert main(["dataset-stats", "--dataset_dir", str(workspace["raw"])]) == 0
     out = capsys.readouterr().out
@@ -152,6 +162,15 @@ def test_train_with_everything_frozen_keeps_init_weights(workspace, tmp_path):
     assert (out / "model.gacm").read_bytes() == want
 
 
+def test_train_refuses_a_freeze_prefix_that_matches_nothing(workspace, tmp_path, capsys):
+    out = tmp_path / "typo"
+    assert main(["train", "--manifest", str(workspace["manifest"]), "--out_dir", str(out),
+                 "--freeze", "enc9"] + TRAIN_FLAGS) == 1
+    assert capsys.readouterr().err == ("error: Adam: freeze prefix matches no parameter: "
+                                       "'enc9'\n")
+    assert not (out / "model.gacm").exists()
+
+
 def test_train_rejects_malformed_manifest(tmp_path, capsys):
     manifest = tmp_path / "manifest.tsv"
     manifest.write_text("one\tfield\tmissing\textra\n", encoding="utf-8")
@@ -163,7 +182,7 @@ def test_train_refuses_more_than_one_output_channel(tmp_path, capsys):
     # the manifest does not exist: the key is refused before it would be read
     assert main(["train", "--manifest", str(tmp_path / "none.tsv"),
                  "--out_dir", str(tmp_path / "out"), "--out_channels", "4"]) == 1
-    assert capsys.readouterr().err == "error: train needs --out_channels 1, got 4\n"
+    assert capsys.readouterr().err == "error: unknown configuration key 'out_channels'\n"
     assert not (tmp_path / "out").exists()
 
 

@@ -1,6 +1,7 @@
 """Convolution/pooling operators and losses against scalar-loop oracles."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -34,22 +35,73 @@ def conv_oracle(x, w, b=None, stride=1, dilation=1, padding=0):
     return out
 
 
+def conv_backward_oracle(x, w, g, dilation):
+    """Same-padded conv gradients by k*k tap slices: pad, slice-add, crop."""
+    _, h, width = x.shape
+    k = w.shape[2]
+    p = dilation * (k - 1) // 2
+    xp = np.pad(x, ((0, 0), (p, p), (p, p)))
+    dxp = np.zeros_like(xp)
+    dw = np.zeros_like(w)
+    for ky in range(k):
+        for kx in range(k):
+            ys, xs = ky * dilation, kx * dilation
+            dw[:, :, ky, kx] = np.einsum("ohw,ihw->oi", g, xp[:, ys:ys + h, xs:xs + width])
+            dxp[:, ys:ys + h, xs:xs + width] += np.einsum("oi,ohw->ihw", w[:, :, ky, kx], g)
+    return dxp[:, p:p + h, p:p + width], dw
+
+
+def assert_relative_close(got, want, rtol):
+    assert got.shape == want.shape
+    assert np.abs(got - want).max() <= rtol * np.abs(want).max()
+
+
 # ---- convolution -----------------------------------------------------------
 
 
-@pytest.mark.parametrize("k,stride,dilation,padding",
-                         [(1, 1, 1, 0), (3, 1, 1, 0), (3, 1, 1, 1), (3, 2, 1, 1),
-                          (3, 1, 2, 2), (3, 2, 2, 0), (2, 1, 1, 0), (5, 1, 1, 2)])
-def test_conv2d_matches_loop_oracle(k, stride, dilation, padding):
-    rng = np.random.RandomState(k * 100 + stride * 10 + dilation + padding)
+@pytest.mark.parametrize("k,dilation", [(1, 1), (3, 1), (3, 2), (5, 1)])
+def test_conv2d_matches_loop_oracle(k, dilation):
+    rng = np.random.RandomState(k * 100 + dilation)
     x = rng.uniform(-1, 1, (2, 9, 8))
     w = rng.uniform(-1, 1, (3, 2, k, k))
     b = rng.uniform(-1, 1, 3)
-    got = conv2d(Tensor(x), Tensor(w), Tensor(b),
-                 stride=stride, dilation=dilation, padding=padding)
-    want = conv_oracle(x, w, b, stride, dilation, padding)
+    got = conv2d(Tensor(x), Tensor(w), Tensor(b), dilation=dilation)
+    want = conv_oracle(x, w, b, dilation=dilation, padding=dilation * (k - 1) // 2)
     assert got.shape == want.shape
     np.testing.assert_allclose(got.data, want, atol=1e-10)
+
+
+@pytest.mark.parametrize("shape", [(2, 9, 8), (2, 3, 4)], ids=["9x8", "3x4"])
+@pytest.mark.parametrize("dilation", [1, 2, 3])
+@pytest.mark.parametrize("k", [1, 3, 5])
+def test_conv2d_gradients_match_tap_loop_oracle(k, dilation, shape):
+    # (2, 3, 4) is smaller than every dilated kernel span above 1x1.
+    rng = np.random.RandomState(k * 100 + dilation * 10 + shape[1])
+    x = Tensor(rng.uniform(-1, 1, shape), requires_grad=True, dtype=np.float64)
+    w = Tensor(rng.uniform(-1, 1, (3, shape[0], k, k)), requires_grad=True, dtype=np.float64)
+    g = rng.uniform(-1, 1, (3,) + shape[1:])
+    tsum(conv2d(x, w, dilation=dilation) * Tensor(g, dtype=np.float64)).backward()
+    want_dx, want_dw = conv_backward_oracle(x.data, w.data, g, dilation)
+    assert_relative_close(x.grad, want_dx, 1e-12)
+    assert_relative_close(w.grad, want_dw, 1e-12)
+
+
+def test_conv2d_backward_peaks_below_one_input_column_buffer():
+    # The input gradient gathers the output gradient (C_out rows per tap),
+    # so a narrowing layer never holds a second C_in*k*k*H*W buffer.
+    rng = np.random.RandomState(8)
+    c_in, c_out, k, side = 48, 16, 3, 64
+    x = Tensor(rng.uniform(-1, 1, (c_in, side, side)), requires_grad=True, dtype=np.float32)
+    w = Tensor(rng.uniform(-1, 1, (c_out, c_in, k, k)), requires_grad=True, dtype=np.float32)
+    loss = tsum(conv2d(x, w))
+    tracemalloc.start()
+    try:
+        loss.backward()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert x.grad.shape == x.shape
+    assert peak < 0.6 * c_in * k * k * side * side * 4
 
 
 def test_same_padding_preserves_extent():
@@ -66,8 +118,8 @@ def test_dilation_one_reduces_to_plain_conv():
     rng = np.random.RandomState(1)
     x = Tensor(rng.uniform(-1, 1, (2, 6, 6)))
     w = Tensor(rng.uniform(-1, 1, (2, 2, 3, 3)))
-    plain = conv2d(x, w, padding=0)
-    dilated = dilated_conv2d(x, w, dilation=1, padding=0)
+    plain = conv2d(x, w)
+    dilated = dilated_conv2d(x, w, dilation=1)
     np.testing.assert_array_equal(plain.data, dilated.data)
 
 
@@ -77,7 +129,7 @@ def test_dilated_taps_skip_pixels():
     x[0, 3, 3] = 1.0
     w = np.zeros((1, 1, 3, 3))
     w[0, 0] = np.arange(9, dtype=float).reshape(3, 3)
-    out = dilated_conv2d(Tensor(x), Tensor(w), dilation=2, padding=2).data[0]
+    out = dilated_conv2d(Tensor(x), Tensor(w), dilation=2).data[0]
     assert out[3, 3] == 4.0                   # center tap
     assert out[1, 1] == 8.0                   # impulse under the last tap
     assert out[2, 2] == 0.0                   # between taps: nothing
@@ -88,19 +140,15 @@ def test_conv2d_validation_errors():
     x = Tensor(np.zeros((2, 6, 6)))
     w = Tensor(np.zeros((3, 2, 3, 3)))
     with pytest.raises(ShapeError):
-        conv2d(Tensor(np.zeros((6, 6))), w, padding=0)
+        conv2d(Tensor(np.zeros((6, 6))), w)
     with pytest.raises(ShapeError):
-        conv2d(x, Tensor(np.zeros((3, 4, 3, 3))), padding=0)       # channel mismatch
+        conv2d(x, Tensor(np.zeros((3, 4, 3, 3))))                  # channel mismatch
     with pytest.raises(ShapeError):
-        conv2d(x, Tensor(np.zeros((3, 2, 3, 2))), padding=0)       # non-square
-    with pytest.raises(ShapeError):
-        conv2d(x, w, stride=2)                                     # same pad needs stride 1
+        conv2d(x, Tensor(np.zeros((3, 2, 3, 2))))                  # non-square
     with pytest.raises(ShapeError):
         conv2d(x, Tensor(np.zeros((3, 2, 2, 2))))                  # same pad needs odd k
     with pytest.raises(ShapeError):
-        conv2d(x, Tensor(np.zeros((3, 2, 3, 3))), padding=0, stride=0)
-    with pytest.raises(ShapeError):
-        conv2d(Tensor(np.zeros((2, 2, 2))), w, padding=0)          # kernel exceeds input
+        conv2d(x, w, dilation=0)
 
 
 def test_conv2d_is_linear_in_the_input():
@@ -122,7 +170,7 @@ def test_conv_params_wraps_geometry_and_validates():
     with pytest.raises(ShapeError):
         ConvParams(Tensor(np.zeros((2, 1, 2, 2))))
     with pytest.raises(ShapeError):
-        ConvParams(w, stride=0)
+        ConvParams(w, dilation=0)
 
 
 # ---- pooling and upsampling -------------------------------------------------

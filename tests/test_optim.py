@@ -1,6 +1,7 @@
 """Adam updates against a scalar reference loop, plus freezing semantics."""
 
 import numpy as np
+import pytest
 
 from floodseg.optim import Adam
 from floodseg.tensor import Tensor
@@ -62,6 +63,12 @@ def test_freeze_by_name_prefix():
     opt.step()
     assert a.data[0] == 1.0          # frozen despite having a gradient
     assert b.data[0] != 1.0
+
+
+def test_freeze_prefix_matching_no_parameter_is_refused():
+    params = {"enc1.w": Tensor(np.array([1.0])), "dec1.w": Tensor(np.array([1.0]))}
+    with pytest.raises(ValueError, match="'enc9'"):
+        Adam(params, freeze=("enc9", "dec"))
 
 
 def test_zero_grad_clears_everything_and_none_grads_are_skipped():
