@@ -40,9 +40,9 @@ def _t(rng, *shape, lo=-1.0, hi=1.0):
 
 
 def _builders():
-    def conv(rng):
-        x, w, b = _t(rng, 2, 6, 6), _t(rng, 3, 2, 3, 3), _t(rng, 3)
-        probe = Tensor(rng.uniform(-1, 1, (3, 6, 6)), dtype=np.float64)
+    def conv(rng, c_in=2, c_out=3):
+        x, w, b = _t(rng, c_in, 6, 6), _t(rng, c_out, c_in, 3, 3), _t(rng, c_out)
+        probe = Tensor(rng.uniform(-1, 1, (c_out, 6, 6)), dtype=np.float64)
         return lambda *_: tmean(conv2d(x, w, b) * probe), [x, w, b]
 
     def dilated(rng):
@@ -106,6 +106,7 @@ def _builders():
         return lambda *_: dice_loss(pred, target), [pred]
 
     return [("conv2d", LAYER_TOLERANCE, conv),
+            ("conv2d_narrowing", LAYER_TOLERANCE, lambda rng: conv(rng, c_in=3, c_out=2)),
             ("dilated_conv2d", LAYER_TOLERANCE, dilated),
             ("maxpool2", LAYER_TOLERANCE, pool),
             ("upsample2", LAYER_TOLERANCE, upsample),

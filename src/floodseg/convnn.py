@@ -3,8 +3,8 @@
 All operators work on single samples laid out channels-first: images are
 ``(C, H, W)`` and masks broadcast from ``(1, H, W)``. ``conv2d`` is a stride-1
 cross-correlation (no kernel flip) with an odd square kernel, zero-padded so
-the output keeps the input's extent. Forward and both gradients run through
-one im2col gather and a matrix multiply so CPU training stays tractable.
+the output keeps the input's extent. Its taps are strided views of one flat
+padded copy of the input, which is all the tape keeps for the gradients.
 """
 
 from __future__ import annotations
@@ -12,22 +12,18 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
+from numpy.lib.stride_tricks import as_strided
 
 from .tensor import (ShapeError, Tensor, _accum, _as_tensor, log, record_op,
                      tmean, tsum)
 
 
-def _im2col(a: np.ndarray, k: int, dilation: int) -> np.ndarray:
-    """Same-padded k x k (dilated) windows of ``a`` (C,H,W) as (C*k*k, H*W) columns."""
+def _pad_flat(a: np.ndarray, p: int) -> np.ndarray:
+    """``a`` (C,H,W) zero-padded by p on each side, rows end to end, then 2p zeros."""
     c, h, w = a.shape
-    p = dilation * (k - 1) // 2
-    # A zero buffer, not np.pad: np.pad's fixed cost dominates on small maps.
-    padded = np.zeros((c, h + 2 * p, w + 2 * p), dtype=a.dtype)
-    padded[:, p:p + h, p:p + w] = a
-    span = dilation * (k - 1) + 1
-    taps = sliding_window_view(padded, (span, span), axis=(1, 2))[..., ::dilation, ::dilation]
-    return np.ascontiguousarray(taps.transpose(0, 3, 4, 1, 2)).reshape(c * k * k, h * w)
+    flat = np.zeros((c, (h + 2 * p) * (w + 2 * p) + 2 * p), dtype=a.dtype)
+    flat[:, :flat.shape[1] - 2 * p].reshape(c, h + 2 * p, w + 2 * p)[:, p:p + h, p:p + w] = a
+    return flat
 
 
 def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None, *,
@@ -59,21 +55,48 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None, *,
             raise ShapeError(f"conv2d: bias shape {bias.data.shape} != ({c_out},)")
 
     kernel = weight.data
-    cols = _im2col(x.data, k, dilation)
-    out = (kernel.reshape(c_out, c_in * k * k) @ cols).reshape(c_out, h, w)
+    p = dilation * (k - 1) // 2
+    wp = w + 2 * p
+
+    def taps(a, tap_rows=0):
+        """Read-only (R,k,k,H*wp) view of ``a``, R = tap_rows or len(a): [r,i,j,q]
+        is element [(i*k + j)*tap_rows + r, (i*wp + j)*dilation + q]."""
+        s0, s1 = a.strides
+        steps = (s0, k * tap_rows * s0 + dilation * wp * s1, tap_rows * s0 + dilation * s1, s1)
+        return as_strided(a, (tap_rows or len(a), k, k, h * wp), steps, writeable=False)
+
+    def correlate(buf, kern):
+        """Same-padded correlation of a ``_pad_flat`` map with ``kern`` (C_o,C_i,k,k).
+
+        If C_i <= C_o, one GEMM on the taps copied into columns; otherwise one GEMM
+        gives every tap's output rows, summed at their shifted offsets. Rows run over
+        the padded width; their 2p wrap-around columns are dropped."""
+        c_o, c_i = kern.shape[:2]
+        if c_i <= c_o:
+            out = kern.reshape(c_o, -1) @ taps(buf).reshape(-1, h * wp)
+        else:
+            rows = kern.transpose(2, 3, 0, 1).reshape(k * k * c_o, c_i) @ buf
+            out = taps(rows, c_o).sum(axis=(1, 2))
+        return out.reshape(c_o, h, wp)[:, :, :w]
+
+    flat = _pad_flat(x.data, p)
+    out = correlate(flat, kernel)
     if bias is not None:
         out = out + bias.data[:, None, None]
 
     parents = (x, weight) if bias is None else (x, weight, bias)
 
     def backward(g):
+        g_flat = _pad_flat(g, p)
         if weight.requires_grad:
-            _accum(weight, (g.reshape(c_out, h * w) @ cols.T).reshape(kernel.shape))
+            g_wp = g_flat[:, p * wp + p:][:, :h * wp]      # zeros in the wrap-around columns
+            dw = np.matmul(g_wp, taps(flat).transpose(1, 2, 3, 0))      # (k,k,C_out,C_in)
+            _accum(weight, dw.transpose(2, 3, 0, 1))
         if bias is not None and bias.requires_grad:
             _accum(bias, g.sum(axis=(1, 2)))
         if x.requires_grad:
-            flipped = kernel[:, :, ::-1, ::-1].transpose(1, 0, 2, 3).reshape(c_in, -1)
-            _accum(x, (flipped @ _im2col(g, k, dilation)).reshape(c_in, h, w))
+            flipped = kernel[:, :, ::-1, ::-1].transpose(1, 0, 2, 3)
+            _accum(x, correlate(g_flat, flipped))
 
     return record_op(out, parents, backward)
 

@@ -10,7 +10,7 @@ class Adam:
 
     A parameter is frozen when its name starts with any entry of ``freeze``;
     its gradient may still be computed, but ``step`` never touches it. A
-    prefix that matches no parameter is a ``ValueError``.
+    prefix matching no parameter or an out-of-range hyperparameter is a ``ValueError``.
     """
 
     def __init__(self, params: dict, lr: float = 1e-3, beta1: float = 0.9,
@@ -19,6 +19,11 @@ class Adam:
         self.beta1 = float(beta1)
         self.beta2 = float(beta2)
         self.eps = float(eps)
+        for name, ok in (("lr", 0.0 < self.lr < np.inf), ("beta1", 0.0 <= self.beta1 < 1.0),
+                         ("beta2", 0.0 <= self.beta2 < 1.0), ("eps", 0.0 < self.eps < np.inf)):
+            if not ok:
+                raise ValueError(f"Adam: {name} {getattr(self, name)!r} is out of range "
+                                 "(lr and eps must be finite and > 0, betas in [0, 1))")
         freeze = tuple(freeze)
         self._all = dict(params)
         unmatched = [prefix for prefix in freeze

@@ -60,9 +60,9 @@ def train_for_steps(forward, optimizer: Adam, loss_fn, data, steps: int,
     Batches come off a queue topped up with seeded permutations of ``data``
     while it is shorter than ``batch_size``, so any data size fills a batch.
     """
-    if not data or batch_size < 1:
-        raise ValueError(f"train_for_steps: need samples and batch_size >= 1, "
-                         f"got {len(data)} samples and batch_size {batch_size}")
+    if not data or batch_size < 1 or steps < 0:
+        raise ValueError(f"train_for_steps: need samples, batch_size >= 1 and steps >= 0, "
+                         f"got {len(data)} samples, batch_size {batch_size} and {steps} steps")
     rng = np.random.RandomState(seed)
     order = []
     losses = []

@@ -171,6 +171,16 @@ def test_train_refuses_a_freeze_prefix_that_matches_nothing(workspace, tmp_path,
     assert not (out / "model.gacm").exists()
 
 
+@pytest.mark.parametrize("flag,value", [("--lr", "-1"), ("--beta1", "1"), ("--eps", "0")])
+def test_train_refuses_out_of_range_optimizer_settings(workspace, tmp_path, capsys, flag, value):
+    out = tmp_path / "bad"
+    assert main(["train", "--manifest", str(workspace["manifest"]), "--out_dir", str(out),
+                 flag, value] + TRAIN_FLAGS) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: Adam: {flag[2:]} {float(value)!r} is out of range")
+    assert not (out / "model.gacm").exists()
+
+
 def test_train_rejects_malformed_manifest(tmp_path, capsys):
     manifest = tmp_path / "manifest.tsv"
     manifest.write_text("one\tfield\tmissing\textra\n", encoding="utf-8")
@@ -291,6 +301,16 @@ def test_reprogram_freezes_base_and_logs_losses(workspace, tmp_path, capsys):
     from floodseg.reprogram import load_wrapper
     wrapper = load_wrapper(out2 / "wrapper.gacm", str(base_path))
     assert wrapper.c_new == 1
+
+
+def test_reprogram_refuses_negative_steps(workspace, tmp_path, capsys):
+    out = tmp_path / "rp"
+    assert main(["reprogram", "--base_model", str(tmp_path / "base.gacm"),
+                 "--manifest", str(workspace["manifest"]), "--out_dir", str(out),
+                 "--init_base", "true", "--base_channels", "4",
+                 "--input_size", "16", "--steps", "-3", "--batch_size", "2"]) == 1
+    assert "error: train_for_steps: " in capsys.readouterr().err
+    assert not (out / "wrapper.gacm").exists()
 
 
 def test_reprogram_missing_base_is_a_data_error(workspace, tmp_path):

@@ -59,31 +59,61 @@ def assert_relative_close(got, want, rtol):
 # ---- convolution -----------------------------------------------------------
 
 
-@pytest.mark.parametrize("k,dilation", [(1, 1), (3, 1), (3, 2), (5, 1)])
-def test_conv2d_matches_loop_oracle(k, dilation):
+# Fewer input than output channels, more, and equal: conv2d picks its GEMM
+# form by that comparison, and the input gradient swaps the two counts.
+CHANNELS = [(2, 3), (3, 2), (2, 2)]
+
+
+def _channel_id(c_in, c_out):
+    # 2->3 is the base case and carries no suffix.
+    return "" if (c_in, c_out) == (2, 3) else f"-{c_in}to{c_out}"
+
+
+@pytest.mark.parametrize("k,dilation,c_in,c_out", [
+    pytest.param(k, dilation, c_in, c_out, id=f"{k}-{dilation}{_channel_id(c_in, c_out)}")
+    for c_in, c_out in CHANNELS for k, dilation in [(1, 1), (3, 1), (3, 2), (5, 1)]])
+def test_conv2d_matches_loop_oracle(k, dilation, c_in, c_out):
     rng = np.random.RandomState(k * 100 + dilation)
-    x = rng.uniform(-1, 1, (2, 9, 8))
-    w = rng.uniform(-1, 1, (3, 2, k, k))
-    b = rng.uniform(-1, 1, 3)
+    x = rng.uniform(-1, 1, (c_in, 9, 8))
+    w = rng.uniform(-1, 1, (c_out, c_in, k, k))
+    b = rng.uniform(-1, 1, c_out)
     got = conv2d(Tensor(x), Tensor(w), Tensor(b), dilation=dilation)
     want = conv_oracle(x, w, b, dilation=dilation, padding=dilation * (k - 1) // 2)
     assert got.shape == want.shape
     np.testing.assert_allclose(got.data, want, atol=1e-10)
 
 
-@pytest.mark.parametrize("shape", [(2, 9, 8), (2, 3, 4)], ids=["9x8", "3x4"])
+@pytest.mark.parametrize("c_out,shape", [
+    pytest.param(c_out, (c_in,) + extent, id=f"{name}{_channel_id(c_in, c_out)}")
+    for c_in, c_out in CHANNELS for extent, name in [((9, 8), "9x8"), ((3, 4), "3x4")]])
 @pytest.mark.parametrize("dilation", [1, 2, 3])
 @pytest.mark.parametrize("k", [1, 3, 5])
-def test_conv2d_gradients_match_tap_loop_oracle(k, dilation, shape):
-    # (2, 3, 4) is smaller than every dilated kernel span above 1x1.
+def test_conv2d_gradients_match_tap_loop_oracle(k, dilation, c_out, shape):
+    # A 3x4 input is smaller than every dilated kernel span above 1x1.
     rng = np.random.RandomState(k * 100 + dilation * 10 + shape[1])
     x = Tensor(rng.uniform(-1, 1, shape), requires_grad=True, dtype=np.float64)
-    w = Tensor(rng.uniform(-1, 1, (3, shape[0], k, k)), requires_grad=True, dtype=np.float64)
-    g = rng.uniform(-1, 1, (3,) + shape[1:])
+    w = Tensor(rng.uniform(-1, 1, (c_out, shape[0], k, k)), requires_grad=True, dtype=np.float64)
+    g = rng.uniform(-1, 1, (c_out,) + shape[1:])
     tsum(conv2d(x, w, dilation=dilation) * Tensor(g, dtype=np.float64)).backward()
     want_dx, want_dw = conv_backward_oracle(x.data, w.data, g, dilation)
     assert_relative_close(x.grad, want_dx, 1e-12)
     assert_relative_close(w.grad, want_dw, 1e-12)
+
+
+@pytest.mark.parametrize("c_in,c_out", [(48, 16), (16, 48)])
+def test_conv2d_tape_keeps_no_column_buffer(c_in, c_out):
+    # Until backward the tape holds the padded input (about 1.07x the input
+    # here), not the c_in*k*k-row columns (9x the input) or per-tap outputs.
+    rng = np.random.RandomState(9)
+    x = Tensor(rng.uniform(-1, 1, (c_in, 64, 64)), requires_grad=True, dtype=np.float32)
+    w = Tensor(rng.uniform(-1, 1, (c_out, c_in, 3, 3)), requires_grad=True, dtype=np.float32)
+    tracemalloc.start()
+    try:
+        out = conv2d(x, w)
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert held - out.data.nbytes < 1.5 * x.data.nbytes
 
 
 def test_conv2d_backward_peaks_below_one_input_column_buffer():

@@ -71,6 +71,20 @@ def test_freeze_prefix_matching_no_parameter_is_refused():
         Adam(params, freeze=("enc9", "dec"))
 
 
+@pytest.mark.parametrize("name,value", [
+    ("lr", -1.0), ("lr", 0.0), ("lr", float("nan")), ("lr", float("inf")),
+    ("beta1", 1.0), ("beta1", -0.1), ("beta1", float("nan")), ("beta2", 1.0),
+    ("eps", 0.0), ("eps", -1e-8), ("eps", float("inf"))])
+def test_out_of_range_hyperparameters_are_refused(name, value):
+    params = {"p": Tensor(np.array([1.0]))}
+    with pytest.raises(ValueError, match=f"{name} {value!r} is out of range"):
+        Adam(params, **{name: value})
+
+
+def test_zero_beta_is_accepted():
+    Adam({"p": Tensor(np.array([1.0]))}, beta1=0.0, beta2=0.0)
+
+
 def test_zero_grad_clears_everything_and_none_grads_are_skipped():
     a = Tensor(np.array([1.0]), requires_grad=True)
     b = Tensor(np.array([2.0]), requires_grad=True)
