@@ -40,9 +40,9 @@ def _t(rng, *shape, lo=-1.0, hi=1.0):
 
 
 def _builders():
-    def conv(rng, c_in=2, c_out=3):
-        x, w, b = _t(rng, c_in, 6, 6), _t(rng, c_out, c_in, 3, 3), _t(rng, c_out)
-        probe = Tensor(rng.uniform(-1, 1, (c_out, 6, 6)), dtype=np.float64)
+    def conv(rng, c_in=2, c_out=3, batch=()):
+        x, w, b = _t(rng, *batch, c_in, 6, 6), _t(rng, c_out, c_in, 3, 3), _t(rng, c_out)
+        probe = Tensor(rng.uniform(-1, 1, batch + (c_out, 6, 6)), dtype=np.float64)
         return lambda *_: tmean(conv2d(x, w, b) * probe), [x, w, b]
 
     def dilated(rng):
@@ -54,6 +54,17 @@ def _builders():
         x = _t(rng, 2, 6, 6)
         probe = Tensor(rng.uniform(-1, 1, (2, 3, 3)), dtype=np.float64)
         return lambda *_: tmean(maxpool2(x) * probe), [x]
+
+    def pool_ties(rng):
+        # Each window holds copies of one coordinate of y, some lowered by a fixed
+        # drop, so windows tie two, three or four ways. A perturbation of y moves
+        # every tied maximum together: y's gradient is the probe once per window,
+        # whichever tied cell the pool picks, and the pool is differentiable.
+        y = _t(rng, 2, 2, 3, 3)
+        drop = rng.randint(0, 2, (2, 2, 6, 6)) * 0.5
+        drop[0, 0, :2, :2] = 0.0
+        probe = Tensor(rng.uniform(-1, 1, (2, 2, 3, 3)), dtype=np.float64)
+        return lambda *_: tmean(maxpool2(upsample2(y) - drop) * probe), [y]
 
     def upsample(rng):
         x = _t(rng, 2, 3, 3)
@@ -100,15 +111,17 @@ def _builders():
         target = Tensor((rng.uniform(0, 1, (4, 4)) > 0.5).astype(float), dtype=np.float64)
         return lambda *_: bce_loss(pred, target), [pred]
 
-    def dice(rng):
-        pred = _t(rng, 4, 4, lo=0.05, hi=0.95)
-        target = Tensor((rng.uniform(0, 1, (4, 4)) > 0.5).astype(float), dtype=np.float64)
+    def dice(rng, shape=(4, 4)):
+        pred = _t(rng, *shape, lo=0.05, hi=0.95)
+        target = Tensor((rng.uniform(0, 1, shape) > 0.5).astype(float), dtype=np.float64)
         return lambda *_: dice_loss(pred, target), [pred]
 
     return [("conv2d", LAYER_TOLERANCE, conv),
             ("conv2d_narrowing", LAYER_TOLERANCE, lambda rng: conv(rng, c_in=3, c_out=2)),
+            ("conv2d_batch", LAYER_TOLERANCE, lambda rng: conv(rng, batch=(2,))),
             ("dilated_conv2d", LAYER_TOLERANCE, dilated),
             ("maxpool2", LAYER_TOLERANCE, pool),
+            ("maxpool2_ties_batch", LAYER_TOLERANCE, pool_ties),
             ("upsample2", LAYER_TOLERANCE, upsample),
             ("gat_conv", LAYER_TOLERANCE, gat),
             ("cheb_conv", LAYER_TOLERANCE, cheb),
@@ -116,7 +129,8 @@ def _builders():
             ("input_transform", LAYER_TOLERANCE, in_transform),
             ("output_map", LAYER_TOLERANCE, out_map),
             ("bce_loss", LAYER_TOLERANCE, bce),
-            ("dice_loss", LAYER_TOLERANCE, dice)]
+            ("dice_loss", LAYER_TOLERANCE, dice),
+            ("dice_loss_batch", LAYER_TOLERANCE, lambda rng: dice(rng, (2, 1, 4, 4)))]
 
 
 def end_to_end_check(seed: int = 0) -> CheckResult:

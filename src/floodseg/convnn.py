@@ -1,10 +1,12 @@
 """Convolution, pooling, upsampling, and the two segmentation losses.
 
-All operators work on single samples laid out channels-first: images are
-``(C, H, W)`` and masks broadcast from ``(1, H, W)``. ``conv2d`` is a stride-1
+Operators take a batch laid out channels-first, ``(N, C, H, W)``; a single
+``(C, H, W)`` sample is the N = 1 case. ``conv2d`` is a stride-1
 cross-correlation (no kernel flip) with an odd square kernel, zero-padded so
 the output keeps the input's extent. Its taps are strided views of one flat
-padded copy of the input, which is all the tape keeps for the gradients.
+padded copy of each sample, which is all the tape keeps for the gradients;
+its GEMMs run one sample at a time, so their transients stay at one sample's
+size. ``dice_loss`` is the mean over the batch of per-sample dice losses.
 """
 
 from __future__ import annotations
@@ -19,28 +21,34 @@ from .tensor import (ShapeError, Tensor, _accum, _as_tensor, log, record_op,
 
 
 def _pad_flat(a: np.ndarray, p: int) -> np.ndarray:
-    """``a`` (C,H,W) zero-padded by p on each side, rows end to end, then 2p zeros."""
-    c, h, w = a.shape
-    flat = np.zeros((c, (h + 2 * p) * (w + 2 * p) + 2 * p), dtype=a.dtype)
-    flat[:, :flat.shape[1] - 2 * p].reshape(c, h + 2 * p, w + 2 * p)[:, p:p + h, p:p + w] = a
+    """``a`` (...,H,W) zero-padded by p on each side, rows end to end, then 2p zeros."""
+    *lead, h, w = a.shape
+    size = (h + 2 * p) * (w + 2 * p)
+    flat = np.zeros((*lead, size + 2 * p), dtype=a.dtype)
+    flat[..., :size].reshape(*lead, h + 2 * p, w + 2 * p)[..., p:p + h, p:p + w] = a
     return flat
+
+
+def _check_map(name: str, x: Tensor):
+    if x.data.ndim not in (3, 4):
+        raise ShapeError(f"{name}: expected input (N,C,H,W) or (C,H,W), got shape {x.data.shape}")
 
 
 def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None, *,
            dilation: int = 1) -> Tensor:
-    """Cross-correlate ``x`` (C_in,H,W) with ``weight`` (C_out,C_in,k,k), k odd.
+    """Cross-correlate ``x`` (N,C_in,H,W) or (C_in,H,W) with ``weight`` (C_out,C_in,k,k), k odd.
 
     The input is zero-padded by dilation*(k-1)/2 on each side, so the output
-    is (C_out,H,W). The input gradient is the same correlation of the output
-    gradient with the flipped, channel-transposed kernel.
+    is (N,C_out,H,W), or (C_out,H,W) for a single sample. The input gradient
+    is the same correlation of the output gradient with the flipped,
+    channel-transposed kernel.
     """
     x = _as_tensor(x)
     weight = _as_tensor(weight)
-    if x.data.ndim != 3:
-        raise ShapeError(f"conv2d: expected input (C,H,W), got shape {x.data.shape}")
+    _check_map("conv2d", x)
     if weight.data.ndim != 4 or weight.data.shape[2] != weight.data.shape[3]:
         raise ShapeError(f"conv2d: expected square kernel (C_out,C_in,k,k), got {weight.data.shape}")
-    c_in, h, w = x.data.shape
+    c_in, h, w = x.data.shape[-3:]
     c_out, wc_in, k, _ = weight.data.shape
     if wc_in != c_in:
         raise ShapeError(f"conv2d: input has {c_in} channels but kernel expects {wc_in} "
@@ -65,40 +73,55 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None, *,
         steps = (s0, k * tap_rows * s0 + dilation * wp * s1, tap_rows * s0 + dilation * s1, s1)
         return as_strided(a, (tap_rows or len(a), k, k, h * wp), steps, writeable=False)
 
-    def correlate(buf, kern):
-        """Same-padded correlation of a ``_pad_flat`` map with ``kern`` (C_o,C_i,k,k).
+    def correlate(buf, kern, out):
+        """Same-padded correlation of one sample's ``_pad_flat`` map with ``kern``
+        (C_o,C_i,k,k), written to ``out`` (C_o,H*wp).
 
         If C_i <= C_o, one GEMM on the taps copied into columns; otherwise one GEMM
         gives every tap's output rows, summed at their shifted offsets. Rows run over
-        the padded width; their 2p wrap-around columns are dropped."""
+        the padded width, so each ends in 2p wrap-around columns to be dropped."""
         c_o, c_i = kern.shape[:2]
         if c_i <= c_o:
-            out = kern.reshape(c_o, -1) @ taps(buf).reshape(-1, h * wp)
+            np.matmul(kern.reshape(c_o, -1), taps(buf).reshape(-1, h * wp), out=out)
         else:
-            rows = kern.transpose(2, 3, 0, 1).reshape(k * k * c_o, c_i) @ buf
-            out = taps(rows, c_o).sum(axis=(1, 2))
-        return out.reshape(c_o, h, wp)[:, :, :w]
+            per_tap = kern.transpose(2, 3, 0, 1).reshape(k * k * c_o, c_i) @ buf
+            taps(per_tap, c_o).sum(axis=(1, 2), out=out)
 
-    flat = _pad_flat(x.data, p)
-    out = correlate(flat, kernel)
+    def cropped(rows):
+        """(...,C,H,W) view of (...,C,H*wp) rows, without the wrap-around columns."""
+        return rows.reshape(rows.shape[:-1] + (h, wp))[..., :w]
+
+    flat = _pad_flat(x.data.reshape(-1, c_in, h, w), p)            # (N, C_in, L)
+    rows = np.empty((len(flat), c_out, h * wp), np.result_type(flat, kernel))
+    for sample, r in zip(flat, rows):
+        correlate(sample, kernel, r)
+    out = cropped(rows)
     if bias is not None:
         out = out + bias.data[:, None, None]
 
     parents = (x, weight) if bias is None else (x, weight, bias)
 
     def backward(g):
-        g_flat = _pad_flat(g, p)
+        g = g.reshape(-1, c_out, h, w)
+        dw = 0
+        dx = (np.empty(flat.shape[:2] + (h * wp,), np.result_type(g, kernel))
+              if x.requires_grad else None)
+        flipped = kernel[:, :, ::-1, ::-1].transpose(1, 0, 2, 3)
+        for i, sample in enumerate(flat):
+            g_flat = _pad_flat(g[i], p)
+            if weight.requires_grad:
+                g_wp = g_flat[:, p * wp + p:][:, :h * wp]      # zeros in the wrap-around columns
+                dw = dw + np.matmul(g_wp, taps(sample).transpose(1, 2, 3, 0))  # (k,k,C_out,C_in)
+            if dx is not None:
+                correlate(g_flat, flipped, dx[i])
         if weight.requires_grad:
-            g_wp = g_flat[:, p * wp + p:][:, :h * wp]      # zeros in the wrap-around columns
-            dw = np.matmul(g_wp, taps(flat).transpose(1, 2, 3, 0))      # (k,k,C_out,C_in)
             _accum(weight, dw.transpose(2, 3, 0, 1))
         if bias is not None and bias.requires_grad:
-            _accum(bias, g.sum(axis=(1, 2)))
-        if x.requires_grad:
-            flipped = kernel[:, :, ::-1, ::-1].transpose(1, 0, 2, 3)
-            _accum(x, correlate(g_flat, flipped))
+            _accum(bias, g.sum(axis=(0, 2, 3)))
+        if dx is not None:
+            _accum(x, cropped(dx).reshape(x.data.shape))
 
-    return record_op(out, parents, backward)
+    return record_op(out.reshape(x.data.shape[:-3] + out.shape[1:]), parents, backward)
 
 
 def dilated_conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None, *,
@@ -107,27 +130,30 @@ def dilated_conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None, *,
     return conv2d(x, weight, bias, dilation=dilation)
 
 
+def _corners(a: np.ndarray) -> list[np.ndarray]:
+    """The four strided (...,H/2,W/2) views of the 2x2 windows of ``a``, in row-major window order."""
+    return [a[..., i::2, j::2] for i in (0, 1) for j in (0, 1)]
+
+
 def maxpool2(x: Tensor) -> Tensor:
     """2x2 max pooling with stride 2; gradients route to the first argmax."""
     x = _as_tensor(x)
-    if x.data.ndim != 3:
-        raise ShapeError(f"maxpool2: expected input (C,H,W), got shape {x.data.shape}")
-    c, h, w = x.data.shape
+    _check_map("maxpool2", x)
+    h, w = x.data.shape[-2:]
     if h % 2 or w % 2:
         raise ShapeError(f"maxpool2: spatial extent must be even, got {(h, w)}")
-    windows = (x.data.reshape(c, h // 2, 2, w // 2, 2)
-               .transpose(0, 1, 3, 2, 4)
-               .reshape(c, h // 2, w // 2, 4))
-    idx = windows.argmax(axis=-1)
-    out = np.take_along_axis(windows, idx[..., None], axis=-1)[..., 0]
+    corners = _corners(x.data)
+    out = np.maximum(np.maximum(corners[0], corners[1]), np.maximum(corners[2], corners[3]))
 
     def backward(g):
         if x.requires_grad:
-            dwin = np.zeros_like(windows)
-            np.put_along_axis(dwin, idx[..., None], g[..., None], axis=-1)
-            dx = (dwin.reshape(c, h // 2, w // 2, 2, 2)
-                  .transpose(0, 1, 3, 2, 4)
-                  .reshape(c, h, w))
+            dx = np.zeros_like(x.data)
+            free = np.ones(out.shape, dtype=bool)        # windows whose max is not yet taken
+            for corner, d in zip(corners, _corners(dx)):
+                first = corner == out
+                first &= free
+                np.copyto(d, g, where=first)
+                free ^= first
             _accum(x, dx)
 
     return record_op(out, (x,), backward)
@@ -136,14 +162,13 @@ def maxpool2(x: Tensor) -> Tensor:
 def upsample2(x: Tensor) -> Tensor:
     """Nearest-neighbour 2x upsampling; each input pixel becomes a 2x2 block."""
     x = _as_tensor(x)
-    if x.data.ndim != 3:
-        raise ShapeError(f"upsample2: expected input (C,H,W), got shape {x.data.shape}")
-    c, h, w = x.data.shape
-    out = x.data.repeat(2, axis=1).repeat(2, axis=2)
+    _check_map("upsample2", x)
+    out = x.data.repeat(2, axis=-2).repeat(2, axis=-1)
 
     def backward(g):
         if x.requires_grad:
-            _accum(x, g.reshape(c, h, 2, w, 2).sum(axis=(2, 4)))
+            a, b, c, d = _corners(g)
+            _accum(x, a + b + c + d)
 
     return record_op(out, (x,), backward)
 
@@ -166,14 +191,19 @@ def bce_loss(pred: Tensor, target) -> Tensor:
 
 
 def dice_loss(pred: Tensor, target, eps: float = 1e-6) -> Tensor:
-    """One minus the soft overlap ratio 2*|pred*target| / (|pred| + |target|)."""
+    """Mean over the batch of one minus the soft overlap ratio 2*|pred*target| / (|pred| + |target|).
+
+    Each sample's sums run over the last three axes (C,H,W); an input with
+    at most three axes is one sample.
+    """
     pred = _as_tensor(pred)
     target = _as_tensor(target, like=pred)
     if pred.data.shape != target.data.shape:
         raise ShapeError(f"dice_loss: shape mismatch {pred.data.shape} vs {target.data.shape}")
-    intersection = tsum(pred * target)
-    denom = tsum(pred) + tsum(target) + eps
-    return 1.0 - (2.0 * (intersection + eps)) / denom
+    axes = tuple(range(pred.data.ndim))[-3:]
+    intersection = tsum(pred * target, axis=axes, keepdims=True)
+    denom = tsum(pred, axis=axes, keepdims=True) + tsum(target, axis=axes, keepdims=True) + eps
+    return tmean(1.0 - (2.0 * (intersection + eps)) / denom)
 
 
 LOSSES = {"bce": bce_loss, "dice": dice_loss}

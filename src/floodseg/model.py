@@ -1,13 +1,14 @@
 """Model assembly, initialization, and the .gacm serialization format.
 
-The network is a U-Net over 3-channel inputs. Each encoder stage is a 3x3
-convolution, a dilation-2 3x3 convolution (both leaky-relu), and a 2x2 max
-pool; the pre-pool features feed the matching decoder stage through a skip
-concatenation. The ``gac-unet`` variant runs the bottleneck grid through
-attention mixing, a Chebyshev graph filter, and soft-centroid augmentation;
-``plain-unet`` passes the bottleneck through unchanged, so the two variants
-share identical encoders given the same seed. The head is a 1x1 convolution
-with a per-channel sigmoid.
+The network is a U-Net over a batch of 3-channel inputs, (N, 3, S, S), or
+one (3, S, S) sample. Each encoder stage is a 3x3 convolution, a dilation-2
+3x3 convolution (both leaky-relu), and a 2x2 max pool; the pre-pool
+features feed the matching decoder stage through a skip concatenation on
+the channel axis. The ``gac-unet`` variant runs each sample's bottleneck
+grid through attention mixing, a Chebyshev graph filter, and soft-centroid
+augmentation; ``plain-unet`` passes the bottleneck through unchanged, so
+the two variants share identical encoders given the same seed. The head is
+a 1x1 convolution with a per-channel sigmoid.
 
 Model files (.gacm) hold a small header (magic, version, kind, float width),
 the length-prefixed configuration JSON, and the raw little-endian parameter
@@ -191,29 +192,40 @@ class Model:
     # ---- forward -----------------------------------------------------------
 
     def forward(self, x: Tensor) -> Tensor:
-        expected = (3, self.spec.input_size, self.spec.input_size)
-        if x.data.shape != expected:
-            raise ShapeError(f"forward: expected input shape {expected}, got {x.data.shape}")
+        """Output map of an input batch (N, 3, S, S), or of one (3, S, S) sample."""
+        size = self.spec.input_size
+        if x.data.ndim not in (3, 4) or x.data.shape[-3:] != (3, size, size):
+            raise ShapeError(f"forward: expected input shape (3, {size}, {size}) or "
+                             f"(N, 3, {size}, {size}), got {x.data.shape}")
         skips = []
-        h = x
+        h = reshape(x, (-1, 3, size, size))
         for conv, dconv in self.encoder:
             h = leaky_relu(conv.apply(h), ACTIVATION_SLOPE)
             h = leaky_relu(dconv.apply(h), ACTIVATION_SLOPE)
             skips.append(h)
             h = maxpool2(h)
         if self.gat is not None:
-            c, gh, gw = h.data.shape
-            nodes = transpose(reshape(h, (c, gh * gw)))
-            nodes = gat_conv(nodes, self.graph, self.gat)
-            nodes = cheb_conv(nodes, self.laplacian, self.cheb)
-            h = reshape(transpose(nodes), (self.spec.cheb_out, gh, gw))
-            if self.spec.com:
-                _, h = center_of_mass(h)
+            n, _, gh, gw = h.data.shape
+            h = reshape(concat([self._graph_stage(h[i]) for i in range(n)], axis=0),
+                        (n, -1, gh, gw))
         for conv, skip in zip(self.decoder, reversed(skips)):
             h = upsample2(h)
-            h = concat([h, skip], axis=0)
+            h = concat([h, skip], axis=1)
             h = leaky_relu(conv.apply(h), ACTIVATION_SLOPE)
-        return sigmoid(self.head.apply(h))
+        out = sigmoid(self.head.apply(h))
+        return reshape(out, x.data.shape[:-3] + out.data.shape[1:])
+
+    def _graph_stage(self, h: Tensor) -> Tensor:
+        """The gac-unet bottleneck of one sample's (C, g, g) grid; the graph layers take
+        one sample's nodes at a time."""
+        c, gh, gw = h.data.shape
+        nodes = transpose(reshape(h, (c, gh * gw)))
+        nodes = gat_conv(nodes, self.graph, self.gat)
+        nodes = cheb_conv(nodes, self.laplacian, self.cheb)
+        h = reshape(transpose(nodes), (self.spec.cheb_out, gh, gw))
+        if self.spec.com:
+            _, h = center_of_mass(h)
+        return h
 
     def predict_proba(self, image_hwc: np.ndarray) -> np.ndarray:
         """Probability map of an (H, W, 3) image in [0, 1] at its own size.

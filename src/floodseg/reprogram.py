@@ -38,7 +38,7 @@ def input_transform(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
 
     ``weight`` and ``bias`` are (H, W), shared across the image channels, or
     (C, H, W) for a per-channel program; either way they must match the
-    spatial extent of ``x``.
+    last axes of ``x``, a (C, H, W) sample or an (N, C, H, W) batch.
     """
     if weight.data.shape != bias.data.shape:
         raise ShapeError(f"input_transform: weight {weight.data.shape} and bias "
@@ -46,7 +46,7 @@ def input_transform(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
     if weight.data.shape[-2:] != x.data.shape[-2:]:
         raise ShapeError(f"input_transform: program {weight.data.shape} does not cover "
                          f"input {x.data.shape}")
-    if weight.data.ndim == 3 and weight.data.shape != x.data.shape:
+    if weight.data.ndim == 3 and weight.data.shape != x.data.shape[-3:]:
         raise ShapeError(f"input_transform: per-channel program {weight.data.shape} "
                          f"does not match input {x.data.shape}")
     return weight * x + bias

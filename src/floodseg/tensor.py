@@ -503,11 +503,15 @@ def relu(t: Tensor) -> Tensor:
 
 def leaky_relu(t: Tensor, slope: float = 0.2) -> Tensor:
     t = _as_tensor(t)
-    out = np.where(t.data > 0, t.data, t.data * slope)
+    if 0 <= slope <= 1:
+        out = np.maximum(t.data, t.data * slope)
+    else:
+        out = np.where(t.data > 0, t.data, t.data * slope)
 
     def backward(g):
         if t.requires_grad:
-            _accum(t, g * np.where(t.data > 0, 1.0, slope).astype(t.data.dtype))
+            m = t.data > 0
+            _accum(t, g * (m + ~m * t.data.dtype.type(slope)))
 
     return record_op(out, (t,), backward)
 

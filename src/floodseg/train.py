@@ -35,20 +35,18 @@ class NumericFailure(RuntimeError):
 
 
 def train_step(forward, optimizer: Adam, loss_fn, samples, batch_id: str) -> float:
-    """One Adam update on the mean loss over (input, target) ``samples``.
+    """One Adam update on the loss of (input, target) ``samples`` stacked into one batch.
 
-    Returns the loss; a non-finite one raises before any backward pass.
+    The forward pass and its tape cover the whole batch. Returns the loss; a
+    non-finite one raises before any backward pass.
     """
     optimizer.zero_grad()
-    losses = [loss_fn(forward(Tensor(x)), Tensor(y)) for x, y in samples]
-    batch_loss = losses[0]
-    for extra in losses[1:]:
-        batch_loss = batch_loss + extra
-    batch_loss = batch_loss * (1.0 / len(losses))
-    value = batch_loss.item()
+    inputs, targets = zip(*samples)
+    loss = loss_fn(forward(Tensor(np.stack(inputs))), Tensor(np.stack(targets)))
+    value = loss.item()
     if not np.isfinite(value):
         raise NumericFailure(f"non-finite loss {value} in batch {batch_id}", batch_id)
-    batch_loss.backward()
+    loss.backward()
     optimizer.step()
     return value
 

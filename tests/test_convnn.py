@@ -100,12 +100,66 @@ def test_conv2d_gradients_match_tap_loop_oracle(k, dilation, c_out, shape):
     assert_relative_close(w.grad, want_dw, 1e-12)
 
 
-@pytest.mark.parametrize("c_in,c_out", [(48, 16), (16, 48)])
-def test_conv2d_tape_keeps_no_column_buffer(c_in, c_out):
+def per_sample_oracle(op, batch, *args):
+    """``op`` on each sample of ``batch`` as its own N = 1 call: outputs stacked,
+    input gradients stacked, and gradients of ``args`` summed over the calls."""
+    outs, grads = [], []
+    for sample in batch:
+        x = Tensor(sample, requires_grad=True, dtype=np.float64)
+        for a in args:
+            a.grad = None
+        out = op(x, *args)
+        outs.append(out.data)
+        tsum(out * Tensor(np.arange(out.data.size).reshape(out.shape) % 7 - 3.0,
+                          dtype=np.float64)).backward()
+        grads.append([x.grad] + [a.grad for a in args])
+    return (np.stack(outs), np.stack([g[0] for g in grads]),
+            [sum(g[i] for g in grads) for i in range(1, len(args) + 1)])
+
+
+def batched(op, batch, *args):
+    """``op`` on the whole ``batch`` in one call, probed as ``per_sample_oracle`` does."""
+    x = Tensor(batch, requires_grad=True, dtype=np.float64)
+    for a in args:
+        a.grad = None
+    out = op(x, *args)
+    probe = np.arange(out.data[0].size).reshape(out.shape[1:]) % 7 - 3.0
+    tsum(out * Tensor(np.broadcast_to(probe, out.shape).copy(), dtype=np.float64)).backward()
+    return out.data, x.grad, [a.grad for a in args]
+
+
+def assert_batch_matches_samples(op, batch, *args):
+    want_out, want_dx, want_dargs = per_sample_oracle(op, batch, *args)
+    got_out, got_dx, got_dargs = batched(op, batch, *args)
+    assert_relative_close(got_out, want_out, 1e-12)
+    assert_relative_close(got_dx, want_dx, 1e-12)
+    for got, want in zip(got_dargs, want_dargs):
+        assert_relative_close(got, want, 1e-12)
+
+
+@pytest.mark.parametrize("k,dilation,c_in,c_out", [
+    pytest.param(k, dilation, c_in, c_out, id=f"{k}-{dilation}{_channel_id(c_in, c_out)}")
+    for c_in, c_out in CHANNELS for k, dilation in [(1, 1), (3, 1), (3, 2), (5, 1)]])
+def test_conv2d_batch_matches_separate_samples(k, dilation, c_in, c_out):
+    rng = np.random.RandomState(k * 100 + dilation + 7)
+    batch = rng.uniform(-1, 1, (3, c_in, 9, 8))
+    w = Tensor(rng.uniform(-1, 1, (c_out, c_in, k, k)), requires_grad=True, dtype=np.float64)
+    b = Tensor(rng.uniform(-1, 1, c_out), requires_grad=True, dtype=np.float64)
+    assert_batch_matches_samples(lambda x, w, b: conv2d(x, w, b, dilation=dilation),
+                                 batch, w, b)
+    assert conv2d(Tensor(batch), w, b).shape == (3, c_out, 9, 8)
+
+
+# A single sample carries no id suffix; an N = 2 batch ends in "-batch2".
+@pytest.mark.parametrize("c_in,c_out,batch", [
+    pytest.param(c_in, c_out, batch, id=f"{c_in}-{c_out}" + ("-batch2" if batch else ""))
+    for batch in [(), (2,)] for c_in, c_out in [(48, 16), (16, 48)]])
+def test_conv2d_tape_keeps_no_column_buffer(c_in, c_out, batch):
     # Until backward the tape holds the padded input (about 1.07x the input
     # here), not the c_in*k*k-row columns (9x the input) or per-tap outputs.
     rng = np.random.RandomState(9)
-    x = Tensor(rng.uniform(-1, 1, (c_in, 64, 64)), requires_grad=True, dtype=np.float32)
+    x = Tensor(rng.uniform(-1, 1, batch + (c_in, 64, 64)), requires_grad=True,
+               dtype=np.float32)
     w = Tensor(rng.uniform(-1, 1, (c_out, c_in, 3, 3)), requires_grad=True, dtype=np.float32)
     tracemalloc.start()
     try:
@@ -245,6 +299,48 @@ def test_maxpool_of_upsample_is_identity():
     np.testing.assert_array_equal(maxpool2(upsample2(Tensor(x))).data, x)
 
 
+def maxpool_loop_oracle(x, g):
+    """Pooled values and the input gradient, routing each window's gradient to
+    its first maximum in row-major order."""
+    n, c, h, w = x.shape
+    out = np.zeros((n, c, h // 2, w // 2))
+    dx = np.zeros_like(x)
+    for s in range(n):
+        for ch in range(c):
+            for i in range(h // 2):
+                for j in range(w // 2):
+                    cells = [(2 * i + di, 2 * j + dj) for di in (0, 1) for dj in (0, 1)]
+                    best = cells[0]
+                    for cell in cells[1:]:
+                        if x[s, ch][cell] > x[s, ch][best]:
+                            best = cell
+                    out[s, ch, i, j] = x[s, ch][best]
+                    dx[s, ch][best] = g[s, ch, i, j]
+    return out, dx
+
+
+def test_maxpool2_with_tied_windows_matches_loop_oracle():
+    # Small integers tie often: windows with two, three and four equal maxima.
+    rng = np.random.RandomState(10)
+    x = rng.randint(0, 3, (3, 2, 6, 8)).astype(np.float64)
+    x[0, 0, :2, :2] = 2.0                          # a four-way tie
+    g = rng.uniform(-1, 1, (3, 2, 3, 4))
+    t = Tensor(x, requires_grad=True, dtype=np.float64)
+    out = maxpool2(t)
+    tsum(out * Tensor(g, dtype=np.float64)).backward()
+    want_out, want_dx = maxpool_loop_oracle(x, g)
+    np.testing.assert_array_equal(out.data, want_out)
+    np.testing.assert_array_equal(t.grad, want_dx)
+
+
+def test_maxpool2_and_upsample2_batches_match_separate_samples():
+    rng = np.random.RandomState(11)
+    ties = rng.randint(0, 3, (2, 3, 6, 4)).astype(np.float64)
+    assert_batch_matches_samples(maxpool2, ties)
+    assert_batch_matches_samples(maxpool2, rng.uniform(-1, 1, (3, 2, 4, 6)))
+    assert_batch_matches_samples(upsample2, rng.uniform(-1, 1, (3, 2, 3, 5)))
+
+
 # ---- losses -----------------------------------------------------------------
 
 
@@ -340,6 +436,26 @@ def test_losses_pass_grad_check_at_saturation():
         assert grad_check(lambda p: bce_loss(p, target), [pred]) < 1e-5
         pred2 = Tensor(np.full((4, 4), level), dtype=np.float64)
         assert grad_check(lambda p: dice_loss(p, target), [pred2]) < 1e-5
+
+
+def test_dice_of_a_batch_is_the_mean_of_per_sample_dice():
+    rng = np.random.RandomState(12)
+    pred = rng.uniform(0, 1, (3, 1, 5, 6))
+    target = (rng.uniform(0, 1, (3, 1, 5, 6)) > 0.5).astype(float)
+    target[2] = 0.0                                  # an empty mask weighs as one sample
+    got = dice_loss(Tensor(pred, dtype=np.float64), Tensor(target, dtype=np.float64)).item()
+    each = [dice_loss(Tensor(p, dtype=np.float64), Tensor(t, dtype=np.float64)).item()
+            for p, t in zip(pred, target)]
+    assert loss_close(got, sum(each) / 3, tol=1e-12)
+    pooled = dice_loss(Tensor(pred.ravel(), dtype=np.float64),
+                       Tensor(target.ravel(), dtype=np.float64)).item()
+    assert abs(got - pooled) > 0.01
+    pt = Tensor(pred, requires_grad=True, dtype=np.float64)
+    dice_loss(pt, Tensor(target, dtype=np.float64)).backward()
+    for p, t, grad in zip(pred, target, pt.grad):
+        one = Tensor(p, requires_grad=True, dtype=np.float64)
+        dice_loss(one, Tensor(t, dtype=np.float64)).backward()
+        assert_relative_close(grad, one.grad / 3, 1e-12)
 
 
 def test_conv_pool_upsample_pass_grad_check():

@@ -12,7 +12,7 @@ from floodseg.model import (FORMAT_VERSION, KIND_MODEL, MAGIC, Model,
                             load_model, model_checksum, save_model,
                             serialize_model)
 from floodseg.dataio import resize_bilinear
-from floodseg.tensor import ShapeError, Tensor, no_grad
+from floodseg.tensor import ShapeError, Tensor, no_grad, tsum
 
 
 def count_oracle(spec: ModelSpec) -> int:
@@ -195,12 +195,43 @@ def test_predict_proba_returns_the_map_at_the_image_size(out_channels):
         model.predict_proba(image[..., :2])
 
 
+@pytest.mark.parametrize("variant,com", [("gac-unet", True), ("gac-unet", False),
+                                         ("plain-unet", True)])
+def test_forward_batch_matches_separate_samples(variant, com):
+    model = init_params(build_model(small_spec(variant=variant, com=com), np.float64), seed=3)
+    rng = np.random.RandomState(5)
+    batch = rng.uniform(0, 1, (3, 3, 16, 16))
+    probe = rng.uniform(-1, 1, (1, 16, 16))
+
+    def run(x):
+        for p in model.params.values():
+            p.grad = None
+        x = Tensor(x, requires_grad=True, dtype=np.float64)
+        out = model.forward(x)
+        tsum(out * Tensor(np.broadcast_to(probe, out.shape).copy(), dtype=np.float64)).backward()
+        return out.data, x.grad, {k: p.grad for k, p in model.params.items()}
+
+    out, dx, grads = run(batch)
+    assert out.shape == (3, 1, 16, 16)
+    each = [run(sample) for sample in batch]
+    for got, want in [(out, np.stack([e[0] for e in each])), (dx, np.stack([e[1] for e in each]))]:
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * np.abs(want).max())
+    for name, grad in grads.items():
+        want = sum(e[2][name] for e in each)
+        np.testing.assert_allclose(grad, want, rtol=0, atol=1e-12 * np.abs(want).max(),
+                                   err_msg=name)
+
+
 def test_forward_shape_validation():
     model = build_model(small_spec())
     with pytest.raises(ShapeError):
         model.forward(Tensor(np.zeros((3, 8, 8), dtype=np.float32)))
     with pytest.raises(ShapeError):
         model.forward(Tensor(np.zeros((1, 16, 16), dtype=np.float32)))
+    with pytest.raises(ShapeError):
+        model.forward(Tensor(np.zeros((2, 1, 16, 16), dtype=np.float32)))
+    with pytest.raises(ShapeError):
+        model.forward(Tensor(np.zeros((1, 2, 3, 16, 16), dtype=np.float32)))
 
 
 def test_forward_is_deterministic():

@@ -52,6 +52,18 @@ def test_input_transform_per_channel_program_matches_loop():
     np.testing.assert_array_equal(out, w * x + b)
 
 
+def test_input_transform_programs_each_sample_of_a_batch():
+    rng = np.random.RandomState(4)
+    batch = rng.uniform(-1, 1, (2, 3, 4, 5))
+    for shape in [(4, 5), (3, 4, 5)]:
+        w, b = Tensor(rng.uniform(-1, 1, shape)), Tensor(rng.uniform(-1, 1, shape))
+        out = input_transform(Tensor(batch), w, b).data
+        for sample, got in zip(batch, out):
+            np.testing.assert_array_equal(got, input_transform(Tensor(sample), w, b).data)
+    with pytest.raises(ShapeError):
+        input_transform(Tensor(batch), Tensor(np.zeros((2, 4, 5))), Tensor(np.zeros((2, 4, 5))))
+
+
 def test_input_transform_shape_validation():
     x = Tensor(np.zeros((3, 4, 5)))
     with pytest.raises(ShapeError):

@@ -9,6 +9,7 @@ from floodseg.metrics import evaluate
 from floodseg.model import ModelSpec, build_model, init_params, load_model, serialize_model
 from floodseg.optim import Adam
 from floodseg.synthetic import write_flood_set
+from floodseg.tensor import Tensor
 from floodseg.train import EpochLog, NumericFailure, PairDataset, train_model, train_step
 
 
@@ -131,6 +132,17 @@ def test_argument_validation(entries):
         train_model(tiny_model(), entries, batch_size=0)
     with pytest.raises(ValueError):
         train_model(tiny_model(), [], epochs=1)
+
+
+def test_train_step_loss_is_the_mean_of_per_sample_losses():
+    spec = ModelSpec(input_size=16, widths=(2, 4), gat_out=4, cheb_order=1, cheb_out=4)
+    model = init_params(build_model(spec, np.float64), 3)
+    rng = np.random.RandomState(3)
+    samples = [(rng.uniform(0, 1, (3, 16, 16)), (rng.uniform(0, 1, (1, 16, 16)) > 0.5) * 1.0)
+               for _ in range(3)]
+    each = [dice_loss(model.forward(Tensor(x)), Tensor(y)).item() for x, y in samples]
+    got = train_step(model.forward, Adam(model.params), dice_loss, iter(samples), "1:0")
+    assert abs(got - sum(each) / 3) <= 1e-12
 
 
 def test_train_step_refuses_a_non_finite_loss_before_updating():
