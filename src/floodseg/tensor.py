@@ -502,11 +502,10 @@ def relu(t: Tensor) -> Tensor:
 
 
 def leaky_relu(t: Tensor, slope: float = 0.2) -> Tensor:
+    """x where x > 0, else slope * x: the larger of the two when slope <= 1,
+    the smaller when slope > 1."""
     t = _as_tensor(t)
-    if 0 <= slope <= 1:
-        out = np.maximum(t.data, t.data * slope)
-    else:
-        out = np.where(t.data > 0, t.data, t.data * slope)
+    out = (np.maximum if slope <= 1 else np.minimum)(t.data, t.data * slope)
 
     def backward(g):
         if t.requires_grad:

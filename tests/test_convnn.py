@@ -157,6 +157,8 @@ def test_conv2d_batch_matches_separate_samples(k, dilation, c_in, c_out):
 def test_conv2d_tape_keeps_no_column_buffer(c_in, c_out, batch):
     # Until backward the tape holds the padded input (about 1.07x the input
     # here), not the c_in*k*k-row columns (9x the input) or per-tap outputs.
+    # The forward's GEMM runs one sample at a time, so its transient stays at
+    # one sample's k*k*min(c_in, c_out)*H*(W+2) floats whatever the batch.
     rng = np.random.RandomState(9)
     x = Tensor(rng.uniform(-1, 1, batch + (c_in, 64, 64)), requires_grad=True,
                dtype=np.float32)
@@ -164,18 +166,19 @@ def test_conv2d_tape_keeps_no_column_buffer(c_in, c_out, batch):
     tracemalloc.start()
     try:
         out = conv2d(x, w)
-        held, _ = tracemalloc.get_traced_memory()
+        held, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert held - out.data.nbytes < 1.5 * x.data.nbytes
+    assert peak - held < 1.5 * 3 * 3 * min(c_in, c_out) * 64 * 66 * 4
 
 
-def test_conv2d_backward_peaks_below_one_input_column_buffer():
-    # The input gradient gathers the output gradient (C_out rows per tap),
-    # so a narrowing layer never holds a second C_in*k*k*H*W buffer.
+def conv2d_backward_peak(batch, c_in, c_out, k, side):
+    """tracemalloc peak of one narrowing conv2d backward, less the input
+    gradient of every sample after the first."""
     rng = np.random.RandomState(8)
-    c_in, c_out, k, side = 48, 16, 3, 64
-    x = Tensor(rng.uniform(-1, 1, (c_in, side, side)), requires_grad=True, dtype=np.float32)
+    x = Tensor(rng.uniform(-1, 1, batch + (c_in, side, side)), requires_grad=True,
+               dtype=np.float32)
     w = Tensor(rng.uniform(-1, 1, (c_out, c_in, k, k)), requires_grad=True, dtype=np.float32)
     loss = tsum(conv2d(x, w))
     tracemalloc.start()
@@ -185,7 +188,22 @@ def test_conv2d_backward_peaks_below_one_input_column_buffer():
     finally:
         tracemalloc.stop()
     assert x.grad.shape == x.shape
-    assert peak < 0.6 * c_in * k * k * side * side * 4
+    n = batch[0] if batch else 1
+    return peak - (n - 1) * x.grad.nbytes // n
+
+
+def test_conv2d_backward_peaks_below_one_input_column_buffer():
+    # The input gradient gathers the output gradient (C_out rows per tap),
+    # so a narrowing layer never holds a second C_in*k*k*H*W buffer.
+    c_in, c_out, k, side = 48, 16, 3, 64
+    assert conv2d_backward_peak((), c_in, c_out, k, side) < 0.6 * c_in * k * k * side * side * 4
+
+
+def test_conv2d_batch_backward_peaks_below_one_sample_column_buffer():
+    # The backward's GEMMs run one sample at a time: beyond the input gradient
+    # of the second sample, a batch of two peaks under the one-sample bound.
+    c_in, c_out, k, side = 48, 16, 3, 64
+    assert conv2d_backward_peak((2,), c_in, c_out, k, side) < 0.6 * c_in * k * k * side * side * 4
 
 
 def test_same_padding_preserves_extent():

@@ -91,6 +91,18 @@ def test_elementwise_nonlinearities():
     np.testing.assert_allclose(log(pos).data, np.log(pos.data), rtol=1e-12)
 
 
+@pytest.mark.parametrize("slope", [-0.3, 0.0, 0.2, 1.0, 1.5])
+def test_leaky_relu_is_bytewise_the_masked_select(slope):
+    x = np.array([0.0, -0.0, 1.0, -1.0, 3.5, -2.25, 1e-30, -1e-30], np.float32)
+    t = Tensor(x, requires_grad=True)
+    y = leaky_relu(t, slope)
+    assert y.data.tobytes() == np.where(x > 0, x, x * slope).tobytes()
+    g = np.arange(1, x.size + 1, dtype=np.float32) / 3
+    tsum(y * Tensor(g)).backward()
+    expected = np.where(x > 0, g, g * np.float32(slope))
+    assert t.grad.tobytes() == expected.tobytes()
+
+
 def test_sigmoid_is_stable_at_extreme_logits():
     t = Tensor(np.array([-1000.0, -50.0, 0.0, 50.0, 1000.0]))
     out = sigmoid(t).data
