@@ -52,6 +52,10 @@ class ModelFormatError(Exception):
     """A .gacm file that cannot be read back."""
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class ModelSpec:
     """Everything needed to rebuild a model's architecture.
@@ -72,11 +76,15 @@ class ModelSpec:
     seed: int = 0
 
     def __post_init__(self):
+        if not isinstance(self.widths, (tuple, list)) or not all(map(_is_int, self.widths)):
+            raise SpecError(f"widths: must be a list of integers, got {self.widths!r}")
         object.__setattr__(self, "widths", tuple(int(w) for w in self.widths))
         for name in ("input_size", "connectivity", "gat_out", "cheb_order", "cheb_out",
                      "out_channels", "seed"):
-            if not isinstance(getattr(self, name), numbers.Integral):
+            if not _is_int(getattr(self, name)):
                 raise SpecError(f"{name}: must be an integer, got {getattr(self, name)!r}")
+        if not isinstance(self.com, bool):
+            raise SpecError(f"com: must be a boolean, got {self.com!r}")
         if not self.widths:
             raise SpecError("widths: need at least one encoder stage")
         if any(w < 1 for w in self.widths):
@@ -122,7 +130,7 @@ class ModelSpec:
         """The spec in a configuration block; errors name ``source`` (a file path)."""
         payload = decode_config(text, source)
         try:
-            return cls(**{k: (tuple(v) if k == "widths" else v) for k, v in payload.items()})
+            return cls(**payload)
         except (TypeError, ValueError, ArithmeticError) as exc:
             raise ModelFormatError(f"{source}: bad model configuration block: {exc}") from exc
 

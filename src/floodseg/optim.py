@@ -6,15 +6,14 @@ import numpy as np
 
 
 class Adam:
-    """Adam with bias correction; frozen name prefixes receive no updates.
+    """Adam with bias correction over exactly the parameters it is given.
 
-    A parameter is frozen when its name starts with any entry of ``freeze``;
-    its gradient may still be computed, but ``step`` never touches it. A
-    prefix matching no parameter or an out-of-range hyperparameter is a ``ValueError``.
+    To freeze a parameter, turn its ``requires_grad`` off and leave it out.
+    An out-of-range hyperparameter is a ``ValueError``.
     """
 
     def __init__(self, params: dict, lr: float = 1e-3, beta1: float = 0.9,
-                 beta2: float = 0.999, eps: float = 1e-8, freeze=()):
+                 beta2: float = 0.999, eps: float = 1e-8):
         self.lr = float(lr)
         self.beta1 = float(beta1)
         self.beta2 = float(beta2)
@@ -24,32 +23,20 @@ class Adam:
             if not ok:
                 raise ValueError(f"Adam: {name} {getattr(self, name)!r} is out of range "
                                  "(lr and eps must be finite and > 0, betas in [0, 1))")
-        freeze = tuple(freeze)
-        self._all = dict(params)
-        unmatched = [prefix for prefix in freeze
-                     if not any(name.startswith(prefix) for name in self._all)]
-        if unmatched:
-            raise ValueError("Adam: freeze prefix matches no parameter: "
-                             + ", ".join(map(repr, unmatched)))
-        self._trainable = {name: p for name, p in self._all.items()
-                           if not any(name.startswith(prefix) for prefix in freeze)}
-        self._m = {name: np.zeros_like(p.data) for name, p in self._trainable.items()}
-        self._v = {name: np.zeros_like(p.data) for name, p in self._trainable.items()}
+        self._params = dict(params)
+        self._m = {name: np.zeros_like(p.data) for name, p in self._params.items()}
+        self._v = {name: np.zeros_like(p.data) for name, p in self._params.items()}
         self._t = 0
 
-    @property
-    def trainable_names(self) -> list:
-        return list(self._trainable)
-
     def zero_grad(self):
-        for p in self._all.values():
+        for p in self._params.values():
             p.grad = None
 
     def step(self):
         self._t += 1
         correct1 = 1.0 - self.beta1 ** self._t
         correct2 = 1.0 - self.beta2 ** self._t
-        for name, p in self._trainable.items():
+        for name, p in self._params.items():
             g = p.grad
             if g is None:
                 continue

@@ -3,9 +3,10 @@
 The wrapper learns an elementwise input program (scale and shift applied to
 every channel of the incoming image) and a 1x1 output map from the frozen
 base's channels to the new task's channels; the base itself never changes.
-Frozenness is enforced two ways: base parameters are marked as requiring no
-gradient updates, and a checksum over the serialized base is compared before
-and after training, failing hard on drift (``FrozenBaseError``).
+Frozenness is enforced two ways: base parameters get ``requires_grad`` off,
+so they receive no gradient and are not handed to Adam, and a checksum over
+the serialized base is compared before and after training, failing hard on
+drift (``FrozenBaseError``).
 
 Training runs the shared fixed-step loop of ``train.py``, so a non-finite
 loss raises ``NumericFailure`` as it does for a model. Wrapper files are
@@ -62,7 +63,11 @@ def output_map(features: Tensor, kernel: Tensor, bias: Tensor) -> Tensor:
 
 
 class ReprogramWrapper:
-    """A frozen base model plus trainable input program and output map."""
+    """A frozen base model plus trainable input program and output map.
+
+    The base keeps ``requires_grad`` off: its layers pass gradients through to
+    the input program but compute none for their own weights.
+    """
 
     def __init__(self, base: Model, c_new: int = 1, per_channel: bool = False, seed: int = 0):
         for p in base.params.values():

@@ -4,8 +4,9 @@ Tensors wrap contiguous numpy arrays (float32 for training runs, float64 for
 gradient checking) and every primitive whose inputs require gradients appends
 a backward closure to the implicit tape, the operation graph hanging off its
 output. ``Tensor.backward`` walks that graph once in reverse topological
-order, accumulates gradients into ``.grad``, and then releases the closures;
-running backward a second time over the same recording is an error.
+order and accumulates gradients into ``.grad``; each recorded node drops its
+closure and its gradient once the closure has run, so only leaves keep one.
+Running backward a second time over the same recording is an error.
 
 Numerical safety: ``log`` clamps its argument and ``div`` clamps its
 denominator to at least 1e-12, so saturated probabilities stay finite.
@@ -154,8 +155,9 @@ class Tensor:
     def backward(self):
         """Accumulate d(self)/d(leaf) into every reachable ``.grad``.
 
-        ``self`` must hold a single element. The recording is released
-        afterwards, so each forward pass supports exactly one backward pass.
+        ``self`` must hold a single element. Each recorded node's closure and
+        gradient are released once it has run, so only leaves keep ``.grad``
+        and each forward pass supports exactly one backward pass.
         """
         if self.data.size != 1:
             raise ShapeError(f"backward: loss must be scalar, got shape {self.data.shape}")
@@ -166,6 +168,7 @@ class Tensor:
             if fn is not None:
                 if node.grad is not None:
                     fn(node.grad)
+                node.grad = None
                 node._released = True
                 node._backward_fn = None
                 node._parents = ()
@@ -477,11 +480,8 @@ def log(t: Tensor) -> Tensor:
 def sigmoid(t: Tensor) -> Tensor:
     t = _as_tensor(t)
     x = t.data
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
+    e = np.exp(np.minimum(x, -x))      # -|x|, but a NaN keeps its sign bit
+    out = np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
     def backward(g):
         if t.requires_grad:

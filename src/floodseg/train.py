@@ -121,17 +121,29 @@ def train_model(model: Model, train_entries, val_entries=(), *, loss: str = "dic
                 beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8,
                 seed: int = 0, freeze=(), early_stop_train_dice: float = 0.0,
                 cache: bool = True, on_epoch=None) -> TrainResult:
+    """Train ``model`` in place; ``freeze`` holds parameter-name prefixes.
+
+    Matching parameters get ``requires_grad`` off, the rest on, and keep it on
+    return: Adam sees only the trainable ones and a frozen layer records no
+    tape. A prefix that matches no parameter is a ``ValueError``.
+    """
     if loss not in LOSSES:
         raise ValueError(f"train_model: unknown loss {loss!r}, expected one of {sorted(LOSSES)}")
     if batch_size < 1 or epochs < 0:
         raise ValueError("train_model: batch_size must be >= 1 and epochs >= 0")
+    for prefix in freeze:
+        if not any(name.startswith(prefix) for name in model.params):
+            raise ValueError(f"train_model: freeze prefix {prefix!r} matches no parameter")
     train_ds = PairDataset(train_entries, model.spec.input_size, model.dtype, cache)
     if len(train_ds) == 0:
         raise ValueError("train_model: no training entries")
     val_pairs = load_pairs(val_entries)
     train_pairs = load_pairs(train_entries) if early_stop_train_dice > 0.0 else []
 
-    optimizer = Adam(model.params, lr=lr, beta1=beta1, beta2=beta2, eps=eps, freeze=freeze)
+    for name, p in model.params.items():
+        p.requires_grad = not name.startswith(tuple(freeze))
+    optimizer = Adam({name: p for name, p in model.params.items() if p.requires_grad},
+                     lr=lr, beta1=beta1, beta2=beta2, eps=eps)
     rng = np.random.RandomState(seed)
     rows = []
     best_dice = -1.0

@@ -166,8 +166,8 @@ def test_train_refuses_a_freeze_prefix_that_matches_nothing(workspace, tmp_path,
     out = tmp_path / "typo"
     assert main(["train", "--manifest", str(workspace["manifest"]), "--out_dir", str(out),
                  "--freeze", "enc9"] + TRAIN_FLAGS) == 1
-    assert capsys.readouterr().err == ("error: Adam: freeze prefix matches no parameter: "
-                                       "'enc9'\n")
+    assert capsys.readouterr().err == ("error: train_model: freeze prefix 'enc9' matches "
+                                       "no parameter\n")
     assert not (out / "model.gacm").exists()
 
 
@@ -362,7 +362,8 @@ def test_eval_rejects_non_finite_model_as_data_error(workspace, tmp_path, capsys
     assert "non-finite" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("config", [b"[]", b"null", b"\xff"])
+@pytest.mark.parametrize("config", [b"[]", b"null", b"\xff", b'{"widths":"16"}',
+                                    b'{"com":"no"}'])
 def test_eval_rejects_malformed_config_block_as_data_error(workspace, tmp_path, config,
                                                            capsys):
     path = tmp_path / "bad.gacm"

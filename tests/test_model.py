@@ -1,5 +1,6 @@
 """Model assembly, initialization, forward pass, and the container format."""
 
+import json
 import struct
 
 import numpy as np
@@ -110,6 +111,15 @@ def test_spec_rejects_bad_configurations():
         ModelSpec(out_channels=0)
     with pytest.raises(SpecError):
         build_model(ModelSpec(input_size=32, widths=(4,)), dtype=np.int32)
+    for widths in ("16", (16.9, 32.2), (True, 2), 16):
+        with pytest.raises(SpecError, match="widths"):
+            ModelSpec(widths=widths)
+    for com in ("no", 1, None):
+        with pytest.raises(SpecError, match="com"):
+            ModelSpec(com=com)
+    for name in ("input_size", "connectivity", "cheb_order", "seed"):
+        with pytest.raises(SpecError, match=name):
+            ModelSpec(**{name: True})
 
 
 def test_spec_json_round_trip():
@@ -119,6 +129,11 @@ def test_spec_json_round_trip():
         ModelSpec.from_json("{broken")
     with pytest.raises(ModelFormatError):
         ModelSpec.from_json('{"widths": [4], "variant": "nope", "input_size": 16}')
+    good = json.loads(spec.to_json())
+    for key, value in [("widths", "16"), ("widths", [16.9, 32.2]), ("widths", [True, 2]),
+                       ("com", "no"), ("com", 0), ("seed", False), ("out_channels", True)]:
+        with pytest.raises(ModelFormatError, match=key):
+            ModelSpec.from_json(json.dumps({**good, key: value}))
 
 
 # ---- initialization --------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Adam updates against a scalar reference loop, plus freezing semantics."""
+"""Adam updates against a scalar reference loop, over the parameters it is given."""
 
 import numpy as np
 import pytest
@@ -53,22 +53,16 @@ def test_elementwise_independence():
         assert abs(p.data[idx] - want) < 1e-12
 
 
-def test_freeze_by_name_prefix():
-    a = Tensor(np.array([1.0]), requires_grad=True)
+def test_updates_only_the_parameters_it_is_given():
+    a = Tensor(np.array([1.0]), requires_grad=False)
     b = Tensor(np.array([1.0]), requires_grad=True)
-    opt = Adam({"base.w": a, "head.w": b}, lr=0.1, freeze=("base.",))
-    assert opt.trainable_names == ["head.w"]
+    opt = Adam({"head.w": b}, lr=0.1)
     a.grad = np.array([5.0])
     b.grad = np.array([5.0])
     opt.step()
-    assert a.data[0] == 1.0          # frozen despite having a gradient
-    assert b.data[0] != 1.0
-
-
-def test_freeze_prefix_matching_no_parameter_is_refused():
-    params = {"enc1.w": Tensor(np.array([1.0])), "dec1.w": Tensor(np.array([1.0]))}
-    with pytest.raises(ValueError, match="'enc9'"):
-        Adam(params, freeze=("enc9", "dec"))
+    opt.zero_grad()
+    assert a.data[0] == 1.0 and a.grad[0] == 5.0     # never seen by the optimizer
+    assert b.data[0] != 1.0 and b.grad is None
 
 
 @pytest.mark.parametrize("name,value", [

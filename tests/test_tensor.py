@@ -111,6 +111,21 @@ def test_sigmoid_is_stable_at_extreme_logits():
     assert out[2] == 0.5
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_sigmoid_is_bytewise_the_masked_form(dtype):
+    rng = np.random.RandomState(11)
+    x = np.concatenate([[0.0, -0.0, 1e4, -1e4, np.nan, -np.nan, np.inf, -np.inf, 88.0, -88.0,
+                         1e-30, -1e-30],
+                        rng.uniform(-30, 30, 200)]).astype(dtype)
+    want = np.empty_like(x)
+    pos = x >= 0
+    want[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    want[~pos] = ex / (1.0 + ex)
+    got = sigmoid(Tensor(x)).data
+    assert got.dtype == dtype and got.tobytes() == want.tobytes()
+
+
 def test_softmax_rows_sum_to_one_and_survive_huge_logits():
     rng = np.random.RandomState(4)
     t = Tensor(rng.uniform(-5, 5, (6, 7)), dtype=np.float64)
@@ -213,6 +228,21 @@ def test_fresh_forward_after_backward_is_fine():
     x.grad = None
     tsum(x * x).backward()
     np.testing.assert_allclose(x.grad, first)
+
+
+def test_backward_keeps_gradients_on_leaves_only():
+    x = Tensor(np.array([1.5, -0.5, 2.0]), requires_grad=True, dtype=np.float64)
+    w = Tensor(np.array([0.5, 3.0, -1.0]), requires_grad=True, dtype=np.float64)
+    frozen = Tensor(np.array([2.0, 2.0, 2.0]), dtype=np.float64)
+    y = x * w
+    z = sigmoid(y) * frozen
+    loss = tsum(z + y)
+    loss.backward()
+    assert y.grad is None and z.grad is None and loss.grad is None
+    assert frozen.grad is None
+    dy = 2.0 * sigmoid(Tensor(y.data)).data * (1.0 - sigmoid(Tensor(y.data)).data) + 1.0
+    assert x.grad.tobytes() == (dy * w.data).tobytes()
+    assert w.grad.tobytes() == (dy * x.data).tobytes()
 
 
 def test_no_grad_suppresses_recording():

@@ -6,11 +6,12 @@ import pytest
 from floodseg.convnn import dice_loss
 from floodseg.dataio import DataError, ManifestEntry, load_pairs, save_image, save_mask
 from floodseg.metrics import evaluate
-from floodseg.model import ModelSpec, build_model, init_params, load_model, serialize_model
+from floodseg.model import Model, ModelSpec, build_model, init_params, load_model, serialize_model
 from floodseg.optim import Adam
 from floodseg.synthetic import write_flood_set
 from floodseg.tensor import Tensor
-from floodseg.train import EpochLog, NumericFailure, PairDataset, train_model, train_step
+from floodseg.train import (EpochLog, NumericFailure, PairDataset, train_for_steps,
+                            train_model, train_step)
 
 
 @pytest.fixture(scope="module")
@@ -104,7 +105,46 @@ def test_freeze_prefixes_pin_parameters(entries):
     train_model(model, entries, epochs=1, batch_size=2, seed=4, freeze=("enc1.",))
     for k, before in frozen_before.items():
         np.testing.assert_array_equal(model.params[k].data, before)
+        assert model.params[k].grad is None and not model.params[k].requires_grad
     assert not np.array_equal(model.params["head.w"].data, head_before)
+    assert all(p.requires_grad for k, p in model.params.items() if k not in frozen_before)
+
+
+def test_freeze_prefix_matching_no_parameter_is_refused(entries):
+    with pytest.raises(ValueError, match="freeze prefix 'enc9' matches no parameter"):
+        train_model(tiny_model(), entries, freeze=("dec", "enc9"))
+
+
+def test_everything_frozen_records_no_tape_and_keeps_init_weights(entries):
+    model = tiny_model(seed=8)
+    before = serialize_model(model)
+    outputs = []
+
+    def forward(x):
+        outputs.append(Model.forward(model, x))
+        return outputs[-1]
+
+    model.forward = forward
+    result = train_model(model, entries, epochs=1, batch_size=2, seed=8,
+                         freeze=("enc", "dec", "gat", "cheb", "head"))
+    assert len(outputs) == 2
+    assert all(out._backward_fn is None and not out.requires_grad for out in outputs)
+    assert result.model_bytes == before
+
+
+def test_freezing_by_requires_grad_matches_discarding_frozen_gradients(entries):
+    data = [PairDataset(entries, 16).get(i) for i in range(4)]
+    data = [(image, mask[None]) for image, mask in data]
+    states = []
+    for record_frozen in (False, True):
+        model = tiny_model(seed=9)
+        for name, p in model.params.items():
+            p.requires_grad = record_frozen or not name.startswith("enc")
+        optimizer = Adam({k: p for k, p in model.params.items() if not k.startswith("enc")},
+                         lr=0.01)
+        train_for_steps(model.forward, optimizer, dice_loss, data, 3, 2, seed=9)
+        states.append(serialize_model(model))
+    assert states[0] == states[1]
 
 
 def test_early_stop_on_train_dice(entries):
