@@ -17,7 +17,7 @@ __version__ = "0.1.0"
 _EXPORTS = {
     "tensor": ("GradCheckFailure", "ShapeError", "TapeError", "Tensor", "grad_check",
                "no_grad"),
-    "convnn": ("bce_loss", "conv2d", "dice_loss", "dilated_conv2d", "maxpool2", "upsample2"),
+    "convnn": ("bce_loss", "conv2d", "dice_loss", "maxpool2", "upsample2"),
     "graphnn": ("ChebParams", "GatParams", "Graph", "NormalizedLaplacian",
                 "build_grid_graph", "center_of_mass", "cheb_conv", "gat_conv"),
     "dataio": ("DataError", "ImagePair", "PnmError", "augment_expand", "binarize_mask",

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .convnn import bce_loss, conv2d, dice_loss, dilated_conv2d, maxpool2, upsample2
+from .convnn import bce_loss, conv2d, dice_loss, maxpool2, upsample2
 from .graphnn import (ChebParams, GatParams, build_grid_graph, cheb_conv, center_of_mass,
                       gat_conv, normalized_laplacian)
 from .model import ModelSpec, build_model, init_params
@@ -48,7 +48,7 @@ def _builders():
     def dilated(rng):
         x, w, b = _t(rng, 2, 8, 8), _t(rng, 2, 2, 3, 3), _t(rng, 2)
         probe = Tensor(rng.uniform(-1, 1, (2, 8, 8)), dtype=np.float64)
-        return lambda *_: tmean(dilated_conv2d(x, w, b, dilation=2) * probe), [x, w, b]
+        return lambda *_: tmean(conv2d(x, w, b, dilation=2) * probe), [x, w, b]
 
     def pool(rng):
         x = _t(rng, 2, 6, 6)

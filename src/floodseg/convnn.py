@@ -16,8 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
-from .tensor import (ShapeError, Tensor, _accum, _as_tensor, log, record_op,
-                     tmean, tsum)
+from .tensor import ShapeError, Tensor, _as_tensor, log, record_op, tmean, tsum
 
 
 def _pad_flat(a: np.ndarray, p: int) -> np.ndarray:
@@ -114,20 +113,11 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None, *,
                 dw = dw + np.matmul(g_wp, taps(sample).transpose(1, 2, 3, 0))  # (k,k,C_out,C_in)
             if dx is not None:
                 correlate(g_flat, flipped, dx[i])
-        if weight.requires_grad:
-            _accum(weight, dw.transpose(2, 3, 0, 1))
-        if bias is not None and bias.requires_grad:
-            _accum(bias, g.sum(axis=(0, 2, 3)))
-        if dx is not None:
-            _accum(x, cropped(dx).reshape(x.data.shape))
+        return (None if dx is None else cropped(dx).reshape(x.data.shape),
+                dw.transpose(2, 3, 0, 1) if weight.requires_grad else None,
+                g.sum(axis=(0, 2, 3)) if bias is not None and bias.requires_grad else None)
 
     return record_op(out.reshape(x.data.shape[:-3] + out.shape[1:]), parents, backward)
-
-
-def dilated_conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None, *,
-                   dilation: int = 2) -> Tensor:
-    """conv2d with spread-out taps; dilation 1 reduces to plain conv2d."""
-    return conv2d(x, weight, bias, dilation=dilation)
 
 
 def _corners(a: np.ndarray) -> list[np.ndarray]:
@@ -146,15 +136,14 @@ def maxpool2(x: Tensor) -> Tensor:
     out = np.maximum(np.maximum(corners[0], corners[1]), np.maximum(corners[2], corners[3]))
 
     def backward(g):
-        if x.requires_grad:
-            dx = np.zeros_like(x.data)
-            free = np.ones(out.shape, dtype=bool)        # windows whose max is not yet taken
-            for corner, d in zip(corners, _corners(dx)):
-                first = corner == out
-                first &= free
-                np.copyto(d, g, where=first)
-                free ^= first
-            _accum(x, dx)
+        dx = np.zeros_like(x.data)
+        free = np.ones(out.shape, dtype=bool)        # windows whose max is not yet taken
+        for corner, d in zip(corners, _corners(dx)):
+            first = corner == out
+            first &= free
+            np.copyto(d, g, where=first)
+            free ^= first
+        return (dx,)
 
     return record_op(out, (x,), backward)
 
@@ -166,9 +155,8 @@ def upsample2(x: Tensor) -> Tensor:
     out = x.data.repeat(2, axis=-2).repeat(2, axis=-1)
 
     def backward(g):
-        if x.requires_grad:
-            a, b, c, d = _corners(g)
-            _accum(x, a + b + c + d)
+        a, b, c, d = _corners(g)
+        return (a + b + c + d,)
 
     return record_op(out, (x,), backward)
 

@@ -3,10 +3,11 @@
 Tensors wrap contiguous numpy arrays (float32 for training runs, float64 for
 gradient checking) and every primitive whose inputs require gradients appends
 a backward closure to the implicit tape, the operation graph hanging off its
-output. ``Tensor.backward`` walks that graph once in reverse topological
-order and accumulates gradients into ``.grad``; each recorded node drops its
-closure and its gradient once the closure has run, so only leaves keep one.
-Running backward a second time over the same recording is an error.
+output. A closure returns one gradient per parent (see ``record_op``);
+``Tensor.backward`` walks the graph once in reverse topological order and is
+the only code that adds them to ``.grad``, dropping each node once its
+closure has run, so only leaves keep one. Running backward a second time
+over the same recording is an error.
 
 Numerical safety: ``log`` clamps its argument and ``div`` clamps its
 denominator to at least 1e-12, so saturated probabilities stay finite.
@@ -155,19 +156,25 @@ class Tensor:
     def backward(self):
         """Accumulate d(self)/d(leaf) into every reachable ``.grad``.
 
-        ``self`` must hold a single element. Each recorded node's closure and
-        gradient are released once it has run, so only leaves keep ``.grad``
-        and each forward pass supports exactly one backward pass.
+        ``self`` must hold a single element. A closure's gradient for a parent
+        with ``requires_grad`` on is summed to the parent's shape and added to
+        its ``.grad``. Each recorded node is released, and can be freed, once
+        its closure has run, so only leaves keep ``.grad`` and each forward
+        pass supports exactly one backward pass.
         """
         if self.data.size != 1:
             raise ShapeError(f"backward: loss must be scalar, got shape {self.data.shape}")
         order = _toposort(self)
         self.grad = np.ones_like(self.data)
-        for node in reversed(order):
+        while order:
+            node = order.pop()
             fn = node._backward_fn
             if fn is not None:
                 if node.grad is not None:
-                    fn(node.grad)
+                    for parent, g in zip(node._parents, fn(node.grad)):
+                        if g is not None and parent.requires_grad:
+                            g = _unbroadcast(g, parent.data.shape)
+                            parent.grad = g if parent.grad is None else parent.grad + g
                 node.grad = None
                 node._released = True
                 node._backward_fn = None
@@ -197,15 +204,15 @@ def _toposort(root: Tensor):
     return order
 
 
-def _accum(t: Tensor, g: np.ndarray):
-    t.grad = g if t.grad is None else t.grad + g
-
-
 def record_op(data: np.ndarray, parents: Sequence[Tensor], backward_fn: Callable):
     """Wrap ``data`` as the output of a primitive.
 
     When recording is enabled and any parent requires a gradient, the node
-    keeps ``backward_fn`` (called with the output gradient) on the tape.
+    keeps ``backward_fn`` on the tape. It maps the output gradient to one
+    entry per parent, in order: that parent's gradient, which may have the
+    broadcast shape of the output, or ``None`` to skip it. ``Tensor.backward``
+    drops gradients of parents without ``requires_grad``, so a closure tests
+    it only to skip real work.
     """
     out = Tensor.__new__(Tensor)
     out.data = np.ascontiguousarray(data)
@@ -252,14 +259,7 @@ def add(a, b) -> Tensor:
         out = a.data + b.data
     except ValueError as exc:
         raise ShapeError(f"add: shapes {a.data.shape} and {b.data.shape} do not broadcast") from exc
-
-    def backward(g):
-        if a.requires_grad:
-            _accum(a, _unbroadcast(g, a.data.shape))
-        if b.requires_grad:
-            _accum(b, _unbroadcast(g, b.data.shape))
-
-    return record_op(out, (a, b), backward)
+    return record_op(out, (a, b), lambda g: (g, g))
 
 
 def sub(a, b) -> Tensor:
@@ -269,24 +269,12 @@ def sub(a, b) -> Tensor:
         out = a.data - b.data
     except ValueError as exc:
         raise ShapeError(f"sub: shapes {a.data.shape} and {b.data.shape} do not broadcast") from exc
-
-    def backward(g):
-        if a.requires_grad:
-            _accum(a, _unbroadcast(g, a.data.shape))
-        if b.requires_grad:
-            _accum(b, _unbroadcast(-g, b.data.shape))
-
-    return record_op(out, (a, b), backward)
+    return record_op(out, (a, b), lambda g: (g, -g if b.requires_grad else None))
 
 
 def neg(a: Tensor) -> Tensor:
     a = _as_tensor(a)
-
-    def backward(g):
-        if a.requires_grad:
-            _accum(a, -g)
-
-    return record_op(-a.data, (a,), backward)
+    return record_op(-a.data, (a,), lambda g: (-g,))
 
 
 def mul(a, b) -> Tensor:
@@ -296,14 +284,8 @@ def mul(a, b) -> Tensor:
         out = a.data * b.data
     except ValueError as exc:
         raise ShapeError(f"mul: shapes {a.data.shape} and {b.data.shape} do not broadcast") from exc
-
-    def backward(g):
-        if a.requires_grad:
-            _accum(a, _unbroadcast(g * b.data, a.data.shape))
-        if b.requires_grad:
-            _accum(b, _unbroadcast(g * a.data, b.data.shape))
-
-    return record_op(out, (a, b), backward)
+    return record_op(out, (a, b), lambda g: (g * b.data if a.requires_grad else None,
+                                             g * a.data if b.requires_grad else None))
 
 
 def div(a, b) -> Tensor:
@@ -316,14 +298,9 @@ def div(a, b) -> Tensor:
     except ValueError as exc:
         raise ShapeError(f"div: shapes {a.data.shape} and {b.data.shape} do not broadcast") from exc
     active = b.data > CLAMP_MIN
-
-    def backward(g):
-        if a.requires_grad:
-            _accum(a, _unbroadcast(g / den, a.data.shape))
-        if b.requires_grad:
-            _accum(b, _unbroadcast(-g * a.data / (den * den) * active, b.data.shape))
-
-    return record_op(out, (a, b), backward)
+    return record_op(out, (a, b), lambda g: (
+        g / den if a.requires_grad else None,
+        -g * a.data / (den * den) * active if b.requires_grad else None))
 
 
 # ---- linear algebra and structure ---------------------------------------
@@ -337,14 +314,8 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     if a.data.shape[1] != b.data.shape[0]:
         raise ShapeError(f"matmul: inner dimensions disagree, {a.data.shape} @ {b.data.shape}")
     out = a.data @ b.data
-
-    def backward(g):
-        if a.requires_grad:
-            _accum(a, g @ b.data.T)
-        if b.requires_grad:
-            _accum(b, a.data.T @ g)
-
-    return record_op(out, (a, b), backward)
+    return record_op(out, (a, b), lambda g: (g @ b.data.T if a.requires_grad else None,
+                                             a.data.T @ g if b.requires_grad else None))
 
 
 def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
@@ -356,15 +327,11 @@ def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
     except ValueError as exc:
         raise ShapeError(f"concat: shapes {[t.data.shape for t in tensors]} do not align "
                          f"on axis {axis}") from exc
-    sizes = [t.data.shape[axis] for t in tensors]
-    offsets = np.cumsum([0] + sizes)
+    offsets = np.cumsum([0] + [t.data.shape[axis] for t in tensors])
+    lead = (slice(None),) * (axis % out.ndim)
 
     def backward(g):
-        for t, start, stop in zip(tensors, offsets[:-1], offsets[1:]):
-            if t.requires_grad:
-                index = [slice(None)] * g.ndim
-                index[axis] = slice(start, stop)
-                _accum(t, g[tuple(index)])
+        return [g[lead + (slice(start, stop),)] for start, stop in zip(offsets[:-1], offsets[1:])]
 
     return record_op(out, tuple(tensors), backward)
 
@@ -373,10 +340,9 @@ def _slice(t: Tensor, index) -> Tensor:
     out = np.array(t.data[index], copy=True)
 
     def backward(g):
-        if t.requires_grad:
-            dz = np.zeros_like(t.data)
-            np.add.at(dz, index, g)
-            _accum(t, dz)
+        dz = np.zeros_like(t.data)
+        np.add.at(dz, index, g)
+        return (dz,)
 
     return record_op(out, (t,), backward)
 
@@ -387,12 +353,7 @@ def reshape(t: Tensor, shape) -> Tensor:
         out = t.data.reshape(shape)
     except ValueError as exc:
         raise ShapeError(f"reshape: cannot view shape {t.data.shape} as {tuple(shape)}") from exc
-
-    def backward(g):
-        if t.requires_grad:
-            _accum(t, g.reshape(t.data.shape))
-
-    return record_op(out, (t,), backward)
+    return record_op(out, (t,), lambda g: (g.reshape(t.data.shape),))
 
 
 def transpose(t: Tensor, axes=None) -> Tensor:
@@ -404,12 +365,7 @@ def transpose(t: Tensor, axes=None) -> Tensor:
         raise ShapeError(f"transpose: axes {axes} are not a permutation for shape {t.data.shape}")
     out = np.ascontiguousarray(t.data.transpose(axes))
     inverse = tuple(np.argsort(axes))
-
-    def backward(g):
-        if t.requires_grad:
-            _accum(t, np.ascontiguousarray(g.transpose(inverse)))
-
-    return record_op(out, (t,), backward)
+    return record_op(out, (t,), lambda g: (np.ascontiguousarray(g.transpose(inverse)),))
 
 
 # ---- reductions ----------------------------------------------------------
@@ -428,25 +384,15 @@ def _expand_reduced(g: np.ndarray, axis, keepdims: bool, shape) -> np.ndarray:
 def tsum(t: Tensor, axis=None, keepdims: bool = False) -> Tensor:
     t = _as_tensor(t)
     out = t.data.sum(axis=axis, keepdims=keepdims)
-
-    def backward(g):
-        if t.requires_grad:
-            _accum(t, _expand_reduced(g, axis, keepdims, t.data.shape))
-
-    return record_op(out, (t,), backward)
+    return record_op(out, (t,), lambda g: (_expand_reduced(g, axis, keepdims, t.data.shape),))
 
 
 def tmean(t: Tensor, axis=None, keepdims: bool = False) -> Tensor:
     t = _as_tensor(t)
     out = t.data.mean(axis=axis, keepdims=keepdims)
-    count = t.data.size if axis is None else int(np.prod(
-        [t.data.shape[a % t.data.ndim] for a in (axis if isinstance(axis, tuple) else (axis,))]))
-
-    def backward(g):
-        if t.requires_grad:
-            _accum(t, _expand_reduced(g, axis, keepdims, t.data.shape) / count)
-
-    return record_op(out, (t,), backward)
+    count = t.data.size // max(out.size, 1)          # elements behind each mean
+    return record_op(out, (t,),
+                     lambda g: (_expand_reduced(g, axis, keepdims, t.data.shape) / count,))
 
 
 # ---- nonlinearities -------------------------------------------------------
@@ -455,12 +401,7 @@ def tmean(t: Tensor, axis=None, keepdims: bool = False) -> Tensor:
 def exp(t: Tensor) -> Tensor:
     t = _as_tensor(t)
     out = np.exp(t.data)
-
-    def backward(g):
-        if t.requires_grad:
-            _accum(t, g * out)
-
-    return record_op(out, (t,), backward)
+    return record_op(out, (t,), lambda g: (g * out,))
 
 
 def log(t: Tensor) -> Tensor:
@@ -469,12 +410,7 @@ def log(t: Tensor) -> Tensor:
     clamped = np.maximum(t.data, CLAMP_MIN)
     out = np.log(clamped)
     active = t.data > CLAMP_MIN
-
-    def backward(g):
-        if t.requires_grad:
-            _accum(t, g * active / clamped)
-
-    return record_op(out, (t,), backward)
+    return record_op(out, (t,), lambda g: (g * active / clamped,))
 
 
 def sigmoid(t: Tensor) -> Tensor:
@@ -482,23 +418,13 @@ def sigmoid(t: Tensor) -> Tensor:
     x = t.data
     e = np.exp(np.minimum(x, -x))      # -|x|, but a NaN keeps its sign bit
     out = np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
-
-    def backward(g):
-        if t.requires_grad:
-            _accum(t, g * out * (1.0 - out))
-
-    return record_op(out, (t,), backward)
+    return record_op(out, (t,), lambda g: (g * out * (1.0 - out),))
 
 
 def relu(t: Tensor) -> Tensor:
     t = _as_tensor(t)
     out = np.maximum(t.data, 0)
-
-    def backward(g):
-        if t.requires_grad:
-            _accum(t, g * (t.data > 0))
-
-    return record_op(out, (t,), backward)
+    return record_op(out, (t,), lambda g: (g * (t.data > 0),))
 
 
 def leaky_relu(t: Tensor, slope: float = 0.2) -> Tensor:
@@ -508,9 +434,8 @@ def leaky_relu(t: Tensor, slope: float = 0.2) -> Tensor:
     out = (np.maximum if slope <= 1 else np.minimum)(t.data, t.data * slope)
 
     def backward(g):
-        if t.requires_grad:
-            m = t.data > 0
-            _accum(t, g * (m + ~m * t.data.dtype.type(slope)))
+        m = t.data > 0
+        return (g * (m + ~m * t.data.dtype.type(slope)),)
 
     return record_op(out, (t,), backward)
 
@@ -522,9 +447,8 @@ def softmax(t: Tensor, axis: int = -1) -> Tensor:
     out = e / e.sum(axis=axis, keepdims=True)
 
     def backward(g):
-        if t.requires_grad:
-            inner = (g * out).sum(axis=axis, keepdims=True)
-            _accum(t, out * (g - inner))
+        inner = (g * out).sum(axis=axis, keepdims=True)
+        return (out * (g - inner),)
 
     return record_op(out, (t,), backward)
 

@@ -125,12 +125,16 @@ def train_model(model: Model, train_entries, val_entries=(), *, loss: str = "dic
 
     Matching parameters get ``requires_grad`` off, the rest on, and keep it on
     return: Adam sees only the trainable ones and a frozen layer records no
-    tape. A prefix that matches no parameter is a ``ValueError``.
+    tape. A prefix that matches no parameter, or a bare ``str`` (which would
+    freeze by its single characters), is a ``ValueError``.
     """
     if loss not in LOSSES:
         raise ValueError(f"train_model: unknown loss {loss!r}, expected one of {sorted(LOSSES)}")
     if batch_size < 1 or epochs < 0:
         raise ValueError("train_model: batch_size must be >= 1 and epochs >= 0")
+    if isinstance(freeze, str):
+        raise ValueError(f"train_model: freeze must be a sequence of name prefixes, "
+                         f"not the string {freeze!r}; pass ({freeze!r},)")
     for prefix in freeze:
         if not any(name.startswith(prefix) for name in model.params):
             raise ValueError(f"train_model: freeze prefix {prefix!r} matches no parameter")

@@ -6,8 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from floodseg.convnn import (ConvParams, bce_loss, conv2d, dice_loss,
-                             dilated_conv2d, maxpool2, upsample2)
+from floodseg.convnn import ConvParams, bce_loss, conv2d, dice_loss, maxpool2, upsample2
 from floodseg.tensor import ShapeError, Tensor, grad_check, tsum
 
 
@@ -211,18 +210,9 @@ def test_same_padding_preserves_extent():
     x = Tensor(rng.uniform(-1, 1, (2, 7, 11)))
     w = Tensor(rng.uniform(-1, 1, (4, 2, 3, 3)))
     assert conv2d(x, w).shape == (4, 7, 11)
-    assert dilated_conv2d(x, w).shape == (4, 7, 11)          # dilation 2, pad 2
+    assert conv2d(x, w, dilation=2).shape == (4, 7, 11)      # dilation 2, pad 2
     np.testing.assert_allclose(conv2d(x, w).data,
                                conv_oracle(x.data, w.data, padding=1), atol=1e-6)
-
-
-def test_dilation_one_reduces_to_plain_conv():
-    rng = np.random.RandomState(1)
-    x = Tensor(rng.uniform(-1, 1, (2, 6, 6)))
-    w = Tensor(rng.uniform(-1, 1, (2, 2, 3, 3)))
-    plain = conv2d(x, w)
-    dilated = dilated_conv2d(x, w, dilation=1)
-    np.testing.assert_array_equal(plain.data, dilated.data)
 
 
 def test_dilated_taps_skip_pixels():
@@ -231,7 +221,7 @@ def test_dilated_taps_skip_pixels():
     x[0, 3, 3] = 1.0
     w = np.zeros((1, 1, 3, 3))
     w[0, 0] = np.arange(9, dtype=float).reshape(3, 3)
-    out = dilated_conv2d(Tensor(x), Tensor(w), dilation=2).data[0]
+    out = conv2d(Tensor(x), Tensor(w), dilation=2).data[0]
     assert out[3, 3] == 4.0                   # center tap
     assert out[1, 1] == 8.0                   # impulse under the last tap
     assert out[2, 2] == 0.0                   # between taps: nothing

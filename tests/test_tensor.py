@@ -1,5 +1,7 @@
 """Tensor core: forward values against numpy, gradients against finite differences."""
 
+import weakref
+
 import numpy as np
 import pytest
 
@@ -245,6 +247,46 @@ def test_backward_keeps_gradients_on_leaves_only():
     assert w.grad.tobytes() == (dy * x.data).tobytes()
 
 
+def test_backward_reduces_routes_and_skips_per_parent():
+    # A closure returns one entry per parent: a broadcast gradient is summed to
+    # the parent's shape, None skips a parent, and one without requires_grad
+    # gets nothing even when a gradient is returned for it.
+    first = Tensor(np.array([[1.0, 2.0, 3.0]]), requires_grad=True, dtype=np.float64)
+    second = Tensor(np.array([4.0]), requires_grad=True, dtype=np.float64)
+    third = Tensor(np.array([5.0, 6.0]), dtype=np.float64)
+    wide = np.arange(12.0).reshape(4, 3)
+
+    def backward(g):
+        return g * wide, None, g * np.ones(2)
+
+    out = record_op(np.zeros(()), (first, second, third), backward)
+    out.backward()
+    assert first.grad.shape == (1, 3)
+    assert first.grad.tobytes() == wide.sum(axis=0, keepdims=True).tobytes()
+    assert second.grad is None and third.grad is None
+
+
+def test_backward_frees_each_node_as_the_walk_passes_it():
+    # By the time the walk reaches the node next to the leaf, nothing may hold
+    # the output array of an intermediate the walk has already left behind.
+    x = Tensor(np.ones(3), requires_grad=True, dtype=np.float64)
+    alive = []
+
+    def probe(t):
+        def backward(g):
+            alive.append(downstream() is not None)
+            return (g,)
+        return record_op(t.data.copy(), (t,), backward)
+
+    mid = probe(x) * 2.0
+    downstream = weakref.ref(mid.data)
+    loss = tsum(mid)
+    del mid
+    loss.backward()
+    assert alive == [False]
+    np.testing.assert_array_equal(x.grad, [2.0, 2.0, 2.0])
+
+
 def test_no_grad_suppresses_recording():
     x = Tensor(np.ones(3), requires_grad=True)
     with no_grad():
@@ -332,12 +374,7 @@ def test_grad_check_each_primitive():
 
 def test_grad_check_catches_a_negated_backward_rule():
     def bad_square(t):
-        out = t.data * t.data
-
-        def backward(g):
-            t.grad = -(g * 2 * t.data) if t.grad is None else t.grad - g * 2 * t.data
-
-        return record_op(out, (t,), backward)
+        return record_op(t.data * t.data, (t,), lambda g: (-(g * 2 * t.data),))
 
     x = Tensor(np.array([1.0, 2.0, 3.0]), dtype=np.float64)
     err = grad_check(lambda t: tsum(bad_square(t)), [x])

@@ -115,6 +115,15 @@ def test_freeze_prefix_matching_no_parameter_is_refused(entries):
         train_model(tiny_model(), entries, freeze=("dec", "enc9"))
 
 
+def test_freeze_as_a_bare_string_is_refused(entries):
+    # Iterated, "dec" would be the prefixes "d", "e" and "c", freezing enc and cheb too.
+    model = tiny_model()
+    before = serialize_model(model)
+    with pytest.raises(ValueError, match="sequence of name prefixes"):
+        train_model(model, entries, epochs=1, batch_size=2, freeze="dec")
+    assert serialize_model(model) == before
+
+
 def test_everything_frozen_records_no_tape_and_keeps_init_weights(entries):
     model = tiny_model(seed=8)
     before = serialize_model(model)
