@@ -156,6 +156,8 @@ def _resolve_config(args: list) -> dict:
             raise UsageError(f"bad value for {key!r}: {exc}") from exc
     if config["float_width"] not in (32, 64):
         raise UsageError(f"float_width must be 32 or 64, got {config['float_width']}")
+    if not 0 <= config["pred_threshold"] <= 1:
+        raise UsageError(f"pred_threshold must lie in [0, 1], got {config['pred_threshold']}")
     return config
 
 

@@ -4,9 +4,12 @@ Operators take a batch laid out channels-first, ``(N, C, H, W)``; a single
 ``(C, H, W)`` sample is the N = 1 case. ``conv2d`` is a stride-1
 cross-correlation (no kernel flip) with an odd square kernel, zero-padded so
 the output keeps the input's extent. Its taps are strided views of one flat
-padded copy of each sample, which is all the tape keeps for the gradients;
-its GEMMs run one sample at a time, so their transients stay at one sample's
-size. ``dice_loss`` is the mean over the batch of per-sample dice losses.
+padded copy of each sample, which is all the tape keeps for the gradients.
+The forward and input-gradient correlations run one sample at a time, over
+column tiles of the sample's flat padded rows: each tile's GEMM operand (its
+tap columns, or its per-tap output rows) fits a fixed byte budget, so that
+scratch stays cache-sized whatever the image size. ``dice_loss`` is the mean
+over the batch of per-sample dice losses.
 """
 
 from __future__ import annotations
@@ -17,6 +20,12 @@ import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
 from .tensor import ShapeError, Tensor, _as_tensor, log, record_op, tmean, tsum
+
+# Byte budgets of one column tile's GEMM operand in ``conv2d``: the tap columns
+# copied when C_i <= C_o, and the per-tap output rows when C_i > C_o. Of the
+# sizes timed on gac-unet's 256 and 512 px conv shapes, these were fastest.
+_COLUMN_TILE_BYTES = 1 << 20
+_TAP_TILE_BYTES = 4 << 20
 
 
 def _pad_flat(a: np.ndarray, p: int) -> np.ndarray:
@@ -65,26 +74,36 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None, *,
     p = dilation * (k - 1) // 2
     wp = w + 2 * p
 
-    def taps(a, tap_rows=0):
-        """Read-only (R,k,k,H*wp) view of ``a``, R = tap_rows or len(a): [r,i,j,q]
+    def taps(a, tap_rows=0, m=h * wp):
+        """Read-only (R,k,k,m) view of ``a``, R = tap_rows or len(a): [r,i,j,q]
         is element [(i*k + j)*tap_rows + r, (i*wp + j)*dilation + q]."""
         s0, s1 = a.strides
         steps = (s0, k * tap_rows * s0 + dilation * wp * s1, tap_rows * s0 + dilation * s1, s1)
-        return as_strided(a, (tap_rows or len(a), k, k, h * wp), steps, writeable=False)
+        return as_strided(a, (tap_rows or len(a), k, k, m), steps, writeable=False)
 
     def correlate(buf, kern, out):
         """Same-padded correlation of one sample's ``_pad_flat`` map with ``kern``
-        (C_o,C_i,k,k), written to ``out`` (C_o,H*wp).
+        (C_o,C_i,k,k), written to ``out`` (C_o,H*wp) one column tile at a time.
 
-        If C_i <= C_o, one GEMM on the taps copied into columns; otherwise one GEMM
-        gives every tap's output rows, summed at their shifted offsets. Rows run over
-        the padded width, so each ends in 2p wrap-around columns to be dropped."""
+        If C_i <= C_o, each tile copies its taps into columns for one GEMM;
+        otherwise one GEMM gives every tap's output rows for the tile and its
+        2p*(wp+1) halo columns, summed at their shifted offsets. A tile's
+        operand fills its byte budget, halo aside. Rows run over the padded
+        width, so each ends in 2p wrap-around columns to be dropped."""
         c_o, c_i = kern.shape[:2]
         if c_i <= c_o:
-            np.matmul(kern.reshape(c_o, -1), taps(buf).reshape(-1, h * wp), out=out)
+            kern = kern.reshape(c_o, -1)
+            m = max(1, _COLUMN_TILE_BYTES // (kern.shape[1] * out.itemsize))
+            for q0 in range(0, h * wp, m):
+                n = min(m, h * wp - q0)
+                np.matmul(kern, taps(buf[:, q0:], 0, n).reshape(-1, n), out=out[:, q0:q0 + n])
         else:
-            per_tap = kern.transpose(2, 3, 0, 1).reshape(k * k * c_o, c_i) @ buf
-            taps(per_tap, c_o).sum(axis=(1, 2), out=out)
+            kern = kern.transpose(2, 3, 0, 1).reshape(k * k * c_o, c_i)
+            m = max(1, _TAP_TILE_BYTES // (len(kern) * out.itemsize))
+            for q0 in range(0, h * wp, m):
+                n = min(m, h * wp - q0)
+                per_tap = kern @ buf[:, q0:q0 + n + 2 * p * (wp + 1)]
+                taps(per_tap, c_o, n).sum(axis=(1, 2), out=out[:, q0:q0 + n])
 
     def cropped(rows):
         """(...,C,H,W) view of (...,C,H*wp) rows, without the wrap-around columns."""

@@ -63,7 +63,9 @@ def mean_average_precision(per_image_ious, thresholds=DEFAULT_THRESHOLDS) -> flo
         raise ValueError("mean_average_precision: no per-image IoUs given")
     if not thresholds or any(b <= a for a, b in zip(thresholds, thresholds[1:])):
         raise ValueError("mean_average_precision: thresholds must be ascending and non-empty")
-    if any(v < 0 or v > 1 for v in ious):
+    if not all(0 <= t <= 1 for t in thresholds):
+        raise ValueError("mean_average_precision: thresholds must lie in [0, 1]")
+    if not all(0 <= v <= 1 for v in ious):
         raise ValueError("mean_average_precision: IoUs must lie in [0, 1]")
     precisions = [precision_at(ious, t) for t in thresholds]
     return sum(precisions) / len(precisions)
@@ -115,9 +117,11 @@ def evaluate(predict, pairs, pred_threshold: float = 0.5) -> MetricReport:
     """Score a predictor over image pairs.
 
     ``predict`` maps an (H, W, 3) image to an (H, W) probability map, which
-    is binarized strictly above ``pred_threshold`` before scoring against
-    the pair's mask.
+    is binarized strictly above ``pred_threshold``, which must lie in
+    [0, 1], before scoring against the pair's mask.
     """
+    if not 0 <= pred_threshold <= 1:
+        raise ValueError(f"evaluate: pred_threshold {pred_threshold} must lie in [0, 1]")
     pairs = list(pairs)
     if not pairs:
         raise ValueError("evaluate: no pairs to score")

@@ -338,10 +338,17 @@ def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
 
 def _slice(t: Tensor, index) -> Tensor:
     out = np.array(t.data[index], copy=True)
+    # A basic index (ints, slices, None, Ellipsis) names each element at most
+    # once, so its gradient is assigned; an advanced one may repeat an element.
+    basic = all(i is None or i is Ellipsis or isinstance(i, (int, np.integer, slice))
+                for i in (index if isinstance(index, tuple) else (index,)))
 
     def backward(g):
         dz = np.zeros_like(t.data)
-        np.add.at(dz, index, g)
+        if basic:
+            dz[index] = g
+        else:
+            np.add.at(dz, index, g)
         return (dz,)
 
     return record_op(out, (t,), backward)

@@ -266,6 +266,20 @@ def test_predict_writes_binary_mask_at_source_size(workspace, trained, tmp_path,
     assert set(np.unique(mask)) <= {0.0, 1.0}
 
 
+@pytest.mark.parametrize("value", ["nan", "-0.5", "1.5"])
+@pytest.mark.parametrize("command", ["eval", "predict"])
+def test_a_pred_threshold_outside_the_unit_interval_is_refused_before_loading(
+        workspace, tmp_path, capsys, command, value):
+    # The model path does not exist: a refusal after loading would exit 2.
+    image = next(iter(sorted(workspace["raw"].glob("*.ppm"))))
+    paths = {"eval": ["--manifest", str(workspace["manifest"])],
+             "predict": ["--image", str(image), "--output", str(tmp_path / "pred.pgm")]}
+    assert main([command, "--model", str(tmp_path / "none.gacm"), "--pred_threshold", value]
+                + paths[command]) == 1
+    assert capsys.readouterr().err.startswith("error: pred_threshold must lie in [0, 1]")
+    assert not (tmp_path / "pred.pgm").exists()
+
+
 def test_predict_missing_image_is_a_data_error(trained, tmp_path):
     assert main(["predict", "--model", str(trained / "model.gacm"),
                  "--image", str(tmp_path / "ghost.ppm"),

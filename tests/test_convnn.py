@@ -6,6 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from floodseg import convnn
 from floodseg.convnn import ConvParams, bce_loss, conv2d, dice_loss, maxpool2, upsample2
 from floodseg.tensor import ShapeError, Tensor, grad_check, tsum
 
@@ -99,6 +100,34 @@ def test_conv2d_gradients_match_tap_loop_oracle(k, dilation, c_out, shape):
     assert_relative_close(w.grad, want_dw, 1e-12)
 
 
+@pytest.mark.parametrize("k,dilation,c_in,c_out", [
+    pytest.param(k, dilation, c_in, c_out, id=f"{k}-{dilation}{_channel_id(c_in, c_out)}")
+    for c_in, c_out in CHANNELS for k in [1, 3, 5] for dilation in [1, 2]])
+def test_conv2d_over_several_column_tiles_matches_oracles(monkeypatch, k, dilation, c_in, c_out):
+    # Budgets of m columns split each correlation's 9*(8+2p) flat output
+    # columns into four tiles, the last one three columns wide. Every GEMM,
+    # forward and input gradient, has k*k*min(c_in, c_out) operand rows.
+    columns = 9 * (8 + dilation * (k - 1))
+    m = columns // 3 - 1
+    assert columns % m and -(-columns // m) >= 3
+    budget = m * k * k * min(c_in, c_out) * 8
+    monkeypatch.setattr(convnn, "_COLUMN_TILE_BYTES", budget)
+    monkeypatch.setattr(convnn, "_TAP_TILE_BYTES", budget)
+    rng = np.random.RandomState(k * 100 + dilation + 3)
+    x = Tensor(rng.uniform(-1, 1, (c_in, 9, 8)), requires_grad=True, dtype=np.float64)
+    w = Tensor(rng.uniform(-1, 1, (c_out, c_in, k, k)), requires_grad=True, dtype=np.float64)
+    b = rng.uniform(-1, 1, c_out)
+    g = rng.uniform(-1, 1, (c_out, 9, 8))
+    out = conv2d(x, w, Tensor(b, dtype=np.float64), dilation=dilation)
+    p = dilation * (k - 1) // 2
+    np.testing.assert_allclose(out.data, conv_oracle(x.data, w.data, b, dilation=dilation,
+                                                     padding=p), atol=1e-10)
+    tsum(out * Tensor(g, dtype=np.float64)).backward()
+    want_dx, want_dw = conv_backward_oracle(x.data, w.data, g, dilation)
+    assert_relative_close(x.grad, want_dx, 1e-12)
+    assert_relative_close(w.grad, want_dw, 1e-12)
+
+
 def per_sample_oracle(op, batch, *args):
     """``op`` on each sample of ``batch`` as its own N = 1 call: outputs stacked,
     input gradients stacked, and gradients of ``args`` summed over the calls."""
@@ -156,8 +185,9 @@ def test_conv2d_batch_matches_separate_samples(k, dilation, c_in, c_out):
 def test_conv2d_tape_keeps_no_column_buffer(c_in, c_out, batch):
     # Until backward the tape holds the padded input (about 1.07x the input
     # here), not the c_in*k*k-row columns (9x the input) or per-tap outputs.
-    # The forward's GEMM runs one sample at a time, so its transient stays at
-    # one sample's k*k*min(c_in, c_out)*H*(W+2) floats whatever the batch.
+    # The forward's GEMMs run per sample and per column tile, so their
+    # transient stays under one sample's k*k*min(c_in, c_out)*H*(W+2) floats
+    # whatever the batch.
     rng = np.random.RandomState(9)
     x = Tensor(rng.uniform(-1, 1, batch + (c_in, 64, 64)), requires_grad=True,
                dtype=np.float32)
@@ -199,10 +229,45 @@ def test_conv2d_backward_peaks_below_one_input_column_buffer():
 
 
 def test_conv2d_batch_backward_peaks_below_one_sample_column_buffer():
-    # The backward's GEMMs run one sample at a time: beyond the input gradient
-    # of the second sample, a batch of two peaks under the one-sample bound.
+    # The backward's GEMMs run per sample (and the input gradient's per column
+    # tile): beyond the input gradient of the second sample, a batch of two
+    # peaks under the one-sample bound.
     c_in, c_out, k, side = 48, 16, 3, 64
     assert conv2d_backward_peak((2,), c_in, c_out, k, side) < 0.6 * c_in * k * k * side * side * 4
+
+
+def _tile_budget(c_in, c_out):
+    """The byte budget of the tiles of a c_in -> c_out correlation."""
+    return convnn._COLUMN_TILE_BYTES if c_in <= c_out else convnn._TAP_TILE_BYTES
+
+
+@pytest.mark.parametrize("c_in,c_out", [(48, 16), (16, 48)])
+def test_conv2d_forward_scratch_is_bounded_by_the_tile(c_in, c_out):
+    # At its peak the forward holds the padded input, the uncropped output
+    # rows and its GEMM scratch, but not yet the cropped output that it keeps.
+    # So the peak less what it keeps and the rows is the scratch less one
+    # output: at most two tiles here, against 24-33 MiB for one GEMM over the
+    # whole 256x256 sample.
+    rng = np.random.RandomState(9)
+    x = Tensor(rng.uniform(-1, 1, (c_in, 256, 256)), requires_grad=True, dtype=np.float32)
+    w = Tensor(rng.uniform(-1, 1, (c_out, c_in, 3, 3)), requires_grad=True, dtype=np.float32)
+    tracemalloc.start()
+    try:
+        out = conv2d(x, w)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    rows = c_out * 256 * 258 * 4
+    assert held > out.data.nbytes
+    assert peak - held - rows < 2 * _tile_budget(c_in, c_out)
+
+
+def test_conv2d_backward_scratch_is_bounded_by_the_tile():
+    # Beyond the input gradient, the backward holds the padded output gradient
+    # and the input-gradient correlation's column tiles (40.5 MiB untiled).
+    c_in, c_out, side = 48, 16, 256
+    peak = conv2d_backward_peak((), c_in, c_out, 3, side)
+    assert peak - c_in * side * side * 4 < c_out * side * side * 4 + 2 * _tile_budget(c_out, c_in)
 
 
 def test_same_padding_preserves_extent():

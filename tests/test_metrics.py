@@ -93,6 +93,20 @@ def test_map_validates_inputs():
     with pytest.raises(ValueError):
         mean_average_precision([1.5])
     assert mean_average_precision([1.0], thresholds=[0.5]) == 1.0
+    assert mean_average_precision([0.0, 1.0], thresholds=[0.0, 1.0]) == 0.75
+
+
+@pytest.mark.parametrize("ious,thresholds", [
+    ([float("nan"), 1.0], DEFAULT_THRESHOLDS),
+    ([0.5], [0.5, float("nan")]),
+    ([0.5], [float("nan")]),
+    ([0.5], [-5, 7]),
+    ([0.5], [0.5, 1.5]),
+], ids=["nan-iou", "nan-threshold", "only-nan-threshold", "thresholds-outside",
+        "threshold-above-one"])
+def test_map_refuses_non_finite_and_out_of_range_values(ious, thresholds):
+    with pytest.raises(ValueError):
+        mean_average_precision(ious, thresholds)
 
 
 def test_default_threshold_grid():
@@ -139,6 +153,14 @@ def test_evaluate_binarizes_predictions_strictly_above_threshold():
     assert report.scores[0].image_id == "sample"
     assert report.scores[0].iou == 1.0
     assert report.map_score == 1.0
+
+
+@pytest.mark.parametrize("threshold", [float("nan"), float("inf"), -0.1, 1.5])
+def test_evaluate_refuses_a_threshold_outside_the_unit_interval(threshold):
+    pair = ImagePair(np.zeros((4, 4, 3), dtype=np.float32),
+                     np.zeros((4, 4), dtype=np.float32), "sample")
+    with pytest.raises(ValueError, match="pred_threshold"):
+        evaluate(lambda img: np.zeros((4, 4)), [pair], pred_threshold=threshold)
 
 
 def test_evaluate_rejects_shape_drift():

@@ -81,6 +81,30 @@ def test_reductions_and_structure():
     assert c.shape == (2, 3, 8)
 
 
+@pytest.mark.parametrize("index", [1, (slice(None), 2), (1, Ellipsis, None),
+                                   np.int64(0), [0, 0, 1], (np.array([1, 1]), 2)],
+                         ids=["int", "slice", "ellipsis-none", "np-int", "repeated-rows",
+                              "repeated-pairs"])
+def test_slice_backward_matches_a_scatter_add(index):
+    # A basic index is assigned and an advanced one scattered with np.add.at;
+    # either way the gradient is the scatter-add of the output gradient, so a
+    # repeated row or element collects every copy's gradient.
+    rng = np.random.RandomState(4)
+    t = Tensor(rng.uniform(-1, 1, (3, 4)).astype(np.float32), requires_grad=True)
+    out = t[index]
+    g = rng.uniform(-1, 1, out.shape).astype(np.float32)
+    tsum(out * Tensor(g)).backward()
+    want = np.zeros_like(t.data)
+    np.add.at(want, index, g)
+    assert t.grad.dtype == want.dtype and t.grad.tobytes() == want.tobytes()
+
+
+def test_slice_of_repeated_rows_accumulates():
+    t = Tensor(np.arange(6.0).reshape(3, 2), requires_grad=True, dtype=np.float64)
+    tsum(t[[0, 0, 1]]).backward()
+    np.testing.assert_array_equal(t.grad, [[2.0, 2.0], [1.0, 1.0], [0.0, 0.0]])
+
+
 def test_elementwise_nonlinearities():
     rng = np.random.RandomState(3)
     t = rand(rng, 5, 5, lo=-4, hi=4)
