@@ -3,9 +3,11 @@
 Operators take a batch laid out channels-first, ``(N, C, H, W)``; a single
 ``(C, H, W)`` sample is the N = 1 case. ``conv2d`` is a stride-1
 cross-correlation (no kernel flip) with an odd square kernel, zero-padded so
-the output keeps the input's extent. Its taps are strided views of one flat
-padded copy of each sample, which is all the tape keeps for the gradients.
-The forward and input-gradient correlations run one sample at a time, over
+the output keeps the input's extent. Its taps are strided views of a flat
+padded copy of one sample, made when a correlation needs it and dropped
+after. The tape keeps the unpadded input for the kernel gradient, and only
+when the kernel trains; the input gradient reads only the kernel. The
+forward and input-gradient correlations run one sample at a time, over
 column tiles of the sample's flat padded rows: each tile's GEMM operand (its
 tap columns, or its per-tap output rows) fits a fixed byte budget, so that
 scratch stays cache-sized whatever the image size. ``dice_loss`` is the mean
@@ -81,62 +83,75 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None, *,
         steps = (s0, k * tap_rows * s0 + dilation * wp * s1, tap_rows * s0 + dilation * s1, s1)
         return as_strided(a, (tap_rows or len(a), k, k, m), steps, writeable=False)
 
-    def correlate(buf, kern, out):
-        """Same-padded correlation of one sample's ``_pad_flat`` map with ``kern``
-        (C_o,C_i,k,k), written to ``out`` (C_o,H*wp) one column tile at a time.
+    def correlator(kern, dtype):
+        """A function that writes the same-padded correlation of one sample's
+        ``_pad_flat`` map with ``kern`` (C_o,C_i,k,k) to a (C_o,H*wp) ``dtype``
+        array, one column tile at a time.
 
-        If C_i <= C_o, each tile copies its taps into columns for one GEMM;
-        otherwise one GEMM gives every tap's output rows for the tile and its
-        2p*(wp+1) halo columns, summed at their shifted offsets. A tile's
-        operand fills its byte budget, halo aside. Rows run over the padded
-        width, so each ends in 2p wrap-around columns to be dropped."""
+        The kernel's GEMM operand and the tile width are prepared here, once
+        per call of ``conv2d`` or of its backward. If C_i <= C_o, each tile
+        copies its taps into columns for one GEMM; otherwise one GEMM gives
+        every tap's output rows for the tile and its 2p*(wp+1) halo columns,
+        summed at their shifted offsets. A tile's operand fills its byte
+        budget, halo aside. Rows run over the padded width, so each ends in 2p
+        wrap-around columns to be dropped."""
         c_o, c_i = kern.shape[:2]
         if c_i <= c_o:
-            kern = kern.reshape(c_o, -1)
-            m = max(1, _COLUMN_TILE_BYTES // (kern.shape[1] * out.itemsize))
-            for q0 in range(0, h * wp, m):
-                n = min(m, h * wp - q0)
-                np.matmul(kern, taps(buf[:, q0:], 0, n).reshape(-1, n), out=out[:, q0:q0 + n])
+            columns = kern.reshape(c_o, -1)
+            m = max(1, _COLUMN_TILE_BYTES // (columns.shape[1] * dtype.itemsize))
+
+            def correlate(buf, out):
+                for q0 in range(0, h * wp, m):
+                    n = min(m, h * wp - q0)
+                    np.matmul(columns, taps(buf[:, q0:], 0, n).reshape(-1, n),
+                              out=out[:, q0:q0 + n])
         else:
-            kern = kern.transpose(2, 3, 0, 1).reshape(k * k * c_o, c_i)
-            m = max(1, _TAP_TILE_BYTES // (len(kern) * out.itemsize))
-            for q0 in range(0, h * wp, m):
-                n = min(m, h * wp - q0)
-                per_tap = kern @ buf[:, q0:q0 + n + 2 * p * (wp + 1)]
-                taps(per_tap, c_o, n).sum(axis=(1, 2), out=out[:, q0:q0 + n])
+            per_tap_rows = kern.transpose(2, 3, 0, 1).reshape(k * k * c_o, c_i)
+            m = max(1, _TAP_TILE_BYTES // (len(per_tap_rows) * dtype.itemsize))
+
+            def correlate(buf, out):
+                for q0 in range(0, h * wp, m):
+                    n = min(m, h * wp - q0)
+                    per_tap = per_tap_rows @ buf[:, q0:q0 + n + 2 * p * (wp + 1)]
+                    taps(per_tap, c_o, n).sum(axis=(1, 2), out=out[:, q0:q0 + n])
+        return correlate
 
     def cropped(rows):
         """(...,C,H,W) view of (...,C,H*wp) rows, without the wrap-around columns."""
         return rows.reshape(rows.shape[:-1] + (h, wp))[..., :w]
 
-    flat = _pad_flat(x.data.reshape(-1, c_in, h, w), p)            # (N, C_in, L)
-    rows = np.empty((len(flat), c_out, h * wp), np.result_type(flat, kernel))
-    for sample, r in zip(flat, rows):
-        correlate(sample, kernel, r)
+    samples = x.data.reshape(-1, c_in, h, w)
+    rows = np.empty((len(samples), c_out, h * wp), np.result_type(x.data, kernel))
+    correlate = correlator(kernel, rows.dtype)
+    for sample, r in zip(samples, rows):
+        correlate(_pad_flat(sample, p), r)
     out = cropped(rows)
     if bias is not None:
         out = out + bias.data[:, None, None]
 
     parents = (x, weight) if bias is None else (x, weight, bias)
+    x_shape, x_grad = x.data.shape, x.requires_grad
+    saved = samples if weight.requires_grad else None      # read only by the kernel gradient
+    bias_grad = bias is not None and bias.requires_grad
 
     def backward(g):
         g = g.reshape(-1, c_out, h, w)
         dw = 0
-        dx = (np.empty(flat.shape[:2] + (h * wp,), np.result_type(g, kernel))
-              if x.requires_grad else None)
-        flipped = kernel[:, :, ::-1, ::-1].transpose(1, 0, 2, 3)
-        for i, sample in enumerate(flat):
+        if x_grad:
+            dx = np.empty((len(g), c_in, h * wp), np.result_type(g, kernel))
+            correlate_dx = correlator(kernel[:, :, ::-1, ::-1].transpose(1, 0, 2, 3), dx.dtype)
+        for i in range(len(g)):
             g_flat = _pad_flat(g[i], p)
-            if weight.requires_grad:
+            if saved is not None:
                 g_wp = g_flat[:, p * wp + p:][:, :h * wp]      # zeros in the wrap-around columns
-                dw = dw + np.matmul(g_wp, taps(sample).transpose(1, 2, 3, 0))  # (k,k,C_out,C_in)
-            if dx is not None:
-                correlate(g_flat, flipped, dx[i])
-        return (None if dx is None else cropped(dx).reshape(x.data.shape),
-                dw.transpose(2, 3, 0, 1) if weight.requires_grad else None,
-                g.sum(axis=(0, 2, 3)) if bias is not None and bias.requires_grad else None)
+                dw = dw + np.matmul(g_wp, taps(_pad_flat(saved[i], p)).transpose(1, 2, 3, 0))
+            if x_grad:
+                correlate_dx(g_flat, dx[i])
+        return (cropped(dx).reshape(x_shape) if x_grad else None,
+                None if saved is None else dw.transpose(2, 3, 0, 1),  # (k,k,C_out,C_in) first
+                g.sum(axis=(0, 2, 3)) if bias_grad else None)
 
-    return record_op(out.reshape(x.data.shape[:-3] + out.shape[1:]), parents, backward)
+    return record_op(out.reshape(x_shape[:-3] + out.shape[1:]), parents, backward)
 
 
 def _corners(a: np.ndarray) -> list[np.ndarray]:
@@ -153,9 +168,10 @@ def maxpool2(x: Tensor) -> Tensor:
         raise ShapeError(f"maxpool2: spatial extent must be even, got {(h, w)}")
     corners = _corners(x.data)
     out = np.maximum(np.maximum(corners[0], corners[1]), np.maximum(corners[2], corners[3]))
+    shape, dtype = x.data.shape, x.data.dtype
 
     def backward(g):
-        dx = np.zeros_like(x.data)
+        dx = np.zeros(shape, dtype)
         free = np.ones(out.shape, dtype=bool)        # windows whose max is not yet taken
         for corner, d in zip(corners, _corners(dx)):
             first = corner == out

@@ -1,13 +1,22 @@
 """Dense tensors with a recorded operation graph and reverse-mode gradients.
 
 Tensors wrap contiguous numpy arrays (float32 for training runs, float64 for
-gradient checking) and every primitive whose inputs require gradients appends
-a backward closure to the implicit tape, the operation graph hanging off its
-output. A closure returns one gradient per parent (see ``record_op``);
-``Tensor.backward`` walks the graph once in reverse topological order and is
-the only code that adds them to ``.grad``, dropping each node once its
-closure has run, so only leaves keep one. Running backward a second time
-over the same recording is an error.
+gradient checking). Every primitive whose inputs require gradients records a
+tape node for its output: a small object apart from the Tensor, holding the
+backward closure, the nodes of its parents (a leaf Tensor with
+``requires_grad``, or ``None`` for a parent that takes no gradient), the
+output's shape and, during backward, its gradient. A Tensor owns ``.data``
+and ``requires_grad``; its node never holds a Tensor of the graph, so an
+intermediate array lives only as long as the caller's references to it or a
+closure that saved it. A closure saves only what its backward reads: shapes,
+flags, and the arrays the rule needs (``mul`` keeps the other operand,
+``exp`` and ``sigmoid`` their output).
+
+A closure returns one gradient per parent (see ``record_op``);
+``Tensor.backward`` walks the nodes once in reverse topological order and is
+the only code that adds them up, releasing each node once its closure has
+run, so only leaves keep a ``.grad``. Running backward a second time over
+the same recording is an error.
 
 Numerical safety: ``log`` clamps its argument and ``div`` clamps its
 denominator to at least 1e-12, so saturated probabilities stay finite.
@@ -54,8 +63,20 @@ def no_grad():
         _grad_enabled = previous
 
 
+class _Node:
+    """One recorded op on the tape; ``Tensor.backward`` releases it as it passes."""
+
+    __slots__ = ("backward_fn", "parents", "shape", "grad")
+
+    def __init__(self, backward_fn: Callable, parents: tuple, shape: tuple):
+        self.backward_fn = backward_fn
+        self.parents = parents
+        self.shape = shape
+        self.grad = None
+
+
 class Tensor:
-    __slots__ = ("data", "requires_grad", "grad", "_parents", "_backward_fn", "_released")
+    __slots__ = ("data", "requires_grad", "grad", "_node")
 
     def __init__(self, data, requires_grad: bool = False, dtype=None):
         if dtype is None and not isinstance(data, np.ndarray):
@@ -66,9 +87,17 @@ class Tensor:
         self.data = np.ascontiguousarray(arr)
         self.requires_grad = bool(requires_grad)
         self.grad = None
-        self._parents: tuple = ()
-        self._backward_fn = None
-        self._released = False
+        self._node = None
+
+    @property
+    def _backward_fn(self):
+        """The node's closure, None if nothing was recorded or backward released it;
+        assigning a wrapper changes what ``backward`` calls."""
+        return None if self._node is None else self._node.backward_fn
+
+    @_backward_fn.setter
+    def _backward_fn(self, fn):
+        self._node.backward_fn = fn
 
     # ---- introspection -------------------------------------------------
 
@@ -157,31 +186,32 @@ class Tensor:
         """Accumulate d(self)/d(leaf) into every reachable ``.grad``.
 
         ``self`` must hold a single element. A closure's gradient for a parent
-        with ``requires_grad`` on is summed to the parent's shape and added to
-        its ``.grad``. Each recorded node is released, and can be freed, once
-        its closure has run, so only leaves keep ``.grad`` and each forward
-        pass supports exactly one backward pass.
+        that took part with ``requires_grad`` on is summed to the parent's
+        shape and added to the gradient of its node, or to a leaf's ``.grad``.
+        Each node is released, and its closure's saved arrays can be freed,
+        once its closure has run, so only leaves keep ``.grad`` and each
+        forward pass supports exactly one backward pass.
         """
         if self.data.size != 1:
             raise ShapeError(f"backward: loss must be scalar, got shape {self.data.shape}")
-        order = _toposort(self)
-        self.grad = np.ones_like(self.data)
+        if self._node is None:
+            self.grad = np.ones_like(self.data)
+            return
+        order = _toposort(self._node)
+        self._node.grad = np.ones_like(self.data)
         while order:
             node = order.pop()
-            fn = node._backward_fn
-            if fn is not None:
-                if node.grad is not None:
-                    for parent, g in zip(node._parents, fn(node.grad)):
-                        if g is not None and parent.requires_grad:
-                            g = _unbroadcast(g, parent.data.shape)
-                            parent.grad = g if parent.grad is None else parent.grad + g
-                node.grad = None
-                node._released = True
-                node._backward_fn = None
-                node._parents = ()
+            if node.grad is not None:
+                for parent, g in zip(node.parents, node.backward_fn(node.grad)):
+                    if g is not None and parent is not None:
+                        g = _unbroadcast(g, parent.shape)
+                        parent.grad = g if parent.grad is None else parent.grad + g
+            node.grad = node.backward_fn = None
+            node.parents = ()
 
 
-def _toposort(root: Tensor):
+def _toposort(root: _Node):
+    """Nodes reachable from ``root``, each after every node it reads from."""
     order = []
     seen = set()
     stack = [(root, False)]
@@ -194,12 +224,12 @@ def _toposort(root: Tensor):
         if nid in seen:
             continue
         seen.add(nid)
-        if node._released:
+        if node.backward_fn is None:
             raise TapeError("backward: graph already consumed by a previous backward pass; "
                             "re-run the forward computation first")
         stack.append((node, True))
-        for parent in node._parents:
-            if id(parent) not in seen:
+        for parent in node.parents:
+            if isinstance(parent, _Node) and id(parent) not in seen:
                 stack.append((parent, False))
     return order
 
@@ -207,25 +237,24 @@ def _toposort(root: Tensor):
 def record_op(data: np.ndarray, parents: Sequence[Tensor], backward_fn: Callable):
     """Wrap ``data`` as the output of a primitive.
 
-    When recording is enabled and any parent requires a gradient, the node
-    keeps ``backward_fn`` on the tape. It maps the output gradient to one
-    entry per parent, in order: that parent's gradient, which may have the
-    broadcast shape of the output, or ``None`` to skip it. ``Tensor.backward``
-    drops gradients of parents without ``requires_grad``, so a closure tests
-    it only to skip real work.
+    When recording is enabled and any parent requires a gradient, the output
+    gets a tape node that keeps ``backward_fn``. It maps the output gradient
+    to one entry per parent, in order: that parent's gradient, which may have
+    the broadcast shape of the output, or ``None`` to skip it. Gradients of
+    parents without ``requires_grad`` are dropped, so a closure tests it only
+    to skip real work. ``backward_fn`` must capture only what it reads, never
+    a Tensor: the node holds its parents' nodes, not their data.
     """
     out = Tensor.__new__(Tensor)
     out.data = np.ascontiguousarray(data)
     out.grad = None
-    out._released = False
-    if _grad_enabled and any(p.requires_grad for p in parents):
-        out.requires_grad = True
-        out._parents = tuple(parents)
-        out._backward_fn = backward_fn
-    else:
-        out.requires_grad = False
-        out._parents = ()
-        out._backward_fn = None
+    out._node = None
+    out.requires_grad = False
+    if _grad_enabled:
+        nodes = tuple([p._node or (p if p.requires_grad else None) for p in parents])
+        if nodes.count(None) < len(nodes):
+            out.requires_grad = True
+            out._node = _Node(backward_fn, nodes, out.data.shape)
     return out
 
 
@@ -269,7 +298,8 @@ def sub(a, b) -> Tensor:
         out = a.data - b.data
     except ValueError as exc:
         raise ShapeError(f"sub: shapes {a.data.shape} and {b.data.shape} do not broadcast") from exc
-    return record_op(out, (a, b), lambda g: (g, -g if b.requires_grad else None))
+    b_grad = b.requires_grad
+    return record_op(out, (a, b), lambda g: (g, -g if b_grad else None))
 
 
 def neg(a: Tensor) -> Tensor:
@@ -284,8 +314,10 @@ def mul(a, b) -> Tensor:
         out = a.data * b.data
     except ValueError as exc:
         raise ShapeError(f"mul: shapes {a.data.shape} and {b.data.shape} do not broadcast") from exc
-    return record_op(out, (a, b), lambda g: (g * b.data if a.requires_grad else None,
-                                             g * a.data if b.requires_grad else None))
+    a_data = a.data if b.requires_grad else None
+    b_data = b.data if a.requires_grad else None
+    return record_op(out, (a, b), lambda g: (None if b_data is None else g * b_data,
+                                             None if a_data is None else g * a_data))
 
 
 def div(a, b) -> Tensor:
@@ -297,10 +329,11 @@ def div(a, b) -> Tensor:
         out = a.data / den
     except ValueError as exc:
         raise ShapeError(f"div: shapes {a.data.shape} and {b.data.shape} do not broadcast") from exc
-    active = b.data > CLAMP_MIN
+    a_grad = a.requires_grad
+    a_data, active = (a.data, b.data > CLAMP_MIN) if b.requires_grad else (None, None)
     return record_op(out, (a, b), lambda g: (
-        g / den if a.requires_grad else None,
-        -g * a.data / (den * den) * active if b.requires_grad else None))
+        g / den if a_grad else None,
+        None if a_data is None else -g * a_data / (den * den) * active))
 
 
 # ---- linear algebra and structure ---------------------------------------
@@ -314,8 +347,10 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     if a.data.shape[1] != b.data.shape[0]:
         raise ShapeError(f"matmul: inner dimensions disagree, {a.data.shape} @ {b.data.shape}")
     out = a.data @ b.data
-    return record_op(out, (a, b), lambda g: (g @ b.data.T if a.requires_grad else None,
-                                             a.data.T @ g if b.requires_grad else None))
+    a_data = a.data if b.requires_grad else None
+    b_data = b.data if a.requires_grad else None
+    return record_op(out, (a, b), lambda g: (None if b_data is None else g @ b_data.T,
+                                             None if a_data is None else a_data.T @ g))
 
 
 def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
@@ -343,8 +378,10 @@ def _slice(t: Tensor, index) -> Tensor:
     basic = all(i is None or i is Ellipsis or isinstance(i, (int, np.integer, slice))
                 for i in (index if isinstance(index, tuple) else (index,)))
 
+    shape, dtype = t.data.shape, t.data.dtype
+
     def backward(g):
-        dz = np.zeros_like(t.data)
+        dz = np.zeros(shape, dtype)
         if basic:
             dz[index] = g
         else:
@@ -360,7 +397,8 @@ def reshape(t: Tensor, shape) -> Tensor:
         out = t.data.reshape(shape)
     except ValueError as exc:
         raise ShapeError(f"reshape: cannot view shape {t.data.shape} as {tuple(shape)}") from exc
-    return record_op(out, (t,), lambda g: (g.reshape(t.data.shape),))
+    shape = t.data.shape
+    return record_op(out, (t,), lambda g: (g.reshape(shape),))
 
 
 def transpose(t: Tensor, axes=None) -> Tensor:
@@ -391,15 +429,16 @@ def _expand_reduced(g: np.ndarray, axis, keepdims: bool, shape) -> np.ndarray:
 def tsum(t: Tensor, axis=None, keepdims: bool = False) -> Tensor:
     t = _as_tensor(t)
     out = t.data.sum(axis=axis, keepdims=keepdims)
-    return record_op(out, (t,), lambda g: (_expand_reduced(g, axis, keepdims, t.data.shape),))
+    shape = t.data.shape
+    return record_op(out, (t,), lambda g: (_expand_reduced(g, axis, keepdims, shape),))
 
 
 def tmean(t: Tensor, axis=None, keepdims: bool = False) -> Tensor:
     t = _as_tensor(t)
     out = t.data.mean(axis=axis, keepdims=keepdims)
     count = t.data.size // max(out.size, 1)          # elements behind each mean
-    return record_op(out, (t,),
-                     lambda g: (_expand_reduced(g, axis, keepdims, t.data.shape) / count,))
+    shape = t.data.shape
+    return record_op(out, (t,), lambda g: (_expand_reduced(g, axis, keepdims, shape) / count,))
 
 
 # ---- nonlinearities -------------------------------------------------------
@@ -428,21 +467,23 @@ def sigmoid(t: Tensor) -> Tensor:
     return record_op(out, (t,), lambda g: (g * out * (1.0 - out),))
 
 
-def relu(t: Tensor) -> Tensor:
-    t = _as_tensor(t)
-    out = np.maximum(t.data, 0)
-    return record_op(out, (t,), lambda g: (g * (t.data > 0),))
-
-
 def leaky_relu(t: Tensor, slope: float = 0.2) -> Tensor:
     """x where x > 0, else slope * x: the larger of the two when slope <= 1,
-    the smaller when slope > 1."""
+    the smaller when slope > 1; slope 0 is the ReLU.
+
+    For slope > 0 the output is positive exactly where the input is (signed
+    zeros, infinities and NaN included), so the backward reads the output and
+    the input can be freed. At slope 0, ``+inf * 0`` is NaN, so the mask reads
+    the input.
+    """
     t = _as_tensor(t)
     out = (np.maximum if slope <= 1 else np.minimum)(t.data, t.data * slope)
+    sign_of = out if slope > 0 else t.data
+    slope = t.data.dtype.type(slope)
 
     def backward(g):
-        m = t.data > 0
-        return (g * (m + ~m * t.data.dtype.type(slope)),)
+        m = sign_of > 0
+        return (g * (m + ~m * slope),)
 
     return record_op(out, (t,), backward)
 

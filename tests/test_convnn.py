@@ -2,13 +2,14 @@
 
 import math
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
 
 from floodseg import convnn
 from floodseg.convnn import ConvParams, bce_loss, conv2d, dice_loss, maxpool2, upsample2
-from floodseg.tensor import ShapeError, Tensor, grad_check, tsum
+from floodseg.tensor import ShapeError, Tensor, concat, grad_check, tsum
 
 
 def conv_oracle(x, w, b=None, stride=1, dilation=1, padding=0):
@@ -183,11 +184,11 @@ def test_conv2d_batch_matches_separate_samples(k, dilation, c_in, c_out):
     pytest.param(c_in, c_out, batch, id=f"{c_in}-{c_out}" + ("-batch2" if batch else ""))
     for batch in [(), (2,)] for c_in, c_out in [(48, 16), (16, 48)]])
 def test_conv2d_tape_keeps_no_column_buffer(c_in, c_out, batch):
-    # Until backward the tape holds the padded input (about 1.07x the input
-    # here), not the c_in*k*k-row columns (9x the input) or per-tap outputs.
-    # The forward's GEMMs run per sample and per column tile, so their
-    # transient stays under one sample's k*k*min(c_in, c_out)*H*(W+2) floats
-    # whatever the batch.
+    # Until backward the tape holds the unpadded input, which its Tensor owns
+    # already, not the c_in*k*k-row columns (9x the input) or per-tap outputs.
+    # The forward pads and correlates one sample at a time, over column tiles,
+    # so its transient (one padded sample and its GEMM tiles) stays under
+    # 1.5x one sample's k*k*min(c_in, c_out)*H*(W+2) floats whatever the batch.
     rng = np.random.RandomState(9)
     x = Tensor(rng.uniform(-1, 1, batch + (c_in, 64, 64)), requires_grad=True,
                dtype=np.float32)
@@ -202,13 +203,39 @@ def test_conv2d_tape_keeps_no_column_buffer(c_in, c_out, batch):
     assert peak - held < 1.5 * 3 * 3 * min(c_in, c_out) * 64 * 66 * 4
 
 
-def conv2d_backward_peak(batch, c_in, c_out, k, side):
+@pytest.mark.parametrize("train_kernel", [True, False], ids=["trained", "frozen"])
+def test_conv2d_tape_holds_no_padded_copy(train_kernel):
+    # With the caller's reference to the input gone, the tape holds the output
+    # and, only for the kernel gradient, the input itself: no padded copy.
+    rng = np.random.RandomState(12)
+    leaf = Tensor(rng.uniform(-1, 1, (2, 16, 64, 64)), requires_grad=True, dtype=np.float32)
+    w = Tensor(rng.uniform(-1, 1, (16, 16, 3, 3)), requires_grad=train_kernel, dtype=np.float32)
+    g = rng.uniform(-1, 1, (2, 16, 64, 64)).astype(np.float32)
+    tracemalloc.start()
+    try:
+        x = leaf * 1.0                       # an intermediate: only the tape can hold it
+        out = conv2d(x, w)
+        del x
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    kept = leaf.data.nbytes if train_kernel else 0
+    assert abs(held - kept - out.data.nbytes) < leaf.data.nbytes // 50
+    tsum(out * Tensor(g)).backward()
+    # The input gradient reads only the kernel, so freezing it changes no byte.
+    trained = Tensor(leaf.data, requires_grad=True)
+    tsum(conv2d(trained, Tensor(w.data, requires_grad=True)) * Tensor(g)).backward()
+    assert leaf.grad.tobytes() == trained.grad.tobytes()
+
+
+def conv2d_backward_peak(batch, c_in, c_out, k, side, train_kernel=True):
     """tracemalloc peak of one narrowing conv2d backward, less the input
     gradient of every sample after the first."""
     rng = np.random.RandomState(8)
     x = Tensor(rng.uniform(-1, 1, batch + (c_in, side, side)), requires_grad=True,
                dtype=np.float32)
-    w = Tensor(rng.uniform(-1, 1, (c_out, c_in, k, k)), requires_grad=True, dtype=np.float32)
+    w = Tensor(rng.uniform(-1, 1, (c_out, c_in, k, k)), requires_grad=train_kernel,
+               dtype=np.float32)
     loss = tsum(conv2d(x, w))
     tracemalloc.start()
     try:
@@ -243,11 +270,11 @@ def _tile_budget(c_in, c_out):
 
 @pytest.mark.parametrize("c_in,c_out", [(48, 16), (16, 48)])
 def test_conv2d_forward_scratch_is_bounded_by_the_tile(c_in, c_out):
-    # At its peak the forward holds the padded input, the uncropped output
-    # rows and its GEMM scratch, but not yet the cropped output that it keeps.
-    # So the peak less what it keeps and the rows is the scratch less one
-    # output: at most two tiles here, against 24-33 MiB for one GEMM over the
-    # whole 256x256 sample.
+    # The forward keeps only the cropped output, made after its peak. At the
+    # peak it holds, transiently, the sample's padded copy, the uncropped
+    # output rows and its GEMM scratch. So the peak less what it keeps, the
+    # padded copy and the rows is the scratch less one output: at most two
+    # tiles here, against 24-33 MiB for one GEMM over the whole 256x256 sample.
     rng = np.random.RandomState(9)
     x = Tensor(rng.uniform(-1, 1, (c_in, 256, 256)), requires_grad=True, dtype=np.float32)
     w = Tensor(rng.uniform(-1, 1, (c_out, c_in, 3, 3)), requires_grad=True, dtype=np.float32)
@@ -257,17 +284,25 @@ def test_conv2d_forward_scratch_is_bounded_by_the_tile(c_in, c_out):
         held, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
+    padded = c_in * (258 * 258 + 2) * 4
     rows = c_out * 256 * 258 * 4
-    assert held > out.data.nbytes
-    assert peak - held - rows < 2 * _tile_budget(c_in, c_out)
+    assert held - out.data.nbytes < padded // 100
+    assert peak - held - padded - rows < 2 * _tile_budget(c_in, c_out)
 
 
 def test_conv2d_backward_scratch_is_bounded_by_the_tile():
     # Beyond the input gradient, the backward holds the padded output gradient
     # and the input-gradient correlation's column tiles (40.5 MiB untiled).
+    # The tape keeps the input unpadded, so a trained kernel's gradient also
+    # pads each input sample while its taps are read; a frozen kernel's
+    # backward pads no input.
     c_in, c_out, side = 48, 16, 256
+    padded_input = c_in * ((side + 2) ** 2 + 2) * 4
+    bound = c_out * side * side * 4 + 2 * _tile_budget(c_out, c_in)
+    frozen = conv2d_backward_peak((), c_in, c_out, 3, side, train_kernel=False)
+    assert frozen - c_in * side * side * 4 < bound
     peak = conv2d_backward_peak((), c_in, c_out, 3, side)
-    assert peak - c_in * side * side * 4 < c_out * side * side * 4 + 2 * _tile_budget(c_out, c_in)
+    assert peak - c_in * side * side * 4 < bound + padded_input
 
 
 def test_same_padding_preserves_extent():
@@ -364,6 +399,23 @@ def test_upsample2_hand_case_and_gradient_sums():
                                               [3, 3, 4, 4]]])
     tsum(out).backward()
     np.testing.assert_array_equal(x.grad, [[[4.0, 4.0], [4.0, 4.0]]])
+
+
+def test_tape_frees_an_upsample_output_once_concat_has_copied_it():
+    # Only concat reads upsample2's output, and it copies it: while the loss's
+    # tape is alive, nothing holds the upsampled array.
+    rng = np.random.RandomState(4)
+    x = Tensor(rng.uniform(-1, 1, (2, 3, 4, 4)), requires_grad=True, dtype=np.float64)
+    skip = Tensor(rng.uniform(-1, 1, (2, 2, 8, 8)), requires_grad=True, dtype=np.float64)
+    up = upsample2(x)
+    upsampled = weakref.ref(up.data)
+    joined = concat([up, skip], axis=1)
+    loss = tsum(joined * joined)
+    del up, joined
+    assert upsampled() is None
+    loss.backward()
+    want = 2 * upsample2(Tensor(x.data)).data
+    np.testing.assert_array_equal(x.grad, sum(want[..., i::2, j::2] for i in (0, 1) for j in (0, 1)))
 
 
 def test_maxpool_of_upsample_is_identity():

@@ -7,7 +7,7 @@ import pytest
 
 from floodseg.tensor import (CLAMP_MIN, GradCheckFailure, ShapeError, TapeError,
                              Tensor, concat, exp, grad_check, leaky_relu, log,
-                             matmul, no_grad, record_op, relu, reshape, sigmoid,
+                             matmul, no_grad, record_op, reshape, sigmoid,
                              softmax, tmean, transpose, tsum)
 
 
@@ -110,7 +110,7 @@ def test_elementwise_nonlinearities():
     t = rand(rng, 5, 5, lo=-4, hi=4)
     np.testing.assert_allclose(exp(t).data, np.exp(t.data), rtol=1e-12)
     np.testing.assert_allclose(sigmoid(t).data, 1 / (1 + np.exp(-t.data)), rtol=1e-12)
-    np.testing.assert_allclose(relu(t).data, np.maximum(t.data, 0), rtol=1e-12)
+    np.testing.assert_allclose(leaky_relu(t, 0.0).data, np.maximum(t.data, 0), rtol=1e-12)
     np.testing.assert_allclose(leaky_relu(t).data,
                                np.where(t.data > 0, t.data, 0.2 * t.data), rtol=1e-12)
     pos = rand(rng, 4, 4, lo=0.01, hi=5.0)
@@ -127,6 +127,41 @@ def test_leaky_relu_is_bytewise_the_masked_select(slope):
     tsum(y * Tensor(g)).backward()
     expected = np.where(x > 0, g, g * np.float32(slope))
     assert t.grad.tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("slope", [0.2, 1.5])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_leaky_relu_mask_from_the_output_is_bytewise_the_mask_from_the_input(dtype, slope):
+    # For slope > 0 the backward reads the output: it is positive exactly where
+    # the input is, signed zeros, infinities, NaN and subnormals included.
+    tiny = np.finfo(dtype).tiny
+    x = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan, tiny, -tiny, tiny / 2,
+                  -tiny / 2, tiny * 2.0 ** -20, -tiny * 2.0 ** -20, 1.0, -1.0], dtype)
+    assert np.count_nonzero((x != 0) & (np.abs(x) < tiny)) == 4
+    t = Tensor(x, requires_grad=True)
+    y = leaky_relu(t, slope)
+    assert ((y.data > 0) == (x > 0)).all()
+    g = np.arange(1, x.size + 1, dtype=dtype) / 3
+    with np.errstate(invalid="ignore"):    # the forward sums inf and -inf
+        loss = tsum(y * Tensor(g))
+    loss.backward()
+    m = x > 0
+    from_input = g * (m + ~m * dtype(slope))
+    assert t.grad.dtype == dtype and t.grad.tobytes() == from_input.tobytes()
+
+
+@pytest.mark.parametrize("slope,kept", [(0.2, False), (0.0, True)])
+def test_leaky_relu_tape_keeps_its_input_only_at_slope_zero(slope, kept):
+    # At slope 0 the output cannot tell +inf from NaN (+inf * 0), so the mask
+    # reads the input; at slope 0.2 it reads the output and the input can go.
+    x = Tensor(np.array([-1.0, 0.5, 2.0]), requires_grad=True, dtype=np.float64)
+    pre = x * 2.0
+    pre_data = weakref.ref(pre.data)
+    loss = tsum(leaky_relu(pre, slope))
+    del pre
+    assert (pre_data() is not None) == kept
+    loss.backward()
+    np.testing.assert_array_equal(x.grad, [2.0 * slope, 2.0, 2.0])
 
 
 def test_sigmoid_is_stable_at_extreme_logits():
@@ -311,6 +346,39 @@ def test_backward_frees_each_node_as_the_walk_passes_it():
     np.testing.assert_array_equal(x.grad, [2.0, 2.0, 2.0])
 
 
+def test_tape_holds_no_intermediate_tensor():
+    # A node holds its parents' nodes, not the Tensors, so an intermediate
+    # array that no closure saved dies with the caller's reference while the
+    # loss's tape lives on.
+    x = Tensor(np.array([1.0, -2.0]), requires_grad=True, dtype=np.float64)
+    mid = x * 2.0 + 1.0
+    intermediate = weakref.ref(mid.data)
+    loss = tsum(reshape(mid, (2, 1)))
+    del mid
+    assert intermediate() is None
+    loss.backward()
+    np.testing.assert_array_equal(x.grad, [2.0, 2.0])
+
+
+def test_a_wrapped_backward_fn_is_what_backward_calls():
+    # An outside tracer reads a recorded op's closure and assigns a wrapper.
+    x = Tensor(np.array([1.0, 2.0]), requires_grad=True, dtype=np.float64)
+    y = x * 3.0
+    closure = y._backward_fn
+    seen = []
+
+    def wrapper(g):
+        seen.append(g.copy())
+        return closure(g)
+
+    y._backward_fn = wrapper
+    assert y._backward_fn is wrapper and Tensor(np.ones(2))._backward_fn is None
+    tsum(y).backward()
+    assert len(seen) == 1 and seen[0].tolist() == [1.0, 1.0]
+    np.testing.assert_array_equal(x.grad, [3.0, 3.0])
+    assert y._backward_fn is None          # released by the walk
+
+
 def test_no_grad_suppresses_recording():
     x = Tensor(np.ones(3), requires_grad=True)
     with no_grad():
@@ -383,7 +451,7 @@ def test_grad_check_each_primitive():
         (lambda t: tsum(t / (t * t + 1.0)), anyv()),
         (lambda t: tsum(log(t)), pos()),
         (lambda t: tsum(exp(t)), anyv()),
-        (lambda t: tsum(relu(t) * relu(t)), anyv()),
+        (lambda t: tsum(leaky_relu(t, 0.0) * leaky_relu(t, 0.0)), anyv()),
         (lambda t: tsum(leaky_relu(t, 0.1)), anyv()),
         (lambda t: tsum(sigmoid(t) * sigmoid(-t)), anyv()),
         (lambda t: tsum(softmax(t, axis=0)[0]), anyv()),
