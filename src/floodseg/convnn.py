@@ -92,9 +92,10 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None, *,
         per call of ``conv2d`` or of its backward. If C_i <= C_o, each tile
         copies its taps into columns for one GEMM; otherwise one GEMM gives
         every tap's output rows for the tile and its 2p*(wp+1) halo columns,
-        summed at their shifted offsets. A tile's operand fills its byte
-        budget, halo aside. Rows run over the padded width, so each ends in 2p
-        wrap-around columns to be dropped."""
+        into one buffer that every tile of the sample reuses, summed at their
+        shifted offsets. A tile's operand fills its byte budget, halo aside.
+        Rows run over the padded width, so each ends in 2p wrap-around columns
+        to be dropped."""
         c_o, c_i = kern.shape[:2]
         if c_i <= c_o:
             columns = kern.reshape(c_o, -1)
@@ -108,11 +109,14 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None, *,
         else:
             per_tap_rows = kern.transpose(2, 3, 0, 1).reshape(k * k * c_o, c_i)
             m = max(1, _TAP_TILE_BYTES // (len(per_tap_rows) * dtype.itemsize))
+            halo = 2 * p * (wp + 1)
 
             def correlate(buf, out):
+                prod = np.empty((len(per_tap_rows), min(m, h * wp) + halo), dtype)
                 for q0 in range(0, h * wp, m):
                     n = min(m, h * wp - q0)
-                    per_tap = per_tap_rows @ buf[:, q0:q0 + n + 2 * p * (wp + 1)]
+                    per_tap = np.matmul(per_tap_rows, buf[:, q0:q0 + n + halo],
+                                        out=prod[:, :n + halo])
                     taps(per_tap, c_o, n).sum(axis=(1, 2), out=out[:, q0:q0 + n])
         return correlate
 

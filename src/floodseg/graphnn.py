@@ -6,6 +6,12 @@ learned attention over each node's neighbourhood (self-loop included),
 ``cheb_conv`` applies a Chebyshev polynomial of the rescaled normalized
 Laplacian, and ``center_of_mass`` appends per-channel soft-centroid
 coordinates as two extra constant feature channels.
+
+What the model path holds: a ``Graph`` keeps only its sorted edge pairs, its
+``NormalizedLaplacian`` writes the dense ``matrix`` and ``scaled`` from them,
+and ``gat_conv`` makes its attention mask per call. ``Graph.adjacency()`` and
+``Graph.attention_mask()`` are dense float64 views, built and cached only
+when called; no layer reads them.
 """
 
 from __future__ import annotations
@@ -21,8 +27,10 @@ from .tensor import (ShapeError, Tensor, concat, leaky_relu, matmul, reshape, so
 class Graph:
     """Undirected graph over nodes 0..node_count-1.
 
-    Edges are stored once as (u, v) with u < v; self-loops are rejected here
-    and added implicitly where a neighbourhood needs them (attention).
+    Edges are stored once, as sorted (u, v) pairs with u < v, in an (E, 2)
+    array; self-loops are rejected here and added implicitly where a
+    neighbourhood needs them (attention). That array is all a graph holds
+    until ``adjacency()`` or ``attention_mask()`` is called.
     """
 
     def __init__(self, node_count: int, edges):
@@ -50,16 +58,30 @@ class Graph:
             raise ValueError(f"Graph: duplicate edge {(min(u, v), max(u, v))}")
         self.node_count = node_count
         self._pairs = np.stack(np.divmod(unique, node_count), axis=1)
-        self.edges = list(map(tuple, self._pairs.tolist()))
         self._adjacency = None
         self._attention_mask = None
+
+    @property
+    def edges(self) -> list:
+        """The sorted (u, v) pairs, u < v, as a list of int tuples, built on each access."""
+        return list(map(tuple, self._pairs.tolist()))
 
     @property
     def degrees(self) -> np.ndarray:
         return np.bincount(self._pairs.ravel(), minlength=self.node_count)
 
+    def neighbourhood(self, dtype, inside: float, outside: float) -> np.ndarray:
+        """A fresh (n, n) ``dtype`` array: ``inside`` on the edges (both ways)
+        and the diagonal, ``outside`` elsewhere. Nothing is cached."""
+        out = np.full((self.node_count, self.node_count), outside, dtype=dtype)
+        u, v = self._pairs.T
+        out[u, v] = out[v, u] = inside
+        np.fill_diagonal(out, inside)
+        return out
+
     def adjacency(self) -> np.ndarray:
-        """Dense symmetric 0/1 adjacency without self-loops (float64)."""
+        """Dense symmetric 0/1 adjacency without self-loops (float64), built and
+        cached on the first call; no layer reads it."""
         if self._adjacency is None:
             u, v = self._pairs.T
             self._adjacency = np.zeros((self.node_count, self.node_count))
@@ -67,7 +89,8 @@ class Graph:
         return self._adjacency
 
     def attention_mask(self) -> np.ndarray:
-        """Adjacency plus the identity: the attention neighbourhood of each node."""
+        """Adjacency plus the identity (float64), built and cached, with the
+        adjacency, on the first call; ``gat_conv`` uses ``neighbourhood`` instead."""
         if self._attention_mask is None:
             self._attention_mask = self.adjacency().copy()
             np.fill_diagonal(self._attention_mask, 1.0)
@@ -93,7 +116,8 @@ class NormalizedLaplacian:
 
     ``matrix`` is I - D^-1/2 A D^-1/2 with zero rows for isolated nodes;
     ``scaled`` subtracts the identity, pinning the spectrum into [-1, 1]
-    (the largest eigenvalue of ``matrix`` is taken as 2).
+    (the largest eigenvalue of ``matrix`` is taken as 2). Both are dense
+    float64, written from the graph's edge pairs without its adjacency.
     """
 
     def __init__(self, graph: Graph):
@@ -101,8 +125,10 @@ class NormalizedLaplacian:
         connected = deg > 0
         inv_sqrt = np.zeros(graph.node_count)
         inv_sqrt[connected] = 1.0 / np.sqrt(deg[connected])
-        lap = -inv_sqrt[:, None] * graph.adjacency()
-        lap *= inv_sqrt
+        # -0.0 off the edges, as the product -d_u^-1/2 * A * d_v^-1/2 gives
+        lap = np.full((graph.node_count, graph.node_count), -0.0)
+        u, v = graph._pairs.T
+        lap[u, v] = lap[v, u] = -inv_sqrt[u] * inv_sqrt[v]
         np.fill_diagonal(lap, connected)
         self.node_count = graph.node_count
         self.matrix = lap
@@ -156,6 +182,12 @@ def gat_conv(features: Tensor, graph: Graph, params: GatParams, return_attention
     softmax per node, and the output is a leaky-relu of the attention-weighted
     sum of projected neighbour features. Off-neighbourhood entries are pushed
     to -1e30 before the softmax so they contribute exactly zero weight.
+
+    The 0/1 mask and the -1e30 offset are made per call by
+    ``graph.neighbourhood`` in the features' dtype, and nothing is cached. A
+    recorded call keeps three n x n arrays on the tape (the leaky relu
+    output, the mask and the attention) and peaks at five; without a tape it
+    peaks at three.
     """
     if features.data.ndim != 2:
         raise ShapeError(f"gat_conv: features must be (nodes, dim), got {features.data.shape}")
@@ -173,9 +205,12 @@ def gat_conv(features: Tensor, graph: Graph, params: GatParams, return_attention
     target_score = matmul(z, attn_col[fo:, :])                  # (n, 1)
     scores = leaky_relu(source_score + transpose(target_score), params.slope)
 
-    mask = graph.attention_mask().astype(dtype)
-    off = Tensor(((mask - 1.0) * _MASK_OFF).astype(dtype))
-    attention = softmax(scores * Tensor(mask) + off, axis=1)
+    # each n x n reference goes once its consumer has run
+    masked = scores * Tensor(graph.neighbourhood(dtype, 1.0, 0.0))
+    del scores
+    masked = masked + Tensor(graph.neighbourhood(dtype, 0.0, -_MASK_OFF))
+    attention = softmax(masked, axis=1)
+    del masked
     out = leaky_relu(matmul(attention, z), params.slope)
     if return_attention:
         return out, attention

@@ -477,7 +477,8 @@ def leaky_relu(t: Tensor, slope: float = 0.2) -> Tensor:
     the input.
     """
     t = _as_tensor(t)
-    out = (np.maximum if slope <= 1 else np.minimum)(t.data, t.data * slope)
+    out = t.data * slope
+    (np.maximum if slope <= 1 else np.minimum)(t.data, out, out=out)
     sign_of = out if slope > 0 else t.data
     slope = t.data.dtype.type(slope)
 
@@ -490,9 +491,9 @@ def leaky_relu(t: Tensor, slope: float = 0.2) -> Tensor:
 
 def softmax(t: Tensor, axis: int = -1) -> Tensor:
     t = _as_tensor(t)
-    shifted = t.data - t.data.max(axis=axis, keepdims=True)
-    e = np.exp(shifted)
-    out = e / e.sum(axis=axis, keepdims=True)
+    out = t.data - t.data.max(axis=axis, keepdims=True)      # exp and the division in place
+    np.exp(out, out=out)
+    out /= out.sum(axis=axis, keepdims=True)
 
     def backward(g):
         inner = (g * out).sum(axis=axis, keepdims=True)

@@ -1,5 +1,6 @@
 """Graph layers against scalar and spectral oracles."""
 
+import contextlib
 import tracemalloc
 
 import numpy as np
@@ -8,7 +9,8 @@ import pytest
 from floodseg.graphnn import (ChebParams, GatParams, Graph, NormalizedLaplacian,
                               build_grid_graph, center_of_mass, cheb_conv,
                               gat_conv, normalized_laplacian)
-from floodseg.tensor import ShapeError, Tensor
+from floodseg.model import ModelSpec, build_model, init_params
+from floodseg.tensor import ShapeError, Tensor, no_grad, tsum
 
 
 def f64(a):
@@ -180,7 +182,9 @@ def test_graph_reports_the_first_faulty_edge_in_input_order():
         Graph(3, [(0, 1, 2)])
 
 
-def test_laplacian_build_peaks_below_three_and_a_half_dense_matrices():
+def test_laplacian_build_peaks_below_two_and_a_half_dense_matrices():
+    # The Laplacian is written from the edge list into one n x n array, which
+    # is then copied for the rescaled form: no adjacency is built on the way.
     n = 32 * 32
     tracemalloc.start()
     try:
@@ -188,7 +192,75 @@ def test_laplacian_build_peaks_below_three_and_a_half_dense_matrices():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 3.5 * n * n * 8
+    assert peak < 2.5 * n * n * 8
+
+
+def random_graphs_with_isolated_nodes(rng, count):
+    """Random graphs of 1-24 nodes, many with a node that has no edge."""
+    for _ in range(count):
+        n = rng.randint(1, 25)
+        keys = {(min(u, v), max(u, v)) for u, v in rng.randint(0, n, (rng.randint(0, n), 2))
+                if u != v}
+        yield Graph(n, sorted(keys))
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_neighbourhood_is_bytewise_the_cast_attention_mask_and_its_offset(dtype):
+    graphs = [build_grid_graph(h, w, c) for h, w in [(1, 1), (1, 5), (3, 4), (9, 7)]
+              for c in (4, 8)]
+    graphs += random_graphs_with_isolated_nodes(np.random.RandomState(12), 30)
+    assert sum(bool((g.degrees == 0).any()) for g in graphs) >= 10
+    for g in graphs:
+        mask = Graph(g.node_count, g.edges).attention_mask().astype(dtype)
+        inside = g.neighbourhood(dtype, 1.0, 0.0)
+        assert inside.dtype == dtype and inside.tobytes() == mask.tobytes()
+        offset = g.neighbourhood(dtype, 0.0, -1e30)
+        want = ((mask - 1.0) * 1e30).astype(dtype)
+        assert offset.dtype == dtype and offset.tobytes() == want.tobytes()
+        assert g._adjacency is None and g._attention_mask is None     # nothing cached
+
+
+def gat_conv_peak(record: bool) -> float:
+    """``tracemalloc`` peak of one float32 ``gat_conv`` on a fresh 32x32 grid,
+    in n x n float32 arrays."""
+    n = 32 * 32
+    rng = np.random.RandomState(13)
+    graph = build_grid_graph(32, 32)
+    x = Tensor(rng.uniform(-1, 1, (n, 16)), dtype=np.float32)
+    params = GatParams(Tensor(rng.uniform(-1, 1, (8, 16)), requires_grad=True, dtype=np.float32),
+                       Tensor(rng.uniform(-1, 1, 16), requires_grad=True, dtype=np.float32))
+    tracemalloc.start()
+    try:
+        with contextlib.nullcontext() if record else no_grad():
+            out = gat_conv(x, graph, params)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert out.data.dtype == np.float32 and out.requires_grad == record
+    return peak / (n * n * 4)
+
+
+def test_gat_conv_without_a_tape_peaks_below_three_and_a_half_dense_arrays():
+    # The pair scores, then the mask, then their product; then the product,
+    # the offset and their sum; then softmax's one buffer beside its input.
+    assert gat_conv_peak(record=False) < 3.5
+
+
+def test_recorded_gat_conv_peaks_below_five_and_a_half_dense_arrays():
+    # The tape keeps the leaky relu output, the mask and the softmax output;
+    # at most two more n x n arrays are live beside them.
+    assert gat_conv_peak(record=True) < 5.5
+
+
+def test_a_model_forward_builds_no_adjacency_or_attention_mask():
+    spec = ModelSpec(input_size=16, widths=(2, 3), gat_out=3, cheb_order=2, cheb_out=3,
+                     variant="gac-unet")
+    model = init_params(build_model(spec), 0)
+    x = Tensor(np.random.RandomState(14).uniform(0, 1, (2, 3, 16, 16)))
+    tsum(model.forward(x)).backward()
+    with no_grad():
+        model.forward(x)
+    assert model.graph._adjacency is None and model.graph._attention_mask is None
 
 
 # ---- normalized Laplacian ------------------------------------------------------

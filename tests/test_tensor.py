@@ -197,6 +197,32 @@ def test_softmax_rows_sum_to_one_and_survive_huge_logits():
     np.testing.assert_allclose(huge, [[1.0, 0.0, 0.0]], atol=1e-30)
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_softmax_in_one_buffer_is_bytewise_the_three_array_formula(dtype):
+    x = np.random.RandomState(15).uniform(-40, 40, (6, 9)).astype(dtype)
+    x[0, 2], x[1, 3], x[4, 5] = np.inf, -np.inf, np.nan
+    x[2, :4] = -1e30
+    x[3] = -1e30
+    x[5, 1], x[5, 6] = np.inf, -np.inf
+    for axis in (0, 1):
+        with np.errstate(invalid="ignore"):
+            shifted = x - x.max(axis=axis, keepdims=True)
+            e = np.exp(shifted)
+            want = e / e.sum(axis=axis, keepdims=True)
+            got = softmax(Tensor(x), axis=axis).data
+        assert got.dtype == dtype and got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("slope", [0.0, 0.2, 1.5])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_leaky_relu_in_one_buffer_is_bytewise_the_two_array_formula(dtype, slope):
+    x = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan, 1e-30, -1e-30, 2.5, -2.5], dtype)
+    with np.errstate(invalid="ignore"):            # inf * 0
+        want = (np.maximum if slope <= 1 else np.minimum)(x, x * slope)
+        got = leaky_relu(Tensor(x), slope).data
+    assert got.dtype == dtype and got.tobytes() == want.tobytes()
+
+
 def test_log_and_div_clamp_keep_values_finite():
     z = Tensor(np.array([0.0, 1e-15, 1.0]), requires_grad=True)
     out = log(z)
