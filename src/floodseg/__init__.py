@@ -21,9 +21,9 @@ _EXPORTS = {
     "graphnn": ("ChebParams", "GatParams", "Graph", "NormalizedLaplacian",
                 "build_grid_graph", "center_of_mass", "cheb_conv", "gat_conv"),
     "dataio": ("DataError", "ImagePair", "PnmError", "augment_expand", "binarize_mask",
-               "discover_pairs", "five_crop", "load_image", "load_mask", "prepare_dataset",
-               "read_manifest", "resize_bilinear", "save_image", "save_mask",
-               "split_dataset", "write_manifest"),
+               "discover_pairs", "five_crop", "load_image", "load_mask", "load_pair",
+               "prepare_dataset", "read_manifest", "read_split", "resize_bilinear",
+               "save_image", "save_mask", "split_dataset", "write_manifest"),
     "model": ("Model", "ModelFormatError", "ModelSpec", "SpecError", "build_model",
               "init_params", "load_model", "model_checksum", "save_model",
               "serialize_model"),

@@ -90,7 +90,6 @@ KEYS = {
     "batch_size": (int, 4),
     "freeze": (_parse_str_list, ()),
     "early_stop_train_dice": (float, 0.0),
-    "cache": (_parse_bool, True),
     "resize": (int, 512),
     "crop": (int, 256),
     "steps": (int, 100),
@@ -225,13 +224,12 @@ def cmd_dataset_stats(config: dict) -> int:
 
 def cmd_train(config: dict) -> int:
     _require(config, "train", "manifest", "out_dir")
-    from .dataio import read_manifest
+    from .dataio import read_manifest, read_split
     from .model import build_model, init_params
     from .train import train_model
 
-    entries = read_manifest(config["manifest"])
-    train_entries = [e for e in entries if e.split == "train"]
-    val_entries = [e for e in entries if e.split == "test"]
+    train_entries = read_split(config["manifest"], "train")
+    val_entries = [e for e in read_manifest(config["manifest"]) if e.split == "test"]
     spec = _build_spec(config)
     net = init_params(build_model(spec, _dtype(config)), spec.seed)
 
@@ -245,7 +243,6 @@ def cmd_train(config: dict) -> int:
                          lr=config["lr"], beta1=config["beta1"], beta2=config["beta2"],
                          eps=config["eps"], seed=spec.seed, freeze=config["freeze"],
                          early_stop_train_dice=config["early_stop_train_dice"],
-                         cache=config["cache"],
                          on_epoch=lambda row: print(row.format()))
     log_lines.extend(row.format() for row in result.rows)
     log_path.write_text("\n".join(log_lines) + "\n", encoding="utf-8")
@@ -260,15 +257,11 @@ def cmd_train(config: dict) -> int:
 
 def cmd_eval(config: dict) -> int:
     _require(config, "eval", "model", "manifest")
-    from .dataio import DataError, load_pairs, read_manifest
+    from .dataio import load_pairs, read_split
     from .metrics import evaluate
 
     net = _load_mask_model(config["model"])
-    split = config["split"]
-    pairs = load_pairs(e for e in read_manifest(config["manifest"])
-                       if split == "all" or e.split == split)
-    if not pairs:
-        raise DataError(f"manifest has no {split!r} entries")
+    pairs = load_pairs(read_split(config["manifest"], config["split"]))
     report = evaluate(net.predict_proba, pairs, config["pred_threshold"])
     text = str(report)
     print(text)
@@ -290,11 +283,12 @@ def cmd_predict(config: dict) -> int:
 
 def cmd_reprogram(config: dict) -> int:
     _require(config, "reprogram", "base_model", "manifest", "out_dir")
-    from .dataio import DataError, load_pairs, read_manifest
+    from .dataio import DataError, load_pairs, read_split
     from .model import load_model, model_checksum, save_model
     from .reprogram import (ReprogramWrapper, dataset_loss, make_pretrained_base,
                             reprogram_train, save_wrapper)
 
+    pairs = load_pairs(read_split(config["manifest"], "train"))
     base_path = Path(config["base_model"])
     if config["init_base"] and not base_path.is_file():
         base = make_pretrained_base(c_old=config["base_channels"],
@@ -304,10 +298,6 @@ def cmd_reprogram(config: dict) -> int:
     if not base_path.is_file():
         raise DataError(f"base model not found: {base_path}")
     base = load_model(base_path)
-
-    pairs = load_pairs(e for e in read_manifest(config["manifest"]) if e.split == "train")
-    if not pairs:
-        raise DataError("manifest has no train entries")
 
     wrapper = ReprogramWrapper(base, per_channel=config["per_channel"], seed=config["seed"])
     print(f"frozen base checksum: {wrapper.base_checksum}")
@@ -359,8 +349,8 @@ HANDLERS = {
 
 def _set_single_threaded():
     for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
-                "NUMEXPR_NUM_THREADS", "VECLIB_MAXIMUM_THREADS"):
-        os.environ.setdefault(var, "1")
+                "BLIS_NUM_THREADS", "NUMEXPR_NUM_THREADS", "VECLIB_MAXIMUM_THREADS"):
+        os.environ[var] = "1"
 
 
 def main(argv=None) -> int:

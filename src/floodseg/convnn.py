@@ -16,8 +16,6 @@ over the batch of per-sample dice losses.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
@@ -234,24 +232,3 @@ def dice_loss(pred: Tensor, target, eps: float = 1e-6) -> Tensor:
 
 
 LOSSES = {"bce": bce_loss, "dice": dice_loss}
-
-
-@dataclass
-class ConvParams:
-    """One convolutional layer: kernel, optional bias, and its dilation."""
-
-    weight: Tensor
-    bias: Tensor | None = None
-    dilation: int = 1
-
-    def __post_init__(self):
-        if self.weight.data.ndim != 4 or self.weight.data.shape[2] != self.weight.data.shape[3]:
-            raise ShapeError(f"ConvParams: kernel must be (C_out,C_in,k,k), got {self.weight.data.shape}")
-        k = self.weight.data.shape[2]
-        if k % 2 == 0:
-            raise ShapeError(f"ConvParams: kernel extent must be odd, got {k}")
-        if self.dilation < 1:
-            raise ShapeError("ConvParams: dilation must be >= 1")
-
-    def apply(self, x: Tensor) -> Tensor:
-        return conv2d(x, self.weight, self.bias, dilation=self.dilation)

@@ -4,6 +4,11 @@ Images are binary color pixmaps (P6 .ppm) and masks are binary graymaps
 (P5 .pgm), both with max value 255. Loading scales bytes to floats in
 [0, 1]; saving rounds back, so a save/load round trip is bit-exact.
 
+Every command and trainer reads an image/mask pair through ``load_pair``,
+which binarizes the mask at load, so training targets, scored masks and
+prepared crops are thresholded alike; ``model_arrays`` turns a pair into the
+(3, S, S) input and (1, S, S) target that every loss takes.
+
 The preparation pipeline mirrors how the training corpus is produced from
 raw pairs: binarize the mask, resize to a working resolution with
 half-pixel-center bilinear interpolation, take the four corner crops and the
@@ -101,44 +106,42 @@ def _parse_pnm(raw: bytes, want_magic: bytes, path) -> tuple[int, int, bytes]:
     return width, height, payload
 
 
+def _read_pnm(path, magic: bytes) -> np.ndarray:
+    """A P6 file as float32 (H, W, 3) pixels in [0, 1], or a P5 file as (H, W)."""
+    width, height, payload = _parse_pnm(Path(path).read_bytes(), magic, path)
+    shape = (height, width, 3) if magic == b"P6" else (height, width)
+    return np.frombuffer(payload, dtype=np.uint8).reshape(shape) / np.float32(255.0)
+
+
+def _write_pnm(path, array, magic: bytes):
+    """Write pixels in [0, 1] as a P6 (H, W, 3) or P5 (H, W) file, rounded to bytes."""
+    array = np.asarray(array)
+    tail = (3,) if magic == b"P6" else ()
+    if array.ndim != 2 + len(tail) or array.shape[2:] != tail:
+        raise DataError(f"{path}: expected a {'(H, W, 3)' if tail else '(H, W)'} array, "
+                        f"got shape {array.shape}")
+    h, w = array.shape[:2]
+    with open(path, "wb") as fh:
+        fh.write(magic + f"\n{w} {h}\n255\n".encode())
+        fh.write(np.round(np.clip(array, 0.0, 1.0) * 255.0).astype(np.uint8).tobytes())
+
+
 def load_image(path) -> np.ndarray:
     """Read a P6 color pixmap into a float32 (H, W, 3) array in [0, 1]."""
-    raw = Path(path).read_bytes()
-    width, height, payload = _parse_pnm(raw, b"P6", path)
-    pixels = np.frombuffer(payload, dtype=np.uint8).reshape(height, width, 3)
-    return (pixels / np.float32(255.0)).astype(np.float32)
+    return _read_pnm(path, b"P6")
 
 
 def load_mask(path) -> np.ndarray:
     """Read a P5 graymap into a float32 (H, W) array in [0, 1]."""
-    raw = Path(path).read_bytes()
-    width, height, payload = _parse_pnm(raw, b"P5", path)
-    pixels = np.frombuffer(payload, dtype=np.uint8).reshape(height, width)
-    return (pixels / np.float32(255.0)).astype(np.float32)
-
-
-def _to_bytes(array: np.ndarray) -> bytes:
-    return np.round(np.clip(array, 0.0, 1.0) * 255.0).astype(np.uint8).tobytes()
+    return _read_pnm(path, b"P5")
 
 
 def save_image(path, image: np.ndarray):
-    image = np.asarray(image)
-    if image.ndim != 3 or image.shape[2] != 3:
-        raise DataError(f"save_image: expected (H, W, 3), got shape {image.shape}")
-    h, w = image.shape[:2]
-    with open(path, "wb") as fh:
-        fh.write(f"P6\n{w} {h}\n255\n".encode())
-        fh.write(_to_bytes(image))
+    _write_pnm(path, image, b"P6")
 
 
 def save_mask(path, mask: np.ndarray):
-    mask = np.asarray(mask)
-    if mask.ndim != 2:
-        raise DataError(f"save_mask: expected (H, W), got shape {mask.shape}")
-    h, w = mask.shape
-    with open(path, "wb") as fh:
-        fh.write(f"P5\n{w} {h}\n255\n".encode())
-        fh.write(_to_bytes(mask))
+    _write_pnm(path, mask, b"P5")
 
 
 # ---- pairs and transforms ---------------------------------------------------
@@ -203,10 +206,10 @@ def resize_pair(pair: ImagePair, size: int) -> ImagePair:
 
 
 def model_arrays(pair: ImagePair, size: int, dtype=np.float32) -> tuple[np.ndarray, np.ndarray]:
-    """Model inputs: the (3, size, size) image and re-binarized (size, size) mask."""
+    """One model sample: the (3, size, size) image and the re-binarized (1, size, size) target."""
     pair = resize_pair(pair, size)
     return (np.ascontiguousarray(pair.image.transpose(2, 0, 1).astype(dtype)),
-            pair.mask.astype(dtype))
+            pair.mask[None].astype(dtype))
 
 
 def flip_horizontal(pair: ImagePair) -> ImagePair:
@@ -239,10 +242,8 @@ def augment_expand(pair: ImagePair, crop: int = 256) -> list[ImagePair]:
     variants = (pair, flip_horizontal(pair), flip_vertical(pair))
     out = []
     for tag, variant in zip(FLIP_VARIANTS, variants):
-        for cropped in five_crop(variant, crop):
-            crop_name = cropped.source_id.rsplit("_", 1)[1]
-            out.append(ImagePair(cropped.image, cropped.mask,
-                                 f"{pair.source_id}_{tag}_{crop_name}"))
+        out.extend(five_crop(ImagePair(variant.image, variant.mask, f"{pair.source_id}_{tag}"),
+                             crop))
     return out
 
 
@@ -311,10 +312,25 @@ def read_manifest(path) -> list[ManifestEntry]:
     return entries
 
 
+def read_split(path, split: str) -> list[ManifestEntry]:
+    """The manifest's entries of one split, or every entry for ``"all"``; none is an error."""
+    entries = [e for e in read_manifest(path) if split in ("all", e.split)]
+    if not entries:
+        raise DataError(f"{path}: manifest has no {split!r} entries")
+    return entries
+
+
+def load_pair(image_path, mask_path) -> ImagePair:
+    """An image and its mask binarized at load, at native size, named by the image's stem."""
+    image, mask = load_image(image_path), binarize_mask(load_mask(mask_path))
+    if mask.shape != image.shape[:2]:
+        raise DataError(f"{image_path}: mask {mask_path} is {mask.shape}, not {image.shape[:2]}")
+    return ImagePair(image, mask, Path(image_path).stem)
+
+
 def load_pairs(entries) -> list[ImagePair]:
-    """Manifest entries as native-size pairs with binarized masks, named by image stem."""
-    return [ImagePair(load_image(e.image_path), binarize_mask(load_mask(e.mask_path)),
-                      Path(e.image_path).stem) for e in entries]
+    """Manifest entries as ``load_pair`` pairs."""
+    return [load_pair(e.image_path, e.mask_path) for e in entries]
 
 
 @dataclass
@@ -333,39 +349,29 @@ def prepare_dataset(dataset_dir, out_dir, seed: int = 0, *,
     Train pairs are binarized, resized to ``resize``, and expanded with
     ``augment_expand``; each augmented pair lands in ``out_dir`` as
     ``<stem>_<variant>_<crop>.ppm/.pgm``. Test pairs are referenced at their
-    original paths. The positive-pixel fraction is measured over every
-    source mask at native resolution.
+    original paths. The positive-pixel fraction is ``dataset_stats``'s, over
+    every source mask at native resolution.
     """
-    pairs = discover_pairs(dataset_dir)
-    train, test = split_dataset(pairs, seed)
+    fraction = dataset_stats(dataset_dir)[1]     # before writing: out_dir may be dataset_dir
+    train, test = split_dataset(discover_pairs(dataset_dir), seed)
     out_root = Path(out_dir)
     os.makedirs(out_root, exist_ok=True)
 
-    positive = 0
-    total = 0
-    entries = []
+    entries = [ManifestEntry(str(image_path), str(mask_path), "test")
+               for image_path, mask_path in test]
     for image_path, mask_path in train:
-        pair = ImagePair(load_image(image_path), binarize_mask(load_mask(mask_path)),
-                         image_path.stem)
-        positive += int(pair.mask.sum())
-        total += pair.mask.size
-        for aug in augment_expand(resize_pair(pair, resize), crop):
+        for aug in augment_expand(resize_pair(load_pair(image_path, mask_path), resize), crop):
             img_out = out_root / f"{aug.source_id}.ppm"
             mask_out = out_root / f"{aug.source_id}.pgm"
             save_image(img_out, aug.image)
             save_mask(mask_out, aug.mask)
             entries.append(ManifestEntry(str(img_out), str(mask_out), "train"))
-    for image_path, mask_path in test:
-        mask = binarize_mask(load_mask(mask_path))
-        positive += int(mask.sum())
-        total += mask.size
-        entries.append(ManifestEntry(str(image_path), str(mask_path), "test"))
 
     entries.sort(key=lambda e: (e.split, e.image_path))
     manifest_path = out_root / "manifest.tsv"
     write_manifest(manifest_path, entries)
     return PrepareResult(len(train), len(test), 15 * len(train),
-                         positive / total, str(manifest_path))
+                         fraction, str(manifest_path))
 
 
 def dataset_stats(dataset_dir) -> tuple[int, float]:

@@ -28,7 +28,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .convnn import ConvParams, maxpool2, upsample2
+from .convnn import conv2d, maxpool2, upsample2
 from .dataio import resize_bilinear
 from .graphnn import (ChebParams, GatParams, build_grid_graph, cheb_conv, center_of_mass,
                       gat_conv, normalized_laplacian)
@@ -157,11 +157,10 @@ class Model:
         self._init_meta[name] = fans
         return t
 
-    def _conv(self, name: str, c_in: int, c_out: int, k: int, dilation: int = 1) -> ConvParams:
+    def _conv(self, name: str, c_in: int, c_out: int, k: int, dilation: int = 1) -> tuple:
         fan = (c_in * k * k, c_out * k * k)
-        weight = self._new_param(f"{name}.w", (c_out, c_in, k, k), fan)
-        bias = self._new_param(f"{name}.b", (c_out,), None)
-        return ConvParams(weight, bias, dilation=dilation)
+        return (self._new_param(f"{name}.w", (c_out, c_in, k, k), fan),
+                self._new_param(f"{name}.b", (c_out,), None), dilation)
 
     def _assemble(self):
         spec = self.spec
@@ -208,8 +207,8 @@ class Model:
         skips = []
         h = reshape(x, (-1, 3, size, size))
         for conv, dconv in self.encoder:
-            h = leaky_relu(conv.apply(h), ACTIVATION_SLOPE)
-            h = leaky_relu(dconv.apply(h), ACTIVATION_SLOPE)
+            h = leaky_relu(_apply_conv(h, conv), ACTIVATION_SLOPE)
+            h = leaky_relu(_apply_conv(h, dconv), ACTIVATION_SLOPE)
             skips.append(h)
             h = maxpool2(h)
         if self.gat is not None:
@@ -219,8 +218,8 @@ class Model:
         for conv, skip in zip(self.decoder, reversed(skips)):
             h = upsample2(h)
             h = concat([h, skip], axis=1)
-            h = leaky_relu(conv.apply(h), ACTIVATION_SLOPE)
-        out = sigmoid(self.head.apply(h))
+            h = leaky_relu(_apply_conv(h, conv), ACTIVATION_SLOPE)
+        out = sigmoid(_apply_conv(h, self.head))
         return reshape(out, x.data.shape[:-3] + out.data.shape[1:])
 
     def _graph_stage(self, h: Tensor) -> Tensor:
@@ -247,6 +246,12 @@ class Model:
 
     def parameter_count(self) -> int:
         return sum(int(p.data.size) for p in self.params.values())
+
+
+def _apply_conv(x: Tensor, layer: tuple) -> Tensor:
+    """A (weight, bias, dilation) conv layer; floodbench's tracer reads the weight positionally."""
+    weight, bias, dilation = layer
+    return conv2d(x, weight, bias, dilation=dilation)
 
 
 def predict_proba(forward, image_hwc: np.ndarray, size: int, dtype) -> np.ndarray:
@@ -368,9 +373,13 @@ def save_model(model: Model, path):
 
 
 def load_model(path) -> Model:
+    """The model in a .gacm file; any unreadable or unbuildable file is a ``ModelFormatError``."""
     width, config, payload = _read_gacm(path, KIND_MODEL)
     spec = ModelSpec.from_json(config, path)
-    model = build_model(spec, np.float32 if width == 4 else np.float64)
+    try:
+        model = build_model(spec, np.float32 if width == 4 else np.float64)
+    except (ValueError, MemoryError) as exc:
+        raise ModelFormatError(f"{path}: cannot build the configured model: {exc}") from exc
     unpack_params(model.params, payload, width, path)
     return model
 

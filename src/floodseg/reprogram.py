@@ -107,9 +107,7 @@ class ReprogramWrapper:
 
 
 def _wrapper_data(wrapper: ReprogramWrapper, pairs) -> list[tuple[np.ndarray, np.ndarray]]:
-    size, dtype = wrapper.base.spec.input_size, wrapper.base.dtype
-    return [(image, mask[None]) for image, mask
-            in (model_arrays(p, size, dtype) for p in pairs)]
+    return [model_arrays(p, wrapper.base.spec.input_size, wrapper.base.dtype) for p in pairs]
 
 
 def dataset_loss(wrapper: ReprogramWrapper, pairs, loss: str = "dice") -> float:

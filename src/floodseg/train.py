@@ -1,11 +1,12 @@
 """Training: one minibatch step under two schedules.
 
 ``train_step`` is the only place a loss meets the optimizer. ``train_model``
-runs it over epochs: pairs are loaded from manifest entries at the model
-input size and shuffled each epoch from one seeded stream. Validation is
-``metrics.evaluate`` over ``Model.predict_proba`` at each image's own size,
-the metric ``floodseg eval`` reports, and the best-validation-dice snapshot
-is kept when validation entries are given.
+runs it over epochs: each manifest entry is read once through
+``dataio.load_pair`` and kept as its ``model_arrays`` sample at the model
+input size, and the samples are shuffled each epoch from one seeded stream.
+Validation is ``metrics.evaluate`` over ``Model.predict_proba`` at each
+image's own size, the metric ``floodseg eval`` reports, and the
+best-validation-dice snapshot is kept when validation entries are given.
 ``train_for_steps`` runs it a fixed number of times over a seeded refill
 queue, for reprogramming and base pretraining. The schedules draw from the
 seeded stream differently and stay separate; in both, a (config, seed) pair
@@ -19,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .convnn import LOSSES
-from .dataio import ImagePair, load_image, load_mask, load_pairs, model_arrays
+from .dataio import load_pair, load_pairs, model_arrays
 from .metrics import evaluate
 from .model import Model, serialize_model
 from .optim import Adam
@@ -86,27 +87,23 @@ class EpochLog:
 
 
 class PairDataset:
-    """Loads (image CHW, mask) arrays at the model input size, with caching."""
+    """``model_arrays`` samples of manifest entries at the model input size, each read once."""
 
-    def __init__(self, entries, size: int, dtype=np.float32, cache: bool = True):
+    def __init__(self, entries, size: int, dtype=np.float32):
         self.entries = list(entries)
         self.size = size
         self.dtype = np.dtype(dtype)
-        self._cache = {} if cache else None
+        self._cache = {}
 
     def __len__(self):
         return len(self.entries)
 
     def get(self, index: int) -> tuple[np.ndarray, np.ndarray]:
-        entry = self.entries[index]
-        if self._cache is not None and index in self._cache:
-            return self._cache[index]
-        pair = ImagePair(load_image(entry.image_path), load_mask(entry.mask_path),
-                         entry.image_path)
-        item = model_arrays(pair, self.size, self.dtype)
-        if self._cache is not None:
-            self._cache[index] = item
-        return item
+        if index not in self._cache:
+            entry = self.entries[index]
+            self._cache[index] = model_arrays(load_pair(entry.image_path, entry.mask_path),
+                                              self.size, self.dtype)
+        return self._cache[index]
 
 
 @dataclass
@@ -120,7 +117,7 @@ def train_model(model: Model, train_entries, val_entries=(), *, loss: str = "dic
                 epochs: int = 1, batch_size: int = 4, lr: float = 1e-3,
                 beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8,
                 seed: int = 0, freeze=(), early_stop_train_dice: float = 0.0,
-                cache: bool = True, on_epoch=None) -> TrainResult:
+                on_epoch=None) -> TrainResult:
     """Train ``model`` in place; ``freeze`` holds parameter-name prefixes.
 
     Matching parameters get ``requires_grad`` off, the rest on, and keep it on
@@ -138,7 +135,7 @@ def train_model(model: Model, train_entries, val_entries=(), *, loss: str = "dic
     for prefix in freeze:
         if not any(name.startswith(prefix) for name in model.params):
             raise ValueError(f"train_model: freeze prefix {prefix!r} matches no parameter")
-    train_ds = PairDataset(train_entries, model.spec.input_size, model.dtype, cache)
+    train_ds = PairDataset(train_entries, model.spec.input_size, model.dtype)
     if len(train_ds) == 0:
         raise ValueError("train_model: no training entries")
     val_pairs = load_pairs(val_entries)
@@ -159,8 +156,7 @@ def train_model(model: Model, train_entries, val_entries=(), *, loss: str = "dic
         total = 0.0
         batches = 0
         for start in range(0, len(order), batch_size):
-            samples = ((image, mask[None]) for image, mask
-                       in map(train_ds.get, order[start:start + batch_size].tolist()))
+            samples = map(train_ds.get, order[start:start + batch_size].tolist())
             total += train_step(model.forward, optimizer, LOSSES[loss], samples,
                                 f"{epoch}:{batches}")
             batches += 1

@@ -12,7 +12,7 @@ import pytest
 import floodseg
 from floodseg.checks import CheckResult
 from floodseg.cli import main
-from floodseg.dataio import load_mask, read_manifest
+from floodseg.dataio import load_mask, read_manifest, write_manifest
 from floodseg.model import (FORMAT_VERSION, KIND_MODEL, MAGIC, ModelSpec, build_model,
                             init_params, load_model, serialize_model)
 from floodseg.synthetic import write_flood_set
@@ -286,6 +286,23 @@ def test_predict_missing_image_is_a_data_error(trained, tmp_path):
                  "--output", str(tmp_path / "out.pgm")]) == 2
 
 
+def test_predict_refuses_an_unbuildable_model_as_a_format_error(workspace, tmp_path, capsys):
+    # 2**40 px makes the grid graph's np.arange refuse at once, before any allocation.
+    net = init_params(build_model(ModelSpec(input_size=16, widths=(2, 4), gat_out=4,
+                                            cheb_order=1, cheb_out=4)), 0)
+    config = net.spec.to_json().replace('"input_size":16', f'"input_size":{2 ** 40}').encode()
+    payload = serialize_model(net)[-4 * net.parameter_count():]
+    path = tmp_path / "huge.gacm"
+    path.write_bytes(MAGIC + struct.pack("<HBBI", FORMAT_VERSION, KIND_MODEL, 4, len(config))
+                     + config + payload)
+    image = next(iter(sorted(workspace["raw"].glob("*.ppm"))))
+    assert main(["predict", "--model", str(path), "--image", str(image),
+                 "--output", str(tmp_path / "pred.pgm")]) == 2
+    assert capsys.readouterr().err.startswith(
+        f"error: {path}: cannot build the configured model: ")
+    assert not (tmp_path / "pred.pgm").exists()
+
+
 # ---- reprogram --------------------------------------------------------------
 
 
@@ -325,6 +342,23 @@ def test_reprogram_refuses_negative_steps(workspace, tmp_path, capsys):
                  "--input_size", "16", "--steps", "-3", "--batch_size", "2"]) == 1
     assert "error: train_for_steps: " in capsys.readouterr().err
     assert not (out / "wrapper.gacm").exists()
+
+
+def test_a_manifest_without_train_rows_is_the_same_data_error_for_train_and_reprogram(
+        workspace, tmp_path, capsys):
+    manifest = tmp_path / "test_only.tsv"
+    write_manifest(manifest, [e for e in read_manifest(workspace["manifest"])
+                              if e.split == "test"])
+    expected = f"error: {manifest}: manifest has no 'train' entries\n"
+    assert main(["train", "--manifest", str(manifest),
+                 "--out_dir", str(tmp_path / "out")] + TRAIN_FLAGS) == 2
+    assert capsys.readouterr().err == expected
+    base = tmp_path / "base.gacm"
+    assert main(["reprogram", "--base_model", str(base), "--manifest", str(manifest),
+                 "--out_dir", str(tmp_path / "rp"), "--init_base", "true",
+                 "--base_channels", "2", "--input_size", "8", "--steps", "1"]) == 2
+    assert capsys.readouterr().err == expected
+    assert not base.exists()
 
 
 def test_reprogram_missing_base_is_a_data_error(workspace, tmp_path):
@@ -428,9 +462,11 @@ print("OPENBLAS_NUM_THREADS when numpy loaded:", seen[0])
 def test_deterministic_pins_threads_before_numpy_loads(workspace):
     env = {k: v for k, v in os.environ.items() if not k.endswith("_NUM_THREADS")}
     env["PYTHONPATH"] = str(Path(floodseg.__file__).parents[1])
-    result = subprocess.run([sys.executable, "-c", DETERMINISTIC_PROBE, str(workspace["raw"])],
-                            env=env, capture_output=True, text=True, timeout=120)
-    lines = result.stdout.splitlines()
-    assert "numpy loaded by import: False" in lines, result.stdout + result.stderr
-    assert "exit: 0" in lines
-    assert "OPENBLAS_NUM_THREADS when numpy loaded: 1" in lines
+    for inherited in ({}, {"OPENBLAS_NUM_THREADS": "2"}):    # the flag overrides the caller
+        result = subprocess.run([sys.executable, "-c", DETERMINISTIC_PROBE,
+                                 str(workspace["raw"])], env=dict(env, **inherited),
+                                capture_output=True, text=True, timeout=120)
+        lines = result.stdout.splitlines()
+        assert "numpy loaded by import: False" in lines, result.stdout + result.stderr
+        assert "exit: 0" in lines
+        assert "OPENBLAS_NUM_THREADS when numpy loaded: 1" in lines

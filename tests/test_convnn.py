@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from floodseg import convnn
-from floodseg.convnn import ConvParams, bce_loss, conv2d, dice_loss, maxpool2, upsample2
+from floodseg.convnn import bce_loss, conv2d, dice_loss, maxpool2, upsample2
 from floodseg.tensor import ShapeError, Tensor, concat, grad_check, tsum
 
 
@@ -356,16 +356,6 @@ def test_conv2d_is_linear_in_the_input():
     parts = a * conv2d(Tensor(x, dtype=np.float64), w).data \
         + b * conv2d(Tensor(y, dtype=np.float64), w).data
     np.testing.assert_allclose(mixed, parts, atol=1e-10)
-
-
-def test_conv_params_wraps_geometry_and_validates():
-    w = Tensor(np.zeros((2, 1, 3, 3)))
-    layer = ConvParams(w, dilation=2)
-    assert layer.apply(Tensor(np.ones((1, 8, 8)))).shape == (2, 8, 8)
-    with pytest.raises(ShapeError):
-        ConvParams(Tensor(np.zeros((2, 1, 2, 2))))
-    with pytest.raises(ShapeError):
-        ConvParams(w, dilation=0)
 
 
 # ---- pooling and upsampling -------------------------------------------------

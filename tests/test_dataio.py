@@ -339,5 +339,5 @@ def test_model_arrays_are_channels_first_and_rebinarized():
     assert image.flags.c_contiguous
     resized = resize_pair(pair, 8)
     np.testing.assert_array_equal(image, resized.image.transpose(2, 0, 1))
-    np.testing.assert_array_equal(mask, resized.mask)
-    assert mask.dtype == np.float64
+    assert mask.shape == (1, 8, 8) and mask.dtype == np.float64
+    np.testing.assert_array_equal(mask, resized.mask[None])

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from floodseg.convnn import dice_loss
-from floodseg.dataio import DataError, ManifestEntry, load_pairs, save_image, save_mask
+from floodseg.dataio import (DataError, ManifestEntry, load_pair, load_pairs, model_arrays,
+                             save_image, save_mask)
 from floodseg.metrics import evaluate
 from floodseg.model import Model, ModelSpec, build_model, init_params, load_model, serialize_model
 from floodseg.optim import Adam
@@ -37,7 +38,7 @@ def test_pair_dataset_loads_resized_binary_pairs(entries):
     assert len(ds) == 4
     image, mask = ds.get(0)
     assert image.shape == (3, 8, 8) and image.dtype == np.float32
-    assert mask.shape == (8, 8)
+    assert mask.shape == (1, 8, 8)
     assert set(np.unique(mask)) <= {0.0, 1.0}
     assert ds.get(0)[0] is image          # cache hit returns the same arrays
 
@@ -143,7 +144,6 @@ def test_everything_frozen_records_no_tape_and_keeps_init_weights(entries):
 
 def test_freezing_by_requires_grad_matches_discarding_frozen_gradients(entries):
     data = [PairDataset(entries, 16).get(i) for i in range(4)]
-    data = [(image, mask[None]) for image, mask in data]
     states = []
     for record_frozen in (False, True):
         model = tiny_model(seed=9)
@@ -206,6 +206,17 @@ def test_train_step_refuses_a_non_finite_loss_before_updating():
     assert optimizer._t == 0
     for k, p in model.params.items():
         np.testing.assert_array_equal(p.data, before[k])
+
+
+def test_pair_dataset_thresholds_a_gray_mask_as_eval_does(tmp_path):
+    # 0.6 at three of four pixels: 1 after thresholding at load, 0 if resized first (0.45)
+    save_image(tmp_path / "g.ppm", np.zeros((2, 2, 3), dtype=np.float32))
+    save_mask(tmp_path / "g.pgm", np.array([[0.6, 0.6], [0.6, 0.0]], dtype=np.float32))
+    ds = PairDataset([ManifestEntry(str(tmp_path / "g.ppm"), str(tmp_path / "g.pgm"), "train")],
+                     size=1)
+    _, expected = model_arrays(load_pair(tmp_path / "g.ppm", tmp_path / "g.pgm"), 1)
+    np.testing.assert_array_equal(ds.get(0)[1], expected)
+    np.testing.assert_array_equal(expected, [[[1.0]]])
 
 
 def test_pair_dataset_rejects_a_mask_of_another_size(tmp_path):
