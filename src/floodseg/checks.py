@@ -18,7 +18,7 @@ from .graphnn import (ChebParams, GatParams, build_grid_graph, cheb_conv, center
                       gat_conv, normalized_laplacian)
 from .model import ModelSpec, build_model, init_params
 from .reprogram import input_transform, output_map
-from .tensor import Tensor, grad_check, tmean
+from .tensor import Tensor, grad_check, no_grad, tmean
 
 LAYER_TOLERANCE = 1e-5
 END_TO_END_TOLERANCE = 1e-4
@@ -39,98 +39,69 @@ def _t(rng, *shape, lo=-1.0, hi=1.0):
     return Tensor(rng.uniform(lo, hi, shape), dtype=np.float64)
 
 
-def _builders():
-    def conv(rng, c_in=2, c_out=3, batch=()):
-        x, w, b = _t(rng, *batch, c_in, 6, 6), _t(rng, c_out, c_in, 3, 3), _t(rng, c_out)
-        probe = Tensor(rng.uniform(-1, 1, batch + (c_out, 6, 6)), dtype=np.float64)
-        return lambda *_: tmean(conv2d(x, w, b) * probe), [x, w, b]
+def _probed(op, *shapes):
+    """Builder for ``op`` on inputs of ``shapes``: draws the inputs, then a probe
+    of the output's shape, and reduces the output to its probe-weighted mean."""
+    def build(rng):
+        inputs = [_t(rng, *shape) for shape in shapes]
+        with no_grad():
+            probe = _t(rng, *op(*inputs).shape)
+        return lambda *_: tmean(op(*inputs) * probe), inputs
+    return build
 
-    def dilated(rng):
-        x, w, b = _t(rng, 2, 8, 8), _t(rng, 2, 2, 3, 3), _t(rng, 2)
-        probe = Tensor(rng.uniform(-1, 1, (2, 8, 8)), dtype=np.float64)
-        return lambda *_: tmean(conv2d(x, w, b, dilation=2) * probe), [x, w, b]
 
-    def pool(rng):
-        x = _t(rng, 2, 6, 6)
-        probe = Tensor(rng.uniform(-1, 1, (2, 3, 3)), dtype=np.float64)
-        return lambda *_: tmean(maxpool2(x) * probe), [x]
-
-    def pool_ties(rng):
-        # Each window holds copies of one coordinate of y, some lowered by a fixed
-        # drop, so windows tie two, three or four ways. A perturbation of y moves
-        # every tied maximum together: y's gradient is the probe once per window,
-        # whichever tied cell the pool picks, and the pool is differentiable.
-        y = _t(rng, 2, 2, 3, 3)
-        drop = rng.randint(0, 2, (2, 2, 6, 6)) * 0.5
-        drop[0, 0, :2, :2] = 0.0
-        probe = Tensor(rng.uniform(-1, 1, (2, 2, 3, 3)), dtype=np.float64)
-        return lambda *_: tmean(maxpool2(upsample2(y) - drop) * probe), [y]
-
-    def upsample(rng):
-        x = _t(rng, 2, 3, 3)
-        probe = Tensor(rng.uniform(-1, 1, (2, 6, 6)), dtype=np.float64)
-        return lambda *_: tmean(upsample2(x) * probe), [x]
-
-    def gat(rng):
-        graph = build_grid_graph(2, 3)
-        x, w, a = _t(rng, 6, 3), _t(rng, 4, 3), _t(rng, 8)
-        probe = Tensor(rng.uniform(-1, 1, (6, 4)), dtype=np.float64)
-        return (lambda *_: tmean(gat_conv(x, graph, GatParams(w, a)) * probe), [x, w, a])
-
-    def cheb(rng):
-        graph = build_grid_graph(2, 2)
-        lap = normalized_laplacian(graph)
-        x = _t(rng, 4, 2)
-        thetas = [_t(rng, 3, 2) for _ in range(4)]
-        probe = Tensor(rng.uniform(-1, 1, (4, 3)), dtype=np.float64)
-        return (lambda *_: tmean(cheb_conv(x, lap, ChebParams(thetas)) * probe),
-                [x] + thetas)
-
-    def com(rng):
-        x = _t(rng, 3, 4, 5)
-        probe_c = Tensor(rng.uniform(-1, 1, (3, 2)), dtype=np.float64)
-        probe_a = Tensor(rng.uniform(-1, 1, (5, 4, 5)), dtype=np.float64)
-
-        def fn(*_):
-            centroids, augmented = center_of_mass(x)
-            return tmean(centroids * probe_c) + tmean(augmented * probe_a)
-        return fn, [x]
-
-    def in_transform(rng):
-        x, w, b = _t(rng, 3, 4, 4), _t(rng, 4, 4), _t(rng, 4, 4)
-        probe = Tensor(rng.uniform(-1, 1, (3, 4, 4)), dtype=np.float64)
-        return lambda *_: tmean(input_transform(x, w, b) * probe), [x, w, b]
-
-    def out_map(rng):
-        y, k, b = _t(rng, 5, 3, 3), _t(rng, 1, 5, 1, 1), _t(rng, 1)
-        probe = Tensor(rng.uniform(-1, 1, (1, 3, 3)), dtype=np.float64)
-        return lambda *_: tmean(output_map(y, k, b) * probe), [y, k, b]
-
-    def bce(rng):
-        pred = _t(rng, 4, 4, lo=0.05, hi=0.95)
-        target = Tensor((rng.uniform(0, 1, (4, 4)) > 0.5).astype(float), dtype=np.float64)
-        return lambda *_: bce_loss(pred, target), [pred]
-
-    def dice(rng, shape=(4, 4)):
+def _loss(loss_fn, shape):
+    def build(rng):
         pred = _t(rng, *shape, lo=0.05, hi=0.95)
         target = Tensor((rng.uniform(0, 1, shape) > 0.5).astype(float), dtype=np.float64)
-        return lambda *_: dice_loss(pred, target), [pred]
+        return lambda *_: loss_fn(pred, target), [pred]
+    return build
 
-    return [("conv2d", LAYER_TOLERANCE, conv),
-            ("conv2d_narrowing", LAYER_TOLERANCE, lambda rng: conv(rng, c_in=3, c_out=2)),
-            ("conv2d_batch", LAYER_TOLERANCE, lambda rng: conv(rng, batch=(2,))),
-            ("dilated_conv2d", LAYER_TOLERANCE, dilated),
-            ("maxpool2", LAYER_TOLERANCE, pool),
-            ("maxpool2_ties_batch", LAYER_TOLERANCE, pool_ties),
-            ("upsample2", LAYER_TOLERANCE, upsample),
-            ("gat_conv", LAYER_TOLERANCE, gat),
-            ("cheb_conv", LAYER_TOLERANCE, cheb),
-            ("center_of_mass", LAYER_TOLERANCE, com),
-            ("input_transform", LAYER_TOLERANCE, in_transform),
-            ("output_map", LAYER_TOLERANCE, out_map),
-            ("bce_loss", LAYER_TOLERANCE, bce),
-            ("dice_loss", LAYER_TOLERANCE, dice),
-            ("dice_loss_batch", LAYER_TOLERANCE, lambda rng: dice(rng, (2, 1, 4, 4)))]
+
+def _pool_ties(rng):
+    # Each window holds copies of one coordinate of y, some lowered by a fixed
+    # drop, so windows tie two, three or four ways. A perturbation of y moves
+    # every tied maximum together: y's gradient is the probe once per window,
+    # whichever tied cell the pool picks, and the pool is differentiable.
+    y = _t(rng, 2, 2, 3, 3)
+    drop = rng.randint(0, 2, (2, 2, 6, 6)) * 0.5
+    drop[0, 0, :2, :2] = 0.0
+    probe = _t(rng, 2, 2, 3, 3)
+    return lambda *_: tmean(maxpool2(upsample2(y) - drop) * probe), [y]
+
+
+def _center_of_mass(rng):
+    x = _t(rng, 3, 4, 5)
+    probe_c, probe_a = _t(rng, 3, 2), _t(rng, 5, 4, 5)
+
+    def fn(*_):
+        centroids, augmented = center_of_mass(x)
+        return tmean(centroids * probe_c) + tmean(augmented * probe_a)
+    return fn, [x]
+
+
+def _builders():
+    """(name, builder) per layer check; a builder maps an rng to (fn, inputs)."""
+    grid = build_grid_graph(2, 3)
+    lap = normalized_laplacian(build_grid_graph(2, 2))
+    return [("conv2d", _probed(conv2d, (2, 6, 6), (3, 2, 3, 3), (3,))),
+            ("conv2d_narrowing", _probed(conv2d, (3, 6, 6), (2, 3, 3, 3), (2,))),
+            ("conv2d_batch", _probed(conv2d, (2, 2, 6, 6), (3, 2, 3, 3), (3,))),
+            ("dilated_conv2d", _probed(lambda x, w, b: conv2d(x, w, b, dilation=2),
+                                       (2, 8, 8), (2, 2, 3, 3), (2,))),
+            ("maxpool2", _probed(maxpool2, (2, 6, 6))),
+            ("maxpool2_ties_batch", _pool_ties),
+            ("upsample2", _probed(upsample2, (2, 3, 3))),
+            ("gat_conv", _probed(lambda x, w, a: gat_conv(x, grid, GatParams(w, a)),
+                                 (6, 3), (4, 3), (8,))),
+            ("cheb_conv", _probed(lambda x, *thetas: cheb_conv(x, lap, ChebParams(list(thetas))),
+                                  (4, 2), *[(3, 2)] * 4)),
+            ("center_of_mass", _center_of_mass),
+            ("input_transform", _probed(input_transform, (3, 4, 4), (4, 4), (4, 4))),
+            ("output_map", _probed(output_map, (5, 3, 3), (1, 5, 1, 1), (1,))),
+            ("bce_loss", _loss(bce_loss, (4, 4))),
+            ("dice_loss", _loss(dice_loss, (4, 4))),
+            ("dice_loss_batch", _loss(dice_loss, (2, 1, 4, 4)))]
 
 
 def end_to_end_check(seed: int = 0) -> CheckResult:
@@ -156,8 +127,8 @@ def end_to_end_check(seed: int = 0) -> CheckResult:
 
 def run_gradient_suite(seed: int = 0) -> list[CheckResult]:
     results = []
-    for name, tolerance, builder in _builders():
+    for name, builder in _builders():
         fn, inputs = builder(np.random.RandomState(seed))
-        results.append(CheckResult(name, grad_check(fn, inputs), tolerance))
+        results.append(CheckResult(name, grad_check(fn, inputs), LAYER_TOLERANCE))
     results.append(end_to_end_check(seed))
     return results

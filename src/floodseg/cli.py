@@ -232,19 +232,17 @@ def cmd_train(config: dict) -> int:
     val_entries = [e for e in read_manifest(config["manifest"]) if e.split == "test"]
     spec = _build_spec(config)
     net = init_params(build_model(spec, _dtype(config)), spec.seed)
-
-    out_dir = Path(config["out_dir"])
-    os.makedirs(out_dir, exist_ok=True)
-    log_path = out_dir / "train.log"
-    log_lines = _config_echo(config)
-
     result = train_model(net, train_entries, val_entries, loss=config["loss"],
                          epochs=config["epochs"], batch_size=config["batch_size"],
                          lr=config["lr"], beta1=config["beta1"], beta2=config["beta2"],
                          eps=config["eps"], seed=spec.seed, freeze=config["freeze"],
                          early_stop_train_dice=config["early_stop_train_dice"],
                          on_epoch=lambda row: print(row.format()))
-    log_lines.extend(row.format() for row in result.rows)
+
+    out_dir = Path(config["out_dir"])
+    os.makedirs(out_dir, exist_ok=True)
+    log_path = out_dir / "train.log"
+    log_lines = _config_echo(config) + [row.format() for row in result.rows]
     log_path.write_text("\n".join(log_lines) + "\n", encoding="utf-8")
 
     model_path = out_dir / "model.gacm"
@@ -283,12 +281,20 @@ def cmd_predict(config: dict) -> int:
 
 def cmd_reprogram(config: dict) -> int:
     _require(config, "reprogram", "base_model", "manifest", "out_dir")
+    from .convnn import LOSSES
     from .dataio import DataError, load_pairs, read_split
     from .model import load_model, model_checksum, save_model
+    from .optim import Adam
     from .reprogram import (ReprogramWrapper, dataset_loss, make_pretrained_base,
                             reprogram_train, save_wrapper)
+    from .train import check_schedule
 
     pairs = load_pairs(read_split(config["manifest"], "train"))
+    # The run's own checks of its settings, before a base is pretrained and written.
+    if config["loss"] not in LOSSES:
+        raise ValueError(f"dataset_loss: unknown loss {config['loss']!r}")
+    check_schedule(len(pairs), config["steps"], config["batch_size"])
+    Adam({}, lr=config["lr"], beta1=config["beta1"], beta2=config["beta2"], eps=config["eps"])
     base_path = Path(config["base_model"])
     if config["init_base"] and not base_path.is_file():
         base = make_pretrained_base(c_old=config["base_channels"],

@@ -350,7 +350,8 @@ def prepare_dataset(dataset_dir, out_dir, seed: int = 0, *,
     ``augment_expand``; each augmented pair lands in ``out_dir`` as
     ``<stem>_<variant>_<crop>.ppm/.pgm``. Test pairs are referenced at their
     original paths. The positive-pixel fraction is ``dataset_stats``'s, over
-    every source mask at native resolution.
+    every source mask at native resolution; that pass reads every pair, so a
+    bad pair is refused before anything is written.
     """
     fraction = dataset_stats(dataset_dir)[1]     # before writing: out_dir may be dataset_dir
     train, test = split_dataset(discover_pairs(dataset_dir), seed)
@@ -375,12 +376,13 @@ def prepare_dataset(dataset_dir, out_dir, seed: int = 0, *,
 
 
 def dataset_stats(dataset_dir) -> tuple[int, float]:
-    """Pair count and binarized positive-pixel fraction of a raw corpus."""
+    """Pair count and binarized positive-pixel fraction of a raw corpus; every
+    pair is read through ``load_pair``, so a bad pair is its ``DataError``."""
     pairs = discover_pairs(dataset_dir)
     positive = 0
     total = 0
-    for _, mask_path in pairs:
-        mask = binarize_mask(load_mask(mask_path))
+    for image_path, mask_path in pairs:
+        mask = load_pair(image_path, mask_path).mask
         positive += int(mask.sum())
         total += mask.size
     return len(pairs), positive / total

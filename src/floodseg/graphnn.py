@@ -239,10 +239,6 @@ class ChebParams:
     def in_dim(self) -> int:
         return self.thetas[0].data.shape[1]
 
-    @property
-    def out_dim(self) -> int:
-        return self.thetas[0].data.shape[0]
-
 
 def cheb_conv(features: Tensor, laplacian: NormalizedLaplacian, params: ChebParams) -> Tensor:
     """Chebyshev-polynomial graph filter of the rescaled Laplacian.

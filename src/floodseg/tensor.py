@@ -109,18 +109,6 @@ class Tensor:
     def dtype(self):
         return self.data.dtype
 
-    @property
-    def ndim(self):
-        return self.data.ndim
-
-    @property
-    def size(self):
-        return self.data.size
-
-    @property
-    def T(self):
-        return transpose(self)
-
     def item(self) -> float:
         if self.data.size != 1:
             raise ShapeError(f"item: tensor has {self.data.size} elements, expected 1")
@@ -165,20 +153,6 @@ class Tensor:
 
     def __getitem__(self, index):
         return _slice(self, index)
-
-    def reshape(self, *shape):
-        if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
-            shape = tuple(shape[0])
-        return reshape(self, shape)
-
-    def transpose(self, axes=None):
-        return transpose(self, axes)
-
-    def sum(self, axis=None, keepdims=False):
-        return tsum(self, axis=axis, keepdims=keepdims)
-
-    def mean(self, axis=None, keepdims=False):
-        return tmean(self, axis=axis, keepdims=keepdims)
 
     # ---- backward ------------------------------------------------------
 

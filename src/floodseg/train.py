@@ -52,6 +52,13 @@ def train_step(forward, optimizer: Adam, loss_fn, samples, batch_id: str) -> flo
     return value
 
 
+def check_schedule(count: int, steps: int, batch_size: int):
+    """``train_for_steps``'s check: ``ValueError`` unless count, batch_size >= 1, steps >= 0."""
+    if not count or batch_size < 1 or steps < 0:
+        raise ValueError(f"train_for_steps: need samples, batch_size >= 1 and steps >= 0, "
+                         f"got {count} samples, batch_size {batch_size} and {steps} steps")
+
+
 def train_for_steps(forward, optimizer: Adam, loss_fn, data, steps: int,
                     batch_size: int, seed: int) -> list[float]:
     """``steps`` updates over ``data``; returns the per-step losses.
@@ -59,9 +66,7 @@ def train_for_steps(forward, optimizer: Adam, loss_fn, data, steps: int,
     Batches come off a queue topped up with seeded permutations of ``data``
     while it is shorter than ``batch_size``, so any data size fills a batch.
     """
-    if not data or batch_size < 1 or steps < 0:
-        raise ValueError(f"train_for_steps: need samples, batch_size >= 1 and steps >= 0, "
-                         f"got {len(data)} samples, batch_size {batch_size} and {steps} steps")
+    check_schedule(len(data), steps, batch_size)
     rng = np.random.RandomState(seed)
     order = []
     losses = []
@@ -123,7 +128,8 @@ def train_model(model: Model, train_entries, val_entries=(), *, loss: str = "dic
     Matching parameters get ``requires_grad`` off, the rest on, and keep it on
     return: Adam sees only the trainable ones and a frozen layer records no
     tape. A prefix that matches no parameter, or a bare ``str`` (which would
-    freeze by its single characters), is a ``ValueError``.
+    freeze by its single characters), is a ``ValueError``. Every setting,
+    Adam's included, is checked before any pair is read.
     """
     if loss not in LOSSES:
         raise ValueError(f"train_model: unknown loss {loss!r}, expected one of {sorted(LOSSES)}")
@@ -138,13 +144,12 @@ def train_model(model: Model, train_entries, val_entries=(), *, loss: str = "dic
     train_ds = PairDataset(train_entries, model.spec.input_size, model.dtype)
     if len(train_ds) == 0:
         raise ValueError("train_model: no training entries")
-    val_pairs = load_pairs(val_entries)
-    train_pairs = load_pairs(train_entries) if early_stop_train_dice > 0.0 else []
-
     for name, p in model.params.items():
         p.requires_grad = not name.startswith(tuple(freeze))
     optimizer = Adam({name: p for name, p in model.params.items() if p.requires_grad},
                      lr=lr, beta1=beta1, beta2=beta2, eps=eps)
+    val_pairs = load_pairs(val_entries)
+    train_pairs = load_pairs(train_entries) if early_stop_train_dice > 0.0 else []
     rng = np.random.RandomState(seed)
     rows = []
     best_dice = -1.0

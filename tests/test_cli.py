@@ -12,7 +12,8 @@ import pytest
 import floodseg
 from floodseg.checks import CheckResult
 from floodseg.cli import main
-from floodseg.dataio import load_mask, read_manifest, write_manifest
+from floodseg.dataio import (discover_pairs, load_mask, read_manifest, save_mask,
+                             split_dataset, write_manifest)
 from floodseg.model import (FORMAT_VERSION, KIND_MODEL, MAGIC, ModelSpec, build_model,
                             init_params, load_model, serialize_model)
 from floodseg.synthetic import write_flood_set
@@ -124,6 +125,21 @@ def test_prepare_refuses_a_zero_crop_before_writing(tmp_path, capsys):
     assert not list(out.glob("*"))
 
 
+def test_prepare_and_dataset_stats_refuse_a_test_mask_of_another_size(tmp_path, capsys):
+    raw = tmp_path / "raw"
+    write_flood_set(raw, count=4, size=16, seed=1)
+    image_path, mask_path = split_dataset(discover_pairs(raw), 0)[1][0]
+    save_mask(mask_path, np.zeros((12, 12), dtype=np.float32))
+    expected = f"error: {image_path}: mask {mask_path} is (12, 12), not (16, 16)\n"
+    assert main(["dataset-stats", "--dataset_dir", str(raw)]) == 2
+    assert capsys.readouterr().err == expected
+    out = tmp_path / "out"
+    assert main(["prepare", "--dataset_dir", str(raw), "--out_dir", str(out),
+                 "--resize", "16", "--crop", "8"]) == 2
+    assert capsys.readouterr().err == expected
+    assert not out.exists()
+
+
 def test_dataset_stats(workspace, capsys):
     assert main(["dataset-stats", "--dataset_dir", str(workspace["raw"])]) == 0
     out = capsys.readouterr().out
@@ -168,17 +184,18 @@ def test_train_refuses_a_freeze_prefix_that_matches_nothing(workspace, tmp_path,
                  "--freeze", "enc9"] + TRAIN_FLAGS) == 1
     assert capsys.readouterr().err == ("error: train_model: freeze prefix 'enc9' matches "
                                        "no parameter\n")
-    assert not (out / "model.gacm").exists()
+    assert not out.exists()
 
 
-@pytest.mark.parametrize("flag,value", [("--lr", "-1"), ("--beta1", "1"), ("--eps", "0")])
+@pytest.mark.parametrize("flag,value", [("--lr", "-1"), ("--lr", "0"), ("--beta1", "1"),
+                                        ("--eps", "0")])
 def test_train_refuses_out_of_range_optimizer_settings(workspace, tmp_path, capsys, flag, value):
     out = tmp_path / "bad"
     assert main(["train", "--manifest", str(workspace["manifest"]), "--out_dir", str(out),
                  flag, value] + TRAIN_FLAGS) == 1
     err = capsys.readouterr().err
     assert err.startswith(f"error: Adam: {flag[2:]} {float(value)!r} is out of range")
-    assert not (out / "model.gacm").exists()
+    assert not out.exists()
 
 
 def test_train_rejects_malformed_manifest(tmp_path, capsys):
@@ -375,7 +392,11 @@ def test_gradcheck_passes_and_prints_a_table(capsys):
     out = capsys.readouterr().out
     assert "all gradient checks passed" in out
     table = [line for line in out.splitlines() if "tolerance" in line]
-    assert len(table) >= 10
+    assert [line.split()[0] for line in table] == [
+        "conv2d", "conv2d_narrowing", "conv2d_batch", "dilated_conv2d", "maxpool2",
+        "maxpool2_ties_batch", "upsample2", "gat_conv", "cheb_conv", "center_of_mass",
+        "input_transform", "output_map", "bce_loss", "dice_loss", "dice_loss_batch",
+        "end_to_end_gac_unet"]
     assert all(line.endswith("pass") for line in table)
 
 
@@ -426,8 +447,11 @@ def test_eval_rejects_malformed_config_block_as_data_error(workspace, tmp_path, 
     ("train", ["--loss", "huber"]),
     ("reprogram", ["--batch_size", "0"]),
     ("reprogram", ["--loss", "huber"]),
+    ("reprogram", ["--steps", "-1"]),
+    ("reprogram", ["--lr", "0"]),
 ])
 def test_bad_library_arguments_end_in_an_error_line(workspace, tmp_path, command, flags):
+    # each is refused before anything is written: no --out_dir, and no base
     paths = {"train": ["--out_dir", str(tmp_path / "out")] + TRAIN_FLAGS,
              "reprogram": ["--out_dir", str(tmp_path / "rp"), "--init_base", "true",
                            "--base_model", str(tmp_path / "base.gacm"),
@@ -439,6 +463,7 @@ def test_bad_library_arguments_end_in_an_error_line(workspace, tmp_path, command
     assert result.returncode == 1, result.stderr
     assert result.stderr.startswith("error: ")
     assert "Traceback" not in result.stderr
+    assert result.stdout == "" and not list(tmp_path.iterdir())
 
 
 DETERMINISTIC_PROBE = """

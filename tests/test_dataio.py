@@ -8,10 +8,12 @@ from hypothesis import strategies as st
 from floodseg.dataio import (DataError, ImagePair, PnmError, augment_expand,
                              binarize_mask, discover_pairs, five_crop,
                              flip_horizontal, flip_vertical, load_image,
-                             load_mask, model_arrays, prepare_dataset, read_manifest,
+                             load_mask, load_pair, model_arrays, prepare_dataset,
+                             read_manifest,
                              resize_bilinear, resize_pair, save_image, save_mask,
                              split_dataset, write_manifest, ManifestEntry)
 from floodseg.dataio import _parse_pnm
+from floodseg.synthetic import main as synthetic_main
 from floodseg.synthetic import write_flood_set
 
 
@@ -292,6 +294,17 @@ def test_discover_pairs_requires_fully_matched_stems(tmp_path):
     with pytest.raises(DataError) as err:
         discover_pairs(tmp_path)
     assert "flood_000" in str(err.value)
+
+
+def test_synthetic_main_writes_pairs_the_reader_reads_back(tmp_path, capsys):
+    out = tmp_path / "raw"
+    assert synthetic_main([str(out), "--count", "2", "--size", "8", "--seed", "1"]) == 0
+    assert capsys.readouterr().out == f"wrote 2 image/mask pairs to {out}\n"
+    pairs = discover_pairs(out)
+    assert len(pairs) == 2
+    for image_path, mask_path in pairs:
+        pair = load_pair(image_path, mask_path)
+        assert pair.image.shape == (8, 8, 3) and pair.mask.shape == (8, 8)
 
 
 def test_prepare_dataset_writes_augmented_train_and_references_test(tmp_path):

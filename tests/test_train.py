@@ -183,6 +183,13 @@ def test_argument_validation(entries):
         train_model(tiny_model(), [], epochs=1)
 
 
+def test_optimizer_settings_are_refused_before_any_pair_is_read(entries, tmp_path):
+    missing = tmp_path / "missing"
+    val = [ManifestEntry(str(missing / "a.ppm"), str(missing / "a.pgm"), "test")]
+    with pytest.raises(ValueError, match="Adam: lr 0.0 is out of range"):
+        train_model(tiny_model(), entries, val, lr=0.0)
+
+
 def test_train_step_loss_is_the_mean_of_per_sample_losses():
     spec = ModelSpec(input_size=16, widths=(2, 4), gat_out=4, cheb_order=1, cheb_out=4)
     model = init_params(build_model(spec, np.float64), 3)
