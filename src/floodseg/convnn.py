@@ -19,7 +19,7 @@ from __future__ import annotations
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
-from .tensor import ShapeError, Tensor, _as_tensor, log, record_op, tmean, tsum
+from .tensor import ShapeError, Tensor, log, record_op, tmean, tsum
 
 # Byte budgets of one column tile's GEMM operand in ``conv2d``: the tap columns
 # copied when C_i <= C_o, and the per-tap output rows when C_i > C_o. Of the
@@ -51,8 +51,6 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None, *,
     is the same correlation of the output gradient with the flipped,
     channel-transposed kernel.
     """
-    x = _as_tensor(x)
-    weight = _as_tensor(weight)
     _check_map("conv2d", x)
     if weight.data.ndim != 4 or weight.data.shape[2] != weight.data.shape[3]:
         raise ShapeError(f"conv2d: expected square kernel (C_out,C_in,k,k), got {weight.data.shape}")
@@ -65,10 +63,8 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None, *,
         raise ShapeError(f"conv2d: dilation {dilation} must be >= 1")
     if k % 2 == 0:
         raise ShapeError(f"conv2d: same padding needs an odd kernel, got {k}")
-    if bias is not None:
-        bias = _as_tensor(bias, like=x)
-        if bias.data.shape != (c_out,):
-            raise ShapeError(f"conv2d: bias shape {bias.data.shape} != ({c_out},)")
+    if bias is not None and bias.data.shape != (c_out,):
+        raise ShapeError(f"conv2d: bias shape {bias.data.shape} != ({c_out},)")
 
     kernel = weight.data
     p = dilation * (k - 1) // 2
@@ -163,7 +159,6 @@ def _corners(a: np.ndarray) -> list[np.ndarray]:
 
 def maxpool2(x: Tensor) -> Tensor:
     """2x2 max pooling with stride 2; gradients route to the first argmax."""
-    x = _as_tensor(x)
     _check_map("maxpool2", x)
     h, w = x.data.shape[-2:]
     if h % 2 or w % 2:
@@ -187,7 +182,6 @@ def maxpool2(x: Tensor) -> Tensor:
 
 def upsample2(x: Tensor) -> Tensor:
     """Nearest-neighbour 2x upsampling; each input pixel becomes a 2x2 block."""
-    x = _as_tensor(x)
     _check_map("upsample2", x)
     out = x.data.repeat(2, axis=-2).repeat(2, axis=-1)
 
@@ -201,28 +195,24 @@ def upsample2(x: Tensor) -> Tensor:
 # ---- losses ---------------------------------------------------------------
 
 
-def bce_loss(pred: Tensor, target) -> Tensor:
+def bce_loss(pred: Tensor, target: Tensor) -> Tensor:
     """Binary cross-entropy averaged over every element.
 
     Predictions are probabilities; the log clamp bounds them away from 0
     and 1 so saturated outputs stay finite.
     """
-    pred = _as_tensor(pred)
-    target = _as_tensor(target, like=pred)
     if pred.data.shape != target.data.shape:
         raise ShapeError(f"bce_loss: shape mismatch {pred.data.shape} vs {target.data.shape}")
     term = target * log(pred) + (1.0 - target) * log(1.0 - pred)
     return -tmean(term)
 
 
-def dice_loss(pred: Tensor, target, eps: float = 1e-6) -> Tensor:
+def dice_loss(pred: Tensor, target: Tensor, eps: float = 1e-6) -> Tensor:
     """Mean over the batch of one minus the soft overlap ratio 2*|pred*target| / (|pred| + |target|).
 
     Each sample's sums run over the last three axes (C,H,W); an input with
     at most three axes is one sample.
     """
-    pred = _as_tensor(pred)
-    target = _as_tensor(target, like=pred)
     if pred.data.shape != target.data.shape:
         raise ShapeError(f"dice_loss: shape mismatch {pred.data.shape} vs {target.data.shape}")
     axes = tuple(range(pred.data.ndim))[-3:]

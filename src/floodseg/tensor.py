@@ -12,6 +12,9 @@ closure that saved it. A closure saves only what its backward reads: shapes,
 flags, and the arrays the rule needs (``mul`` keeps the other operand,
 ``exp`` and ``sigmoid`` their output).
 
+Primitives take Tensor operands. Only the operators convert: a Python number
+or numpy array in ``+ - * /`` or right of ``@`` takes the other operand's dtype.
+
 A closure returns one gradient per parent (see ``record_op``);
 ``Tensor.backward`` walks the nodes once in reverse topological order and is
 the only code that adds them up, releasing each node once its closure has
@@ -77,6 +80,7 @@ class _Node:
 
 class Tensor:
     __slots__ = ("data", "requires_grad", "grad", "_node")
+    __array_ufunc__ = None      # numpy defers ``array - tensor`` to ``Tensor.__rsub__``
 
     def __init__(self, data, requires_grad: bool = False, dtype=None):
         if dtype is None and not isinstance(data, np.ndarray):
@@ -124,32 +128,32 @@ class Tensor:
     # ---- operator sugar ------------------------------------------------
 
     def __add__(self, other):
-        return add(self, other)
+        return add(self, _as_tensor(other, self))
 
     __radd__ = __add__
 
     def __mul__(self, other):
-        return mul(self, other)
+        return mul(self, _as_tensor(other, self))
 
     __rmul__ = __mul__
 
     def __sub__(self, other):
-        return sub(self, other)
+        return sub(self, _as_tensor(other, self))
 
     def __rsub__(self, other):
-        return sub(_as_tensor(other, like=self), self)
+        return sub(_as_tensor(other, self), self)
 
     def __truediv__(self, other):
-        return div(self, other)
+        return div(self, _as_tensor(other, self))
 
     def __rtruediv__(self, other):
-        return div(_as_tensor(other, like=self), self)
+        return div(_as_tensor(other, self), self)
 
     def __neg__(self):
         return neg(self)
 
     def __matmul__(self, other):
-        return matmul(self, other)
+        return matmul(self, _as_tensor(other, self))
 
     def __getitem__(self, index):
         return _slice(self, index)
@@ -232,11 +236,9 @@ def record_op(data: np.ndarray, parents: Sequence[Tensor], backward_fn: Callable
     return out
 
 
-def _as_tensor(x, like: Tensor | None = None) -> Tensor:
-    if isinstance(x, Tensor):
-        return x
-    dtype = like.data.dtype if like is not None else None
-    return Tensor(np.asarray(x, dtype=dtype))
+def _as_tensor(x, like: Tensor) -> Tensor:
+    """An operator's other operand: ``x`` itself if a Tensor, else ``x`` in ``like``'s dtype."""
+    return x if isinstance(x, Tensor) else Tensor(np.asarray(x, dtype=like.data.dtype))
 
 
 def _unbroadcast(g: np.ndarray, shape) -> np.ndarray:
@@ -255,54 +257,41 @@ def _unbroadcast(g: np.ndarray, shape) -> np.ndarray:
 # ---- elementwise arithmetic --------------------------------------------
 
 
-def add(a, b) -> Tensor:
-    a = _as_tensor(a, like=b if isinstance(b, Tensor) else None)
-    b = _as_tensor(b, like=a)
+def _broadcast(name: str, op, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``op(a, b)``; operands that do not broadcast raise a ShapeError naming ``name``."""
     try:
-        out = a.data + b.data
+        return op(a, b)
     except ValueError as exc:
-        raise ShapeError(f"add: shapes {a.data.shape} and {b.data.shape} do not broadcast") from exc
+        raise ShapeError(f"{name}: shapes {a.shape} and {b.shape} do not broadcast") from exc
+
+
+def add(a: Tensor, b: Tensor) -> Tensor:
+    out = _broadcast("add", np.add, a.data, b.data)
     return record_op(out, (a, b), lambda g: (g, g))
 
 
-def sub(a, b) -> Tensor:
-    a = _as_tensor(a, like=b if isinstance(b, Tensor) else None)
-    b = _as_tensor(b, like=a)
-    try:
-        out = a.data - b.data
-    except ValueError as exc:
-        raise ShapeError(f"sub: shapes {a.data.shape} and {b.data.shape} do not broadcast") from exc
+def sub(a: Tensor, b: Tensor) -> Tensor:
+    out = _broadcast("sub", np.subtract, a.data, b.data)
     b_grad = b.requires_grad
     return record_op(out, (a, b), lambda g: (g, -g if b_grad else None))
 
 
 def neg(a: Tensor) -> Tensor:
-    a = _as_tensor(a)
     return record_op(-a.data, (a,), lambda g: (-g,))
 
 
-def mul(a, b) -> Tensor:
-    a = _as_tensor(a, like=b if isinstance(b, Tensor) else None)
-    b = _as_tensor(b, like=a)
-    try:
-        out = a.data * b.data
-    except ValueError as exc:
-        raise ShapeError(f"mul: shapes {a.data.shape} and {b.data.shape} do not broadcast") from exc
+def mul(a: Tensor, b: Tensor) -> Tensor:
+    out = _broadcast("mul", np.multiply, a.data, b.data)
     a_data = a.data if b.requires_grad else None
     b_data = b.data if a.requires_grad else None
     return record_op(out, (a, b), lambda g: (None if b_data is None else g * b_data,
                                              None if a_data is None else g * a_data))
 
 
-def div(a, b) -> Tensor:
+def div(a: Tensor, b: Tensor) -> Tensor:
     """Elementwise quotient; the denominator is clamped to >= 1e-12."""
-    a = _as_tensor(a, like=b if isinstance(b, Tensor) else None)
-    b = _as_tensor(b, like=a)
     den = np.maximum(b.data, CLAMP_MIN)
-    try:
-        out = a.data / den
-    except ValueError as exc:
-        raise ShapeError(f"div: shapes {a.data.shape} and {b.data.shape} do not broadcast") from exc
+    out = _broadcast("div", np.divide, a.data, den)
     a_grad = a.requires_grad
     a_data, active = (a.data, b.data > CLAMP_MIN) if b.requires_grad else (None, None)
     return record_op(out, (a, b), lambda g: (
@@ -314,8 +303,6 @@ def div(a, b) -> Tensor:
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
-    a = _as_tensor(a)
-    b = _as_tensor(b)
     if a.data.ndim != 2 or b.data.ndim != 2:
         raise ShapeError(f"matmul: expected 2-D operands, got shapes {a.data.shape} and {b.data.shape}")
     if a.data.shape[1] != b.data.shape[0]:
@@ -328,7 +315,6 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 
 
 def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
-    tensors = [_as_tensor(t) for t in tensors]
     if not tensors:
         raise ShapeError("concat: need at least one tensor")
     try:
@@ -366,7 +352,6 @@ def _slice(t: Tensor, index) -> Tensor:
 
 
 def reshape(t: Tensor, shape) -> Tensor:
-    t = _as_tensor(t)
     try:
         out = t.data.reshape(shape)
     except ValueError as exc:
@@ -376,7 +361,6 @@ def reshape(t: Tensor, shape) -> Tensor:
 
 
 def transpose(t: Tensor, axes=None) -> Tensor:
-    t = _as_tensor(t)
     if axes is None:
         axes = tuple(range(t.data.ndim))[::-1]
     axes = tuple(axes)
@@ -401,14 +385,12 @@ def _expand_reduced(g: np.ndarray, axis, keepdims: bool, shape) -> np.ndarray:
 
 
 def tsum(t: Tensor, axis=None, keepdims: bool = False) -> Tensor:
-    t = _as_tensor(t)
     out = t.data.sum(axis=axis, keepdims=keepdims)
     shape = t.data.shape
     return record_op(out, (t,), lambda g: (_expand_reduced(g, axis, keepdims, shape),))
 
 
 def tmean(t: Tensor, axis=None, keepdims: bool = False) -> Tensor:
-    t = _as_tensor(t)
     out = t.data.mean(axis=axis, keepdims=keepdims)
     count = t.data.size // max(out.size, 1)          # elements behind each mean
     shape = t.data.shape
@@ -419,14 +401,12 @@ def tmean(t: Tensor, axis=None, keepdims: bool = False) -> Tensor:
 
 
 def exp(t: Tensor) -> Tensor:
-    t = _as_tensor(t)
     out = np.exp(t.data)
     return record_op(out, (t,), lambda g: (g * out,))
 
 
 def log(t: Tensor) -> Tensor:
     """Natural log of the input clamped to >= 1e-12."""
-    t = _as_tensor(t)
     clamped = np.maximum(t.data, CLAMP_MIN)
     out = np.log(clamped)
     active = t.data > CLAMP_MIN
@@ -434,7 +414,6 @@ def log(t: Tensor) -> Tensor:
 
 
 def sigmoid(t: Tensor) -> Tensor:
-    t = _as_tensor(t)
     x = t.data
     e = np.exp(np.minimum(x, -x))      # -|x|, but a NaN keeps its sign bit
     out = np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
@@ -450,7 +429,6 @@ def leaky_relu(t: Tensor, slope: float = 0.2) -> Tensor:
     the input can be freed. At slope 0, ``+inf * 0`` is NaN, so the mask reads
     the input.
     """
-    t = _as_tensor(t)
     out = t.data * slope
     (np.maximum if slope <= 1 else np.minimum)(t.data, out, out=out)
     sign_of = out if slope > 0 else t.data
@@ -464,7 +442,6 @@ def leaky_relu(t: Tensor, slope: float = 0.2) -> Tensor:
 
 
 def softmax(t: Tensor, axis: int = -1) -> Tensor:
-    t = _as_tensor(t)
     out = t.data - t.data.max(axis=axis, keepdims=True)      # exp and the division in place
     np.exp(out, out=out)
     out /= out.sum(axis=axis, keepdims=True)

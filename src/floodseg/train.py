@@ -4,6 +4,8 @@
 runs it over epochs: each manifest entry is read once through
 ``dataio.load_pair`` and kept as its ``model_arrays`` sample at the model
 input size, and the samples are shuffled each epoch from one seeded stream.
+With ``early_stop_train_dice`` set, that one read also keeps the native-size
+pairs, and the early-stop score is ``metrics.evaluate`` over them.
 Validation is ``metrics.evaluate`` over ``Model.predict_proba`` at each
 image's own size, the metric ``floodseg eval`` reports, and the
 best-validation-dice snapshot is kept when validation entries are given.
@@ -20,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .convnn import LOSSES
-from .dataio import load_pair, load_pairs, model_arrays
+from .dataio import ImagePair, load_pair, load_pairs, model_arrays
 from .metrics import evaluate
 from .model import Model, serialize_model
 from .optim import Adam
@@ -103,11 +105,16 @@ class PairDataset:
     def __len__(self):
         return len(self.entries)
 
+    def read(self, index: int) -> ImagePair:
+        """Read entry ``index``, keep its sample, and return the native-size pair."""
+        entry = self.entries[index]
+        pair = load_pair(entry.image_path, entry.mask_path)
+        self._cache[index] = model_arrays(pair, self.size, self.dtype)
+        return pair
+
     def get(self, index: int) -> tuple[np.ndarray, np.ndarray]:
         if index not in self._cache:
-            entry = self.entries[index]
-            self._cache[index] = model_arrays(load_pair(entry.image_path, entry.mask_path),
-                                              self.size, self.dtype)
+            self.read(index)
         return self._cache[index]
 
 
@@ -149,7 +156,8 @@ def train_model(model: Model, train_entries, val_entries=(), *, loss: str = "dic
     optimizer = Adam({name: p for name, p in model.params.items() if p.requires_grad},
                      lr=lr, beta1=beta1, beta2=beta2, eps=eps)
     val_pairs = load_pairs(val_entries)
-    train_pairs = load_pairs(train_entries) if early_stop_train_dice > 0.0 else []
+    train_pairs = ([train_ds.read(i) for i in range(len(train_ds))]
+                   if early_stop_train_dice > 0.0 else [])
     rng = np.random.RandomState(seed)
     rows = []
     best_dice = -1.0

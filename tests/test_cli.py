@@ -68,6 +68,10 @@ def test_bad_flags_are_usage_errors(capsys):
     assert main(["train", "--float_width", "16"]) == 1
     assert main(["train"]) == 1
     assert "needs --" in capsys.readouterr().err
+    assert main(["train", "--com", "maybe"]) == 1
+    assert "expected a boolean" in capsys.readouterr().err
+    assert main(["train", "--widths", "8,x"]) == 1
+    assert "expected comma-separated integers" in capsys.readouterr().err
 
 
 def test_config_file_errors(tmp_path, capsys):
@@ -195,6 +199,15 @@ def test_train_refuses_out_of_range_optimizer_settings(workspace, tmp_path, caps
                  flag, value] + TRAIN_FLAGS) == 1
     err = capsys.readouterr().err
     assert err.startswith(f"error: Adam: {flag[2:]} {float(value)!r} is out of range")
+    assert not out.exists()
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")      # the step overflows on purpose
+def test_train_with_a_non_finite_loss_exits_with_numeric_code(workspace, tmp_path, capsys):
+    out = tmp_path / "diverged"
+    assert main(["train", "--manifest", str(workspace["manifest"]), "--out_dir", str(out),
+                 "--lr", "1e30"] + TRAIN_FLAGS + ["--epochs", "3"]) == 3
+    assert capsys.readouterr().err.startswith("error: non-finite loss")
     assert not out.exists()
 
 

@@ -315,6 +315,18 @@ def test_load_rejects_corrupt_files(tmp_path):
     with pytest.raises(ModelFormatError):
         load_model(bad)
 
+    bad.write_bytes(MAGIC + blob[4:6])
+    with pytest.raises(ModelFormatError, match="truncated header"):
+        load_model(bad)
+
+    bad.write_bytes(blob[:7] + bytes([2]) + blob[8:])            # byte 7: float width
+    with pytest.raises(ModelFormatError, match="bad float width 2"):
+        load_model(bad)
+
+    bad.write_bytes(blob[:8] + struct.pack("<I", 100) + blob[12:14])  # 2 of 100 config bytes
+    with pytest.raises(ModelFormatError, match="truncated configuration block"):
+        load_model(bad)
+
     with pytest.raises(ModelFormatError):
         load_model(tmp_path / "missing.gacm")
 

@@ -1,14 +1,15 @@
 """Tensor core: forward values against numpy, gradients against finite differences."""
 
+import operator
 import weakref
 
 import numpy as np
 import pytest
 
 from floodseg.tensor import (CLAMP_MIN, GradCheckFailure, ShapeError, TapeError,
-                             Tensor, concat, exp, grad_check, leaky_relu, log,
-                             matmul, no_grad, record_op, reshape, sigmoid,
-                             softmax, tmean, transpose, tsum)
+                             Tensor, add, concat, div, exp, grad_check, leaky_relu, log,
+                             matmul, mul, no_grad, record_op, reshape, sigmoid,
+                             softmax, sub, tmean, transpose, tsum)
 
 
 def rand(rng, *shape, lo=-2.0, hi=2.0):
@@ -65,6 +66,18 @@ def test_matmul_shape_mismatch_raises():
         matmul(a, Tensor(np.zeros((4, 2))))
     with pytest.raises(ShapeError):
         matmul(a, Tensor(np.zeros(3)))
+
+
+ELEMENTWISE = {"add": (add, operator.add), "sub": (sub, operator.sub),
+               "mul": (mul, operator.mul), "div": (div, operator.truediv)}
+
+
+@pytest.mark.parametrize("form", [0, 1], ids=["function", "operator"])
+@pytest.mark.parametrize("name", ELEMENTWISE)
+def test_elementwise_shape_mismatch_raises_one_error_naming_the_op(name, form):
+    a, b = Tensor(np.ones((2, 3))), Tensor(np.ones(4))
+    with pytest.raises(ShapeError, match=rf"^{name}: shapes \(2, 3\) and \(4,\) do not broadcast$"):
+        ELEMENTWISE[name][form](a, b)
 
 
 def test_reductions_and_structure():
@@ -255,6 +268,10 @@ def test_default_dtype_is_float32_and_float64_sticks():
     assert Tensor([1.0, 2.0]).dtype == np.float32
     assert Tensor(np.zeros(3, dtype=np.float64)).dtype == np.float64
     assert Tensor([1.0], dtype=np.float64).dtype == np.float64
+    t = Tensor([1.0, 2.0])              # an operator's number or array takes t's dtype
+    for out in (t + 1.0, 2.0 * t, t - np.ones(2), 1.0 - t, t / 2.0, 1.0 / t,
+                np.ones(2) - t, np.float64(2.0) * t, Tensor([[1.0, 2.0]]) @ np.ones((2, 1))):
+        assert isinstance(out, Tensor) and out.dtype == np.float32
 
 
 def test_item_and_detach():

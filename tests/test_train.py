@@ -166,6 +166,20 @@ def test_early_stop_on_train_dice(entries):
     assert len(result.rows) == 1
 
 
+def test_early_stop_reads_each_train_pair_once(entries, monkeypatch):
+    reads = []
+
+    def counting_load_pair(image_path, mask_path):
+        reads.append(image_path)
+        return load_pair(image_path, mask_path)
+
+    monkeypatch.setattr("floodseg.dataio.load_pair", counting_load_pair)
+    monkeypatch.setattr("floodseg.train.load_pair", counting_load_pair)
+    train_model(tiny_model(), entries, epochs=1, batch_size=2, seed=0,
+                early_stop_train_dice=0.99)
+    assert sorted(reads) == sorted(e.image_path for e in entries)
+
+
 def test_non_finite_loss_raises_numeric_failure(entries):
     model = tiny_model(seed=6)
     model.params["head.w"].data[...] = np.nan
