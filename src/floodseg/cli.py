@@ -198,6 +198,11 @@ def _dtype(config: dict):
     return np.float64 if config["float_width"] == 64 else np.float32
 
 
+def _adam(config: dict) -> dict:
+    """``Adam``'s keyword settings, as ``train_model`` and ``reprogram_train`` pass them on."""
+    return {key: config[key] for key in ("lr", "beta1", "beta2", "eps")}
+
+
 # ---- command handlers -------------------------------------------------------
 
 
@@ -234,10 +239,9 @@ def cmd_train(config: dict) -> int:
     net = init_params(build_model(spec, _dtype(config)), spec.seed)
     result = train_model(net, train_entries, val_entries, loss=config["loss"],
                          epochs=config["epochs"], batch_size=config["batch_size"],
-                         lr=config["lr"], beta1=config["beta1"], beta2=config["beta2"],
-                         eps=config["eps"], seed=spec.seed, freeze=config["freeze"],
+                         seed=spec.seed, freeze=config["freeze"],
                          early_stop_train_dice=config["early_stop_train_dice"],
-                         on_epoch=lambda row: print(row.format()))
+                         on_epoch=lambda row: print(row.format()), **_adam(config))
 
     out_dir = Path(config["out_dir"])
     os.makedirs(out_dir, exist_ok=True)
@@ -281,7 +285,7 @@ def cmd_predict(config: dict) -> int:
 
 def cmd_reprogram(config: dict) -> int:
     _require(config, "reprogram", "base_model", "manifest", "out_dir")
-    from .convnn import LOSSES
+    from .convnn import loss_named
     from .dataio import DataError, load_pairs, read_split
     from .model import load_model, model_checksum, save_model
     from .optim import Adam
@@ -291,10 +295,9 @@ def cmd_reprogram(config: dict) -> int:
 
     pairs = load_pairs(read_split(config["manifest"], "train"))
     # The run's own checks of its settings, before a base is pretrained and written.
-    if config["loss"] not in LOSSES:
-        raise ValueError(f"dataset_loss: unknown loss {config['loss']!r}")
+    loss_named(config["loss"])
     check_schedule(len(pairs), config["steps"], config["batch_size"])
-    Adam({}, lr=config["lr"], beta1=config["beta1"], beta2=config["beta2"], eps=config["eps"])
+    Adam({}, **_adam(config))
     base_path = Path(config["base_model"])
     if config["init_base"] and not base_path.is_file():
         base = make_pretrained_base(c_old=config["base_channels"],
@@ -309,9 +312,8 @@ def cmd_reprogram(config: dict) -> int:
     print(f"frozen base checksum: {wrapper.base_checksum}")
     initial_loss = dataset_loss(wrapper, pairs, config["loss"])
     losses = reprogram_train(wrapper, pairs, config["steps"], loss=config["loss"],
-                             lr=config["lr"], beta1=config["beta1"], beta2=config["beta2"],
-                             eps=config["eps"], batch_size=config["batch_size"],
-                             seed=config["seed"])
+                             batch_size=config["batch_size"], seed=config["seed"],
+                             **_adam(config))
     final_loss = dataset_loss(wrapper, pairs, config["loss"])
     print(f"frozen base checksum: {model_checksum(base)}")
 

@@ -222,3 +222,10 @@ def dice_loss(pred: Tensor, target: Tensor, eps: float = 1e-6) -> Tensor:
 
 
 LOSSES = {"bce": bce_loss, "dice": dice_loss}
+
+
+def loss_named(name: str):
+    """``LOSSES[name]``, read at call time; an unknown name is a ``ValueError``."""
+    if name not in LOSSES:
+        raise ValueError(f"unknown loss {name!r}, expected one of {sorted(LOSSES)}")
+    return LOSSES[name]

@@ -20,6 +20,7 @@ train split only; test pairs pass through untouched.
 from __future__ import annotations
 
 import os
+import re
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -47,48 +48,29 @@ class PnmError(DataError):
 # ---- netpbm parsing and writing -------------------------------------------
 
 
+_PNM_TOKEN = re.compile(rb"(?:[ \t\r\n]|#[^\n]*)*([^ \t\r\n#]*)")   # separators, then a token
+
+
 def _parse_pnm(raw: bytes, want_magic: bytes, path) -> tuple[int, int, bytes]:
+    fields = []
     pos = 0
-
-    def skip_separators():
-        nonlocal pos
-        while pos < len(raw):
-            ch = raw[pos:pos + 1]
-            if ch in (b" ", b"\t", b"\r", b"\n"):
-                pos += 1
-            elif ch == b"#":
-                while pos < len(raw) and raw[pos:pos + 1] != b"\n":
-                    pos += 1
-            else:
-                return
-
-    def read_token(what: str) -> bytes:
-        nonlocal pos
-        skip_separators()
-        start = pos
-        while pos < len(raw) and raw[pos:pos + 1] not in (b" ", b"\t", b"\r", b"\n", b"#"):
-            pos += 1
-        if start == pos:
-            raise PnmError(f"{path}: missing {what}", start)
-        return raw[start:pos]
-
-    def read_int(what: str) -> int:
-        start = pos
-        token = read_token(what)
-        try:
-            value = int(token)
-        except ValueError:
-            raise PnmError(f"{path}: invalid {what} {token!r}", start) from None
-        if value <= 0:
-            raise PnmError(f"{path}: {what} must be positive, got {value}", start)
-        return value
-
-    magic = read_token("magic number")
-    if magic != want_magic:
-        raise PnmError(f"{path}: expected magic {want_magic.decode()}, got {magic!r}", 0)
-    width = read_int("width")
-    height = read_int("height")
-    maxval = read_int("max value")
+    for what in ("magic number", "width", "height", "max value"):
+        match = _PNM_TOKEN.match(raw, pos)
+        token = match[1]
+        if not token:
+            raise PnmError(f"{path}: missing {what}", match.start(1))
+        if fields:
+            try:
+                token = int(token)
+            except ValueError:
+                raise PnmError(f"{path}: invalid {what} {token!r}", pos) from None
+            if token <= 0:
+                raise PnmError(f"{path}: {what} must be positive, got {token}", pos)
+        elif token != want_magic:
+            raise PnmError(f"{path}: expected magic {want_magic.decode()}, got {token!r}", 0)
+        fields.append(token)
+        pos = match.end()
+    _, width, height, maxval = fields
     if maxval != 255:
         raise PnmError(f"{path}: unsupported max value {maxval}, only 255 is handled", pos)
     if pos >= len(raw) or raw[pos:pos + 1] not in (b" ", b"\t", b"\r", b"\n"):

@@ -13,7 +13,9 @@ a 1x1 convolution with a per-channel sigmoid.
 Model files (.gacm) hold a small header (magic, version, kind, float width),
 the length-prefixed configuration JSON, and the raw little-endian parameter
 payload in declaration order; nothing else, so the file size is exactly
-header + width * parameter_count bytes.
+header + width * parameter_count bytes. ``encode_gacm`` and ``decode_gacm``
+are the format's one writer and one reader, for models and for reprogramming
+wrappers alike.
 """
 
 from __future__ import annotations
@@ -128,9 +130,13 @@ class ModelSpec:
     @classmethod
     def from_json(cls, text: str | bytes, source="model") -> "ModelSpec":
         """The spec in a configuration block; errors name ``source`` (a file path)."""
-        payload = decode_config(text, source)
+        return cls.from_config(decode_config(text, source), source)
+
+    @classmethod
+    def from_config(cls, config: dict, source="model") -> "ModelSpec":
+        """The spec in a decoded configuration object; errors name ``source``."""
         try:
-            return cls(**payload)
+            return cls(**config)
         except (TypeError, ValueError, ArithmeticError) as exc:
             raise ModelFormatError(f"{source}: bad model configuration block: {exc}") from exc
 
@@ -299,21 +305,31 @@ def init_params(model: Model, seed: int) -> Model:
 # ---- serialization -----------------------------------------------------------
 
 
-def _pack_header(kind: int, width: int, config: bytes) -> bytes:
-    return MAGIC + struct.pack(_HEADER, FORMAT_VERSION, kind, width, len(config)) + config
+def encode_gacm(kind: int, config: dict, params: dict, width: int) -> bytes:
+    """A .gacm file: the header, ``config`` as compact sorted JSON, and ``params`` as
+    little-endian floats of ``width`` bytes in dict order."""
+    block = json.dumps(config, sort_keys=True, separators=(",", ":")).encode("utf-8")
+    header = MAGIC + struct.pack(_HEADER, FORMAT_VERSION, kind, width, len(block)) + block
+    return header + b"".join(p.data.astype(f"<f{width}", copy=False).tobytes()
+                             for p in params.values())
 
 
-def _read_gacm(path, kind: int) -> tuple[int, bytes, bytes]:
-    """Float width, configuration block and payload of a .gacm file of ``kind``."""
+def decode_gacm(path, kind: int, build):
+    """The object in the .gacm file of ``kind`` at ``path``.
+
+    ``build(config, dtype)`` makes it from the decoded configuration object
+    and the file's float type, and the payload fills its ``params`` in dict
+    order. Any file that cannot be read back is a ``ModelFormatError``.
+    """
     what = "model" if kind == KIND_MODEL else "wrapper"
-    path = Path(path)
+    source, path = path, Path(path)
     if not path.is_file():
         raise ModelFormatError(f"{what} file not found: {path}")
     blob = path.read_bytes()
-    head = struct.calcsize(_HEADER)
+    start = len(MAGIC) + struct.calcsize(_HEADER)
     if blob[:4] != MAGIC:
         raise ModelFormatError(f"{path}: not a model file (bad magic bytes)")
-    if len(blob) < 4 + head:
+    if len(blob) < start:
         raise ModelFormatError(f"{path}: truncated header")
     version, file_kind, width, config_len = struct.unpack_from(_HEADER, blob, 4)
     if version != FORMAT_VERSION:
@@ -323,11 +339,23 @@ def _read_gacm(path, kind: int) -> tuple[int, bytes, bytes]:
         raise ModelFormatError(f"{path}: not a {what} file (payload kind {file_kind})")
     if width not in (4, 8):
         raise ModelFormatError(f"{path}: bad float width {width}")
-    start = 4 + head
-    config = blob[start:start + config_len]
-    if len(config) != config_len:
+    block = blob[start:start + config_len]
+    if len(block) != config_len:
         raise ModelFormatError(f"{path}: truncated configuration block")
-    return width, config, blob[start + config_len:]
+    built = build(decode_config(block, source), np.float32 if width == 4 else np.float64)
+    payload = blob[start + config_len:]
+    expected = sum(p.data.size for p in built.params.values()) * width
+    if len(payload) != expected:
+        raise ModelFormatError(f"{source}: parameter payload is {len(payload)} bytes, "
+                               f"expected {expected}")
+    values = np.frombuffer(payload, dtype=f"<f{width}")
+    if not np.isfinite(values).all():
+        raise ModelFormatError(f"{source}: parameter payload holds non-finite values")
+    offset = 0
+    for p in built.params.values():
+        p.data[...] = values[offset:offset + p.data.size].reshape(p.data.shape)
+        offset += p.data.size
+    return built
 
 
 def decode_config(block, source) -> dict:
@@ -341,31 +369,8 @@ def decode_config(block, source) -> dict:
     return config
 
 
-def pack_params(params: dict, width: int) -> bytes:
-    """Parameters as little-endian floats of ``width`` bytes, in dict order."""
-    return b"".join(p.data.astype(f"<f{width}", copy=False).tobytes()
-                    for p in params.values())
-
-
-def unpack_params(params: dict, payload: bytes, width: int, source):
-    """Fill ``params`` from a ``pack_params`` payload of finite values only."""
-    expected = sum(p.data.size for p in params.values()) * width
-    if len(payload) != expected:
-        raise ModelFormatError(f"{source}: parameter payload is {len(payload)} bytes, "
-                               f"expected {expected}")
-    values = np.frombuffer(payload, dtype=f"<f{width}")
-    if not np.isfinite(values).all():
-        raise ModelFormatError(f"{source}: parameter payload holds non-finite values")
-    offset = 0
-    for p in params.values():
-        p.data[...] = values[offset:offset + p.data.size].reshape(p.data.shape)
-        offset += p.data.size
-
-
 def serialize_model(model: Model) -> bytes:
-    width = model.dtype.itemsize
-    config = model.spec.to_json().encode("utf-8")
-    return _pack_header(KIND_MODEL, width, config) + pack_params(model.params, width)
+    return encode_gacm(KIND_MODEL, asdict(model.spec), model.params, model.dtype.itemsize)
 
 
 def save_model(model: Model, path):
@@ -374,14 +379,14 @@ def save_model(model: Model, path):
 
 def load_model(path) -> Model:
     """The model in a .gacm file; any unreadable or unbuildable file is a ``ModelFormatError``."""
-    width, config, payload = _read_gacm(path, KIND_MODEL)
-    spec = ModelSpec.from_json(config, path)
-    try:
-        model = build_model(spec, np.float32 if width == 4 else np.float64)
-    except (ValueError, MemoryError) as exc:
-        raise ModelFormatError(f"{path}: cannot build the configured model: {exc}") from exc
-    unpack_params(model.params, payload, width, path)
-    return model
+    def build(config: dict, dtype) -> Model:
+        spec = ModelSpec.from_config(config, path)
+        try:
+            return build_model(spec, dtype)
+        except (ValueError, MemoryError) as exc:
+            raise ModelFormatError(f"{path}: cannot build the configured model: {exc}") from exc
+
+    return decode_gacm(path, KIND_MODEL, build)
 
 
 def model_checksum(model: Model) -> str:

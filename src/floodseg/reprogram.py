@@ -9,22 +9,23 @@ the serialized base is compared before and after training, failing hard on
 drift (``FrozenBaseError``).
 
 Training runs the shared fixed-step loop of ``train.py``, so a non-finite
-loss raises ``NumericFailure`` as it does for a model. Wrapper files are
-``.gacm`` files of the wrapper kind and use the model's parameter codec.
+loss raises ``NumericFailure`` as it does for a model; the loss name is
+looked up with ``convnn.loss_named`` and Adam's settings go to ``Adam`` as
+given. Wrapper files are ``.gacm`` files of the wrapper kind, written and
+read by ``model.encode_gacm`` and ``model.decode_gacm``.
 """
 
 from __future__ import annotations
 
-import json
 from pathlib import Path
 
 import numpy as np
 
-from .convnn import LOSSES, bce_loss, conv2d
+from .convnn import bce_loss, conv2d, loss_named
 from .dataio import model_arrays
-from .model import (KIND_WRAPPER, Model, ModelFormatError, ModelSpec, _pack_header,
-                    _read_gacm, build_model, decode_config, init_params, load_model,
-                    model_checksum, pack_params, predict_proba, unpack_params)
+from .model import (KIND_WRAPPER, Model, ModelFormatError, ModelSpec, build_model,
+                    decode_gacm, encode_gacm, init_params, load_model, model_checksum,
+                    predict_proba)
 from .optim import Adam
 from .tensor import ShapeError, Tensor, no_grad, sigmoid
 from .train import train_for_steps
@@ -112,33 +113,31 @@ def _wrapper_data(wrapper: ReprogramWrapper, pairs) -> list[tuple[np.ndarray, np
 
 def dataset_loss(wrapper: ReprogramWrapper, pairs, loss: str = "dice") -> float:
     """Mean loss of the wrapper over all pairs, without touching gradients."""
-    if loss not in LOSSES:
-        raise ValueError(f"dataset_loss: unknown loss {loss!r}")
+    loss_fn = loss_named(loss)
     data = _wrapper_data(wrapper, pairs)
     if not data:
         raise ValueError("dataset_loss: no pairs")
     total = 0.0
     with no_grad():
         for image, target in data:
-            total += LOSSES[loss](wrapper.forward(Tensor(image)), Tensor(target)).item()
+            total += loss_fn(wrapper.forward(Tensor(image)), Tensor(target)).item()
     return total / len(data)
 
 
 def reprogram_train(wrapper: ReprogramWrapper, pairs, steps: int, *, loss: str = "dice",
-                    lr: float = 1e-3, beta1: float = 0.9, beta2: float = 0.999,
-                    eps: float = 1e-8, batch_size: int = 4, seed: int = 0) -> list[float]:
+                    batch_size: int = 4, seed: int = 0, **adam) -> list[float]:
     """Train only the wrapper parameters for ``steps`` minibatch updates.
 
-    Returns the per-step loss trajectory. The base checksum is verified
-    before and after; zero steps leaves every parameter untouched. A
-    non-finite loss raises ``NumericFailure``.
+    ``adam`` goes to ``Adam`` as its keyword settings. Returns the per-step
+    loss trajectory. The base checksum is verified before and after; zero
+    steps leaves every parameter untouched. A non-finite loss raises
+    ``NumericFailure``.
     """
-    if loss not in LOSSES:
-        raise ValueError(f"reprogram_train: unknown loss {loss!r}")
+    loss_fn = loss_named(loss)
     wrapper.verify_frozen()
     data = _wrapper_data(wrapper, pairs)
-    optimizer = Adam(wrapper.params, lr=lr, beta1=beta1, beta2=beta2, eps=eps)
-    losses = train_for_steps(wrapper.forward, optimizer, LOSSES[loss], data, steps,
+    optimizer = Adam(wrapper.params, **adam)
+    losses = train_for_steps(wrapper.forward, optimizer, loss_fn, data, steps,
                              batch_size, seed)
     wrapper.verify_frozen()
     return losses
@@ -169,11 +168,9 @@ def make_pretrained_base(c_old: int = 8, size: int = 32, widths=(4, 8), seed: in
 
 
 def serialize_wrapper(wrapper: ReprogramWrapper) -> bytes:
-    width = wrapper.base.dtype.itemsize
-    config = json.dumps({"c_new": wrapper.c_new, "per_channel": wrapper.per_channel,
-                         "base_checksum": wrapper.base_checksum},
-                        sort_keys=True, separators=(",", ":")).encode("utf-8")
-    return _pack_header(KIND_WRAPPER, width, config) + pack_params(wrapper.params, width)
+    config = {"c_new": wrapper.c_new, "per_channel": wrapper.per_channel,
+              "base_checksum": wrapper.base_checksum}
+    return encode_gacm(KIND_WRAPPER, config, wrapper.params, wrapper.base.dtype.itemsize)
 
 
 def save_wrapper(wrapper: ReprogramWrapper, path):
@@ -184,16 +181,18 @@ def load_wrapper(path, base) -> ReprogramWrapper:
     """Rebuild a wrapper from ``path`` around ``base`` (a Model or a model path)."""
     if not isinstance(base, Model):
         base = load_model(base)
-    width, config, payload = _read_gacm(path, KIND_WRAPPER)
-    meta = decode_config(config, path)
-    c_new, per_channel, stored = (meta.get(k) for k in ("c_new", "per_channel", "base_checksum"))
-    if (type(c_new) is not int or c_new < 1 or not isinstance(per_channel, bool)
-            or not isinstance(stored, str)):
-        raise ModelFormatError(f"{path}: bad wrapper configuration block: need an integer "
-                               "c_new >= 1, a boolean per_channel and a base_checksum string")
-    if model_checksum(base) != stored:
-        raise ModelFormatError(f"{path}: wrapper was trained against a different base "
-                               f"(checksum {stored[:12]})")
-    wrapper = ReprogramWrapper(base, c_new=c_new, per_channel=per_channel)
-    unpack_params(wrapper.params, payload, width, path)
-    return wrapper
+
+    def build(config: dict, dtype) -> ReprogramWrapper:
+        c_new, per_channel, stored = (config.get(k)
+                                      for k in ("c_new", "per_channel", "base_checksum"))
+        if (type(c_new) is not int or c_new < 1 or not isinstance(per_channel, bool)
+                or not isinstance(stored, str)):
+            raise ModelFormatError(f"{path}: bad wrapper configuration block: need an integer "
+                                   "c_new >= 1, a boolean per_channel and a base_checksum "
+                                   "string")
+        if model_checksum(base) != stored:
+            raise ModelFormatError(f"{path}: wrapper was trained against a different base "
+                                   f"(checksum {stored[:12]})")
+        return ReprogramWrapper(base, c_new=c_new, per_channel=per_channel)
+
+    return decode_gacm(path, KIND_WRAPPER, build)

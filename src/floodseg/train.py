@@ -1,18 +1,20 @@
 """Training: one minibatch step under two schedules.
 
-``train_step`` is the only place a loss meets the optimizer. ``train_model``
-runs it over epochs: each manifest entry is read once through
-``dataio.load_pair`` and kept as its ``model_arrays`` sample at the model
-input size, and the samples are shuffled each epoch from one seeded stream.
-With ``early_stop_train_dice`` set, that one read also keeps the native-size
-pairs, and the early-stop score is ``metrics.evaluate`` over them.
-Validation is ``metrics.evaluate`` over ``Model.predict_proba`` at each
-image's own size, the metric ``floodseg eval`` reports, and the
+``train_step`` is the only place a loss meets the optimizer; its finiteness
+check, not numpy's overflow warnings, judges a diverging forward pass.
+``train_model`` runs it over epochs: each manifest entry is read once
+through ``dataio.load_pair`` and kept as its ``model_arrays`` sample at the
+model input size, and the samples are shuffled each epoch from one seeded
+stream. With ``early_stop_train_dice`` set, that one read also keeps the
+native-size pairs, and the early-stop score is ``metrics.evaluate`` over
+them. Validation is ``metrics.evaluate`` over ``Model.predict_proba`` at
+each image's own size, the metric ``floodseg eval`` reports, and the
 best-validation-dice snapshot is kept when validation entries are given.
 ``train_for_steps`` runs it a fixed number of times over a seeded refill
 queue, for reprogramming and base pretraining. The schedules draw from the
 seeded stream differently and stay separate; in both, a (config, seed) pair
-pins the whole trajectory.
+pins the whole trajectory. Callers name a loss through ``convnn.loss_named``
+and hand Adam's settings to ``Adam`` as given.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .convnn import LOSSES
+from .convnn import loss_named
 from .dataio import ImagePair, load_pair, load_pairs, model_arrays
 from .metrics import evaluate
 from .model import Model, serialize_model
@@ -41,11 +43,13 @@ def train_step(forward, optimizer: Adam, loss_fn, samples, batch_id: str) -> flo
     """One Adam update on the loss of (input, target) ``samples`` stacked into one batch.
 
     The forward pass and its tape cover the whole batch. Returns the loss; a
-    non-finite one raises before any backward pass.
+    non-finite one raises before any backward pass. numpy's floating-point
+    warnings are off in the forward pass and the loss; that check judges them.
     """
     optimizer.zero_grad()
     inputs, targets = zip(*samples)
-    loss = loss_fn(forward(Tensor(np.stack(inputs))), Tensor(np.stack(targets)))
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        loss = loss_fn(forward(Tensor(np.stack(inputs))), Tensor(np.stack(targets)))
     value = loss.item()
     if not np.isfinite(value):
         raise NumericFailure(f"non-finite loss {value} in batch {batch_id}", batch_id)
@@ -126,20 +130,18 @@ class TrainResult:
 
 
 def train_model(model: Model, train_entries, val_entries=(), *, loss: str = "dice",
-                epochs: int = 1, batch_size: int = 4, lr: float = 1e-3,
-                beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8,
-                seed: int = 0, freeze=(), early_stop_train_dice: float = 0.0,
-                on_epoch=None) -> TrainResult:
+                epochs: int = 1, batch_size: int = 4, seed: int = 0, freeze=(),
+                early_stop_train_dice: float = 0.0, on_epoch=None, **adam) -> TrainResult:
     """Train ``model`` in place; ``freeze`` holds parameter-name prefixes.
 
     Matching parameters get ``requires_grad`` off, the rest on, and keep it on
     return: Adam sees only the trainable ones and a frozen layer records no
     tape. A prefix that matches no parameter, or a bare ``str`` (which would
-    freeze by its single characters), is a ``ValueError``. Every setting,
-    Adam's included, is checked before any pair is read.
+    freeze by its single characters), is a ``ValueError``. ``adam`` goes to
+    ``Adam`` as its keyword settings. Every setting, Adam's included, is
+    checked before any pair is read.
     """
-    if loss not in LOSSES:
-        raise ValueError(f"train_model: unknown loss {loss!r}, expected one of {sorted(LOSSES)}")
+    loss_fn = loss_named(loss)
     if batch_size < 1 or epochs < 0:
         raise ValueError("train_model: batch_size must be >= 1 and epochs >= 0")
     if isinstance(freeze, str):
@@ -154,7 +156,7 @@ def train_model(model: Model, train_entries, val_entries=(), *, loss: str = "dic
     for name, p in model.params.items():
         p.requires_grad = not name.startswith(tuple(freeze))
     optimizer = Adam({name: p for name, p in model.params.items() if p.requires_grad},
-                     lr=lr, beta1=beta1, beta2=beta2, eps=eps)
+                     **adam)
     val_pairs = load_pairs(val_entries)
     train_pairs = ([train_ds.read(i) for i in range(len(train_ds))]
                    if early_stop_train_dice > 0.0 else [])
@@ -170,7 +172,7 @@ def train_model(model: Model, train_entries, val_entries=(), *, loss: str = "dic
         batches = 0
         for start in range(0, len(order), batch_size):
             samples = map(train_ds.get, order[start:start + batch_size].tolist())
-            total += train_step(model.forward, optimizer, LOSSES[loss], samples,
+            total += train_step(model.forward, optimizer, loss_fn, samples,
                                 f"{epoch}:{batches}")
             batches += 1
 

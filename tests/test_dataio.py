@@ -80,13 +80,17 @@ def test_parse_errors_carry_byte_offsets(tmp_path):
         load_mask(path)
     assert "max value" in str(err.value)
 
-    path.write_bytes(b"P5\n-2 2\n255\n" + bytes(4))
-    with pytest.raises(PnmError):
-        load_mask(path)
-
-    path.write_bytes(b"P5\nab 2\n255\n" + bytes(4))
-    with pytest.raises(PnmError):
-        load_mask(path)
+    # a bad number's offset is where the separators before it start
+    for raw, message, offset in [
+            (b"P5\n-2 2\n255\n" + bytes(4), "width must be positive, got -2", 2),
+            (b"P5\nab 2\n255\n" + bytes(4), "invalid width b'ab'", 2),
+            (b"P5\n2 \n# c\n", "missing height", 10),
+            (b"P5\n# c\n-2 2\n255\n", "width must be positive, got -2", 2),
+            (b"P5\n2 2 # no\n\t\nx1 255\n", "invalid max value b'x1'", 6)]:
+        path.write_bytes(raw)
+        with pytest.raises(PnmError) as err:
+            load_mask(path)
+        assert message in str(err.value) and err.value.offset == offset
 
 
 HEADER_TOKENS = st.sampled_from([b"P5", b"P6", b"1", b"2", b"255", b"0", b"-3", b"1_0",

@@ -1,5 +1,6 @@
 """Model assembly, initialization, forward pass, and the container format."""
 
+import hashlib
 import json
 import struct
 
@@ -13,6 +14,7 @@ from floodseg.model import (FORMAT_VERSION, KIND_MODEL, MAGIC, Model,
                             load_model, model_checksum, save_model,
                             serialize_model)
 from floodseg.dataio import resize_bilinear
+from floodseg.reprogram import ReprogramWrapper, serialize_wrapper
 from floodseg.tensor import ShapeError, Tensor, no_grad, tsum
 
 
@@ -289,6 +291,33 @@ def test_float64_round_trip_preserves_width(tmp_path):
     assert loaded.dtype == np.float64
     np.testing.assert_array_equal(loaded.params["head.w"].data,
                                   model.params["head.w"].data)
+
+
+# sha256 of the model file, then of a (c_new=2, per_channel=True) wrapper file around it
+WRITTEN_DIGESTS = {
+    ("gac-unet", np.float32): (
+        "f3b33ce58c47675d40192f4542878456a0a826bac6d64eed0b88ec60e9acb8c1",
+        "5f9417725464ce53b2f66fc7406b9a833ce80d79d4089cd633e70ed061d64050"),
+    ("gac-unet", np.float64): (
+        "661c539a1c4b2c6fc20d43894ecb128ba2fa3a0eabfe4cfa4cf7eae1b0b6816c",
+        "fb8ff1187db7a2817e9930d012eed6898178414fe512d1f92f7091bee4080ff5"),
+    ("plain-unet", np.float32): (
+        "db9da826f2e47a037563b6cb342ba847284ee9b4953a4bf21ce660b43ef1eb51",
+        "486dd5c4a323f579b7f418490cd7e50165abb556eb3eb1ae5114c9fb517fecce"),
+    ("plain-unet", np.float64): (
+        "f8258edcfbe92fcd23484def3d74a10443ca2b35009d19d96f3878d17bc76ff2",
+        "dde4dd22edf5df519daa4eecec413f2e40eef2bd06498b6c3c22392c5479d8ce"),
+}
+
+
+@pytest.mark.parametrize("variant,dtype", list(WRITTEN_DIGESTS))
+def test_written_bytes_are_pinned(variant, dtype):
+    spec = ModelSpec(input_size=16, widths=(4, 8), variant=variant, seed=5)
+    model = init_params(build_model(spec, dtype), seed=5)
+    wrapper = ReprogramWrapper(model, c_new=2, per_channel=True, seed=2)
+    digests = (hashlib.sha256(serialize_model(model)).hexdigest(),
+               hashlib.sha256(serialize_wrapper(wrapper)).hexdigest())
+    assert digests == WRITTEN_DIGESTS[variant, dtype]
 
 
 def test_load_rejects_corrupt_files(tmp_path):
