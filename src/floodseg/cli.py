@@ -1,13 +1,15 @@
 """Command-line driver.
 
-Commands: prepare, train, eval, predict, reprogram, gradcheck, dataset-stats.
-Every setting is a flat key=value: read from ``--config FILE`` (one pair per
-line, ``#`` comments), overridden by ``--key value`` flags. Unknown keys are
-rejected. ``--deterministic`` pins the numeric libraries to one thread (set
-before they load, which is why the heavy imports live inside the handlers).
+``COMMANDS`` is the one table of commands: each name's handler, the keys it
+needs and its help line. Every setting is a flat key=value: read from
+``--config FILE`` (one pair per line, ``#`` comments), overridden by
+``--key value`` flags. Unknown keys are rejected. ``--deterministic`` pins
+the numeric libraries to one thread (set before they load, which is why the
+heavy imports live inside the handlers).
 
-Exit codes: 0 success, 1 usage or configuration error, 2 data error,
-3 numeric failure (non-finite loss or a failed gradient check).
+Exit codes: 0 success, 1 usage or configuration error, 2 data error (an
+unreadable or unwritable path included), 3 numeric failure (non-finite loss,
+a failed gradient check or a drifted frozen base).
 """
 
 from __future__ import annotations
@@ -20,20 +22,6 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_DATA = 2
 EXIT_NUMERIC = 3
-
-USAGE = """usage: floodseg COMMAND [--config FILE] [--deterministic] [--KEY VALUE ...]
-
-commands:
-  prepare        split a raw corpus 70/30 and write the augmented train set
-  train          train a model on a prepared manifest
-  eval           score a model on a manifest split
-  predict        write a predicted mask for one image
-  reprogram      train an input/output program around a frozen base model
-  gradcheck      finite-difference check of every layer and loss
-  dataset-stats  pair count and positive-pixel fraction of a raw corpus
-
-run `floodseg COMMAND` with no further flags to see which keys it needs.
-"""
 
 
 class UsageError(Exception):
@@ -102,11 +90,12 @@ KEYS = {
 
 
 def _read_config_file(path: str) -> dict:
-    cfg_path = Path(path)
-    if not cfg_path.is_file():
-        raise UsageError(f"config file not found: {path}")
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise UsageError(f"cannot read config file {path}: {exc}") from None
     raw = {}
-    for lineno, line in enumerate(cfg_path.read_text(encoding="utf-8").splitlines(), start=1):
+    for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.split("#", 1)[0].strip()
         if not stripped:
             continue
@@ -118,39 +107,30 @@ def _read_config_file(path: str) -> dict:
 
 
 def _resolve_config(args: list) -> dict:
-    raw: dict = {}
-    i = 0
     file_pairs: dict = {}
     flag_pairs: dict = {}
-    while i < len(args):
-        token = args[i]
+    tokens = iter(args)
+    for token in tokens:
         if token == "--deterministic":
             flag_pairs["deterministic"] = "true"
-            i += 1
             continue
         if not token.startswith("--"):
             raise UsageError(f"unexpected argument {token!r}")
-        key = token[2:]
-        if i + 1 >= len(args):
+        key, value = token[2:], next(tokens, None)
+        if value is None:
             raise UsageError(f"flag --{key} needs a value")
-        value = args[i + 1]
-        i += 2
         if key == "config":
             file_pairs.update(_read_config_file(value))
         else:
             flag_pairs[key.replace("-", "_")] = value
-    raw.update(file_pairs)
-    raw.update(flag_pairs)
 
     config = {key: default for key, (_, default) in KEYS.items()}
-    for key, text in raw.items():
+    for key, text in {**file_pairs, **flag_pairs}.items():
         if key not in KEYS:
             raise UsageError(f"unknown configuration key {key!r}")
         parser, _ = KEYS[key]
         try:
             config[key] = parser(text)
-        except UsageError:
-            raise
         except (TypeError, ValueError) as exc:
             raise UsageError(f"bad value for {key!r}: {exc}") from exc
     if config["float_width"] not in (32, 64):
@@ -158,12 +138,6 @@ def _resolve_config(args: list) -> dict:
     if not 0 <= config["pred_threshold"] <= 1:
         raise UsageError(f"pred_threshold must lie in [0, 1], got {config['pred_threshold']}")
     return config
-
-
-def _require(config: dict, command: str, *keys: str):
-    missing = [k for k in keys if not config[k]]
-    if missing:
-        raise UsageError(f"{command} needs --" + ", --".join(missing))
 
 
 def _config_echo(config: dict) -> list:
@@ -176,13 +150,6 @@ def _config_echo(config: dict) -> list:
     return lines
 
 
-def _build_spec(config: dict):
-    from dataclasses import fields
-
-    from .model import ModelSpec
-    return ModelSpec(**{f.name: config[f.name] for f in fields(ModelSpec) if f.name in config})
-
-
 def _load_mask_model(path: str):
     """A saved model with the one output channel that a mask is cut from."""
     from .dataio import DataError
@@ -191,11 +158,6 @@ def _load_mask_model(path: str):
     if net.spec.out_channels != 1:
         raise DataError(f"{path}: model has {net.spec.out_channels} output channels, not 1")
     return net
-
-
-def _dtype(config: dict):
-    import numpy as np
-    return np.float64 if config["float_width"] == 64 else np.float32
 
 
 def _adam(config: dict) -> dict:
@@ -207,7 +169,6 @@ def _adam(config: dict) -> dict:
 
 
 def cmd_prepare(config: dict) -> int:
-    _require(config, "prepare", "dataset_dir", "out_dir")
     from .dataio import prepare_dataset
     result = prepare_dataset(config["dataset_dir"], config["out_dir"], config["seed"],
                              resize=config["resize"], crop=config["crop"])
@@ -219,7 +180,6 @@ def cmd_prepare(config: dict) -> int:
 
 
 def cmd_dataset_stats(config: dict) -> int:
-    _require(config, "dataset-stats", "dataset_dir")
     from .dataio import dataset_stats
     count, fraction = dataset_stats(config["dataset_dir"])
     print(f"{count} image/mask pairs")
@@ -228,15 +188,16 @@ def cmd_dataset_stats(config: dict) -> int:
 
 
 def cmd_train(config: dict) -> int:
-    _require(config, "train", "manifest", "out_dir")
+    from dataclasses import fields
+
     from .dataio import read_manifest, read_split
-    from .model import build_model, init_params
+    from .model import ModelSpec, build_model, init_params
     from .train import train_model
 
     train_entries = read_split(config["manifest"], "train")
     val_entries = [e for e in read_manifest(config["manifest"]) if e.split == "test"]
-    spec = _build_spec(config)
-    net = init_params(build_model(spec, _dtype(config)), spec.seed)
+    spec = ModelSpec(**{f.name: config[f.name] for f in fields(ModelSpec) if f.name in config})
+    net = init_params(build_model(spec, f"float{config['float_width']}"), spec.seed)
     result = train_model(net, train_entries, val_entries, loss=config["loss"],
                          epochs=config["epochs"], batch_size=config["batch_size"],
                          seed=spec.seed, freeze=config["freeze"],
@@ -258,7 +219,6 @@ def cmd_train(config: dict) -> int:
 
 
 def cmd_eval(config: dict) -> int:
-    _require(config, "eval", "model", "manifest")
     from .dataio import load_pairs, read_split
     from .metrics import evaluate
 
@@ -273,7 +233,6 @@ def cmd_eval(config: dict) -> int:
 
 
 def cmd_predict(config: dict) -> int:
-    _require(config, "predict", "model", "image", "output")
     from .dataio import load_image, save_mask
 
     net = _load_mask_model(config["model"])
@@ -284,7 +243,6 @@ def cmd_predict(config: dict) -> int:
 
 
 def cmd_reprogram(config: dict) -> int:
-    _require(config, "reprogram", "base_model", "manifest", "out_dir")
     from .convnn import loss_named
     from .dataio import DataError, load_pairs, read_split
     from .model import load_model, model_checksum, save_model
@@ -344,15 +302,25 @@ def cmd_gradcheck(config: dict) -> int:
     return EXIT_OK
 
 
-HANDLERS = {
-    "prepare": cmd_prepare,
-    "train": cmd_train,
-    "eval": cmd_eval,
-    "predict": cmd_predict,
-    "reprogram": cmd_reprogram,
-    "gradcheck": cmd_gradcheck,
-    "dataset-stats": cmd_dataset_stats,
+# name -> (handler, keys it needs, help line); the usage text lists them in this order.
+COMMANDS = {
+    "prepare": (cmd_prepare, ("dataset_dir", "out_dir"),
+                "split a raw corpus 70/30 and write the augmented train set"),
+    "train": (cmd_train, ("manifest", "out_dir"), "train a model on a prepared manifest"),
+    "eval": (cmd_eval, ("model", "manifest"), "score a model on a manifest split"),
+    "predict": (cmd_predict, ("model", "image", "output"),
+                "write a predicted mask for one image"),
+    "reprogram": (cmd_reprogram, ("base_model", "manifest", "out_dir"),
+                  "train an input/output program around a frozen base model"),
+    "gradcheck": (cmd_gradcheck, (), "finite-difference check of every layer and loss"),
+    "dataset-stats": (cmd_dataset_stats, ("dataset_dir",),
+                      "pair count and positive-pixel fraction of a raw corpus"),
 }
+
+USAGE = ("usage: floodseg COMMAND [--config FILE] [--deterministic] [--KEY VALUE ...]\n\n"
+         "commands:\n"
+         + "".join(f"  {name:<15}{help_line}\n" for name, (*_, help_line) in COMMANDS.items())
+         + "\nrun `floodseg COMMAND` with no further flags to see which keys it needs.\n")
 
 
 def _set_single_threaded():
@@ -361,40 +329,55 @@ def _set_single_threaded():
         os.environ[var] = "1"
 
 
+def _check_out_dir(path: str):
+    """Refuse, before any work, an out_dir whose nearest existing path is not a directory."""
+    nearest = next(p for p in (Path(path), *Path(path).parents) if p.exists())
+    if not nearest.is_dir():
+        raise NotADirectoryError(f"cannot make out_dir {path}: {nearest} is not a directory")
+
+
+def _error(exc: Exception, code: int) -> int:
+    print(f"error: {exc}", file=sys.stderr)
+    return code
+
+
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     if not argv or argv[0] in ("-h", "--help", "help"):
         print(USAGE, end="")
         return EXIT_OK if argv else EXIT_USAGE
     command, rest = argv[0], argv[1:]
-    if command not in HANDLERS:
+    if command not in COMMANDS:
         print(f"unknown command {command!r}", file=sys.stderr)
         print(USAGE, end="", file=sys.stderr)
         return EXIT_USAGE
 
+    handler, required, _ = COMMANDS[command]
     try:
         config = _resolve_config(rest)
-        if config["deterministic"]:
-            _set_single_threaded()
-        from .dataio import DataError
-        from .model import ModelFormatError
-        from .reprogram import FrozenBaseError
-        from .tensor import GradCheckFailure, ShapeError
-        from .train import NumericFailure
-        try:
-            return HANDLERS[command](config)
-        except (DataError, ModelFormatError, FileNotFoundError, ShapeError) as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_DATA
-        except (UsageError, ValueError) as exc:    # bad arguments, SpecError included
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_USAGE
-        except (NumericFailure, GradCheckFailure, FrozenBaseError) as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_NUMERIC
+        missing = [key for key in required if not config[key]]
+        if missing:
+            raise UsageError(f"{command} needs --" + ", --".join(missing))
     except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        return _error(exc, EXIT_USAGE)
+
+    if config["deterministic"]:
+        _set_single_threaded()
+    from .dataio import DataError
+    from .model import ModelFormatError
+    from .reprogram import FrozenBaseError
+    from .tensor import ShapeError
+    from .train import NumericFailure
+    try:
+        if "out_dir" in required:
+            _check_out_dir(config["out_dir"])
+        return handler(config)
+    except (DataError, ModelFormatError, ShapeError, OSError) as exc:   # ShapeError is a ValueError
+        return _error(exc, EXIT_DATA)
+    except (UsageError, ValueError) as exc:    # bad arguments, SpecError included
+        return _error(exc, EXIT_USAGE)
+    except (NumericFailure, FrozenBaseError) as exc:
+        return _error(exc, EXIT_NUMERIC)
 
 
 if __name__ == "__main__":

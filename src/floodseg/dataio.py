@@ -282,7 +282,11 @@ def read_manifest(path) -> list[ManifestEntry]:
     path = Path(path)
     if not path.is_file():
         raise DataError(f"manifest not found: {path}")
-    for lineno, line in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1):
+    try:
+        text = path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: manifest is not UTF-8 text: {exc}") from None
+    for lineno, line in enumerate(text.splitlines(), start=1):
         if not line.strip():
             continue
         fields = line.split("\t")

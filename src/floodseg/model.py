@@ -124,14 +124,6 @@ class ModelSpec:
             return self.widths[-1]
         return self.cheb_out + (2 if self.com else 0)
 
-    def to_json(self) -> str:
-        return json.dumps(asdict(self), sort_keys=True, separators=(",", ":"))
-
-    @classmethod
-    def from_json(cls, text: str | bytes, source="model") -> "ModelSpec":
-        """The spec in a configuration block; errors name ``source`` (a file path)."""
-        return cls.from_config(decode_config(text, source), source)
-
     @classmethod
     def from_config(cls, config: dict, source="model") -> "ModelSpec":
         """The spec in a decoded configuration object; errors name ``source``."""
@@ -358,10 +350,10 @@ def decode_gacm(path, kind: int, build):
     return built
 
 
-def decode_config(block, source) -> dict:
-    """The JSON object in a configuration block given as UTF-8 bytes or text."""
+def decode_config(block: bytes, source) -> dict:
+    """The JSON object in a configuration block of UTF-8 bytes."""
     try:
-        config = json.loads(block.decode("utf-8") if isinstance(block, bytes) else block)
+        config = json.loads(block.decode("utf-8"))
     except (ValueError, RecursionError) as exc:
         raise ModelFormatError(f"{source}: bad configuration block: {exc}") from exc
     if not isinstance(config, dict):

@@ -135,8 +135,11 @@ def reprogram_train(wrapper: ReprogramWrapper, pairs, steps: int, *, loss: str =
     """
     loss_fn = loss_named(loss)
     wrapper.verify_frozen()
+    try:
+        optimizer = Adam(wrapper.params, **adam)
+    except TypeError as exc:    # a misspelt keyword of this call, not of Adam's
+        raise TypeError(f"reprogram_train: {exc}") from None
     data = _wrapper_data(wrapper, pairs)
-    optimizer = Adam(wrapper.params, **adam)
     losses = train_for_steps(wrapper.forward, optimizer, loss_fn, data, steps,
                              batch_size, seed)
     wrapper.verify_frozen()

@@ -153,10 +153,14 @@ def train_model(model: Model, train_entries, val_entries=(), *, loss: str = "dic
     train_ds = PairDataset(train_entries, model.spec.input_size, model.dtype)
     if len(train_ds) == 0:
         raise ValueError("train_model: no training entries")
+    trainable = {name: p for name, p in model.params.items()
+                 if not name.startswith(tuple(freeze))}
+    try:
+        optimizer = Adam(trainable, **adam)
+    except TypeError as exc:    # a misspelt keyword of this call, not of Adam's
+        raise TypeError(f"train_model: {exc}") from None
     for name, p in model.params.items():
-        p.requires_grad = not name.startswith(tuple(freeze))
-    optimizer = Adam({name: p for name, p in model.params.items() if p.requires_grad},
-                     **adam)
+        p.requires_grad = name in trainable
     val_pairs = load_pairs(val_entries)
     train_pairs = ([train_ds.read(i) for i in range(len(train_ds))]
                    if early_stop_train_dice > 0.0 else [])

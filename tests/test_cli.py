@@ -1,9 +1,11 @@
 """Command-line driver: config resolution, all commands, exit codes."""
 
+import json
 import os
 import struct
 import subprocess
 import sys
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
@@ -11,12 +13,15 @@ import pytest
 
 import floodseg
 from floodseg.checks import CheckResult
-from floodseg.cli import main
-from floodseg.dataio import (discover_pairs, load_mask, read_manifest, save_mask,
+from floodseg.cli import COMMANDS, UsageError, main
+from floodseg.dataio import (DataError, discover_pairs, load_mask, read_manifest, save_mask,
                              split_dataset, write_manifest)
-from floodseg.model import (FORMAT_VERSION, KIND_MODEL, MAGIC, ModelSpec, build_model,
-                            init_params, load_model, serialize_model)
+from floodseg.model import (FORMAT_VERSION, KIND_MODEL, MAGIC, ModelFormatError, ModelSpec,
+                            SpecError, build_model, init_params, load_model, serialize_model)
+from floodseg.reprogram import FrozenBaseError
 from floodseg.synthetic import write_flood_set
+from floodseg.tensor import ShapeError
+from floodseg.train import NumericFailure
 
 TRAIN_FLAGS = ["--input_size", "8", "--widths", "2,4", "--gat_out", "4",
                "--cheb_order", "1", "--cheb_out", "4", "--epochs", "1",
@@ -50,12 +55,66 @@ def trained(workspace, tmp_path_factory):
 # ---- argument handling ------------------------------------------------------
 
 
+USAGE_TEXT = """\
+usage: floodseg COMMAND [--config FILE] [--deterministic] [--KEY VALUE ...]
+
+commands:
+  prepare        split a raw corpus 70/30 and write the augmented train set
+  train          train a model on a prepared manifest
+  eval           score a model on a manifest split
+  predict        write a predicted mask for one image
+  reprogram      train an input/output program around a frozen base model
+  gradcheck      finite-difference check of every layer and loss
+  dataset-stats  pair count and positive-pixel fraction of a raw corpus
+
+run `floodseg COMMAND` with no further flags to see which keys it needs.
+"""
+
+
 def test_help_and_unknown_command(capsys):
     assert main([]) == 1
+    assert capsys.readouterr() == (USAGE_TEXT, "")
     assert main(["--help"]) == 0
-    assert "commands:" in capsys.readouterr().out
+    assert capsys.readouterr() == (USAGE_TEXT, "")
     assert main(["florp"]) == 1
-    assert "unknown command" in capsys.readouterr().err
+    assert capsys.readouterr() == ("", "unknown command 'florp'\n" + USAGE_TEXT)
+
+
+NEEDS = {"prepare": "--dataset_dir, --out_dir", "train": "--manifest, --out_dir",
+         "eval": "--model, --manifest", "predict": "--model, --image, --output",
+         "reprogram": "--base_model, --manifest, --out_dir", "dataset-stats": "--dataset_dir",
+         "gradcheck": None}
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_each_command_with_no_flags_names_the_keys_it_needs(command, monkeypatch, capsys):
+    monkeypatch.setattr("floodseg.checks.run_gradient_suite",
+                        lambda seed=0: [CheckResult("stub", 0.0, 1e-5)])
+    if NEEDS[command] is None:
+        assert main([command]) == 0
+        assert capsys.readouterr().err == ""
+    else:
+        assert main([command]) == 1
+        assert capsys.readouterr() == ("", f"error: {command} needs {NEEDS[command]}\n")
+
+
+@pytest.mark.parametrize("exc,code", [
+    (DataError("bad pair"), 2),
+    (ModelFormatError("bad model file"), 2),
+    (IsADirectoryError(21, "Is a directory", "adir"), 2),
+    (ShapeError("bad shape"), 2),             # a ValueError, yet a data error
+    (SpecError("bad spec"), 1),
+    (UsageError("bad flag"), 1),
+    (NumericFailure("non-finite loss nan in batch 1:0", "1:0"), 3),
+    (FrozenBaseError("frozen base parameters changed"), 3),
+], ids=lambda value: type(value).__name__ if isinstance(value, Exception) else str(value))
+def test_each_error_a_handler_raises_maps_to_its_exit_code(exc, code, monkeypatch, capsys):
+    def handler(config):
+        raise exc
+
+    monkeypatch.setitem(COMMANDS, "gradcheck", (handler, (), "raises"))
+    assert main(["gradcheck"]) == code
+    assert capsys.readouterr() == ("", f"error: {exc}\n")
 
 
 def test_bad_flags_are_usage_errors(capsys):
@@ -76,10 +135,23 @@ def test_bad_flags_are_usage_errors(capsys):
 
 def test_config_file_errors(tmp_path, capsys):
     assert main(["train", "--config", str(tmp_path / "nope.cfg")]) == 1
+    assert capsys.readouterr().err.startswith(
+        f"error: cannot read config file {tmp_path / 'nope.cfg'}: [Errno 2] ")
+    assert main(["train", "--config", str(tmp_path)]) == 1
+    assert capsys.readouterr().err.startswith(f"error: cannot read config file {tmp_path}: ")
     bad = tmp_path / "bad.cfg"
     bad.write_text("epochs 3\n", encoding="utf-8")
     assert main(["train", "--config", str(bad)]) == 1
     assert "expected key=value" in capsys.readouterr().err
+
+
+def test_a_config_file_that_is_not_utf8_is_refused_by_name(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_bytes(b"epochs = 1\n# caf\xe9\n")
+    assert main(["train", "--config", str(cfg)]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.count("\n") == 1
+    assert err.startswith(f"error: cannot read config file {cfg}: 'utf-8' codec can't decode")
 
 
 def test_flags_override_config_file(workspace, tmp_path, capsys):
@@ -321,7 +393,7 @@ def test_predict_refuses_an_unbuildable_model_as_a_format_error(workspace, tmp_p
     # 2**40 px makes the grid graph's np.arange refuse at once, before any allocation.
     net = init_params(build_model(ModelSpec(input_size=16, widths=(2, 4), gat_out=4,
                                             cheb_order=1, cheb_out=4)), 0)
-    config = net.spec.to_json().replace('"input_size":16', f'"input_size":{2 ** 40}').encode()
+    config = json.dumps({**asdict(net.spec), "input_size": 2 ** 40}).encode()
     payload = serialize_model(net)[-4 * net.parameter_count():]
     path = tmp_path / "huge.gacm"
     path.write_bytes(MAGIC + struct.pack("<HBBI", FORMAT_VERSION, KIND_MODEL, 4, len(config))
@@ -396,6 +468,54 @@ def test_reprogram_missing_base_is_a_data_error(workspace, tmp_path):
     assert main(["reprogram", "--base_model", str(tmp_path / "none.gacm"),
                  "--manifest", str(workspace["manifest"]),
                  "--out_dir", str(tmp_path / "out")]) == 2
+
+
+@pytest.mark.parametrize("command", ["prepare", "train", "reprogram"])
+@pytest.mark.parametrize("out_dir", ["afile", "afile/sub"], ids=["file", "below_a_file"])
+def test_an_out_dir_that_is_a_file_is_refused_before_any_work(workspace, tmp_path, capsys,
+                                                                command, out_dir):
+    (tmp_path / "afile").write_text("not a directory\n", encoding="utf-8")
+    base = tmp_path / "base.gacm"
+    flags = {"prepare": ["--dataset_dir", str(workspace["raw"]), "--resize", "16",
+                         "--crop", "8"],
+             "train": ["--manifest", str(workspace["manifest"])] + TRAIN_FLAGS,
+             "reprogram": ["--manifest", str(workspace["manifest"]), "--base_model", str(base),
+                           "--init_base", "true", "--base_channels", "2",
+                           "--input_size", "8", "--steps", "1"]}
+    assert main([command, "--out_dir", str(tmp_path / out_dir)] + flags[command]) == 2
+    assert capsys.readouterr() == ("", f"error: cannot make out_dir {tmp_path / out_dir}: "
+                                       f"{tmp_path / 'afile'} is not a directory\n")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["afile"]     # no base either
+
+
+def test_a_manifest_that_is_not_utf8_exits_with_data_code(workspace, tmp_path, capsys):
+    manifest = tmp_path / "manifest.tsv"
+    manifest.write_bytes(workspace["manifest"].read_bytes() + b"\xff\n")
+    assert main(["train", "--manifest", str(manifest),
+                 "--out_dir", str(tmp_path / "out")] + TRAIN_FLAGS) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.count("\n") == 1
+    assert err.startswith(f"error: {manifest}: manifest is not UTF-8 text: ")
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["train", "eval", "predict"])
+def test_a_directory_given_as_an_image_exits_with_data_code(workspace, trained, tmp_path,
+                                                            capsys, command):
+    folder = tmp_path / "folder.ppm"
+    folder.mkdir()
+    manifest = tmp_path / "manifest.tsv"
+    write_manifest(manifest, [replace(e, image_path=str(folder))
+                              for e in read_manifest(workspace["manifest"])])
+    flags = {"train": ["--manifest", str(manifest), "--out_dir", str(tmp_path / "out")]
+             + TRAIN_FLAGS,
+             "eval": ["--model", str(trained / "model.gacm"), "--manifest", str(manifest)],
+             "predict": ["--model", str(trained / "model.gacm"), "--image", str(folder),
+                         "--output", str(tmp_path / "pred.pgm")]}
+    assert main([command] + flags[command]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == f"error: [Errno 21] Is a directory: '{folder}'\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["folder.ppm", "manifest.tsv"]
 
 
 # ---- gradcheck --------------------------------------------------------------

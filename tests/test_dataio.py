@@ -291,6 +291,14 @@ def test_manifest_validation(tmp_path):
         read_manifest(tmp_path / "missing.tsv")
 
 
+def test_a_manifest_that_is_not_utf8_is_a_data_error_naming_it(tmp_path):
+    path = tmp_path / "manifest.tsv"
+    path.write_bytes(b"a.ppm\ta.pgm\ttrain\n\xff.ppm\ta.pgm\ttest\n")
+    with pytest.raises(DataError) as info:
+        read_manifest(path)
+    assert str(info.value).startswith(f"{path}: manifest is not UTF-8 text: ")
+
+
 def test_discover_pairs_requires_fully_matched_stems(tmp_path):
     write_flood_set(tmp_path, count=3, size=8, seed=0)
     assert len(discover_pairs(tmp_path)) == 3

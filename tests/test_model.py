@@ -3,6 +3,7 @@
 import hashlib
 import json
 import struct
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -10,8 +11,8 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from floodseg.model import (FORMAT_VERSION, KIND_MODEL, MAGIC, Model,
-                            ModelFormatError, ModelSpec, SpecError, build_model, init_params,
-                            load_model, model_checksum, save_model,
+                            ModelFormatError, ModelSpec, SpecError, build_model, decode_config,
+                            encode_gacm, init_params, load_model, model_checksum, save_model,
                             serialize_model)
 from floodseg.dataio import resize_bilinear
 from floodseg.reprogram import ReprogramWrapper, serialize_wrapper
@@ -125,17 +126,20 @@ def test_spec_rejects_bad_configurations():
 
 
 def test_spec_json_round_trip():
+    def from_json(text: str) -> ModelSpec:
+        return ModelSpec.from_config(decode_config(text.encode(), "model"), "model")
+
     spec = small_spec(com=False, out_channels=2, seed=9)
-    assert ModelSpec.from_json(spec.to_json()) == spec
+    good = asdict(spec)
+    assert from_json(json.dumps(good)) == spec
     with pytest.raises(ModelFormatError):
-        ModelSpec.from_json("{broken")
+        from_json("{broken")
     with pytest.raises(ModelFormatError):
-        ModelSpec.from_json('{"widths": [4], "variant": "nope", "input_size": 16}')
-    good = json.loads(spec.to_json())
+        from_json('{"widths": [4], "variant": "nope", "input_size": 16}')
     for key, value in [("widths", "16"), ("widths", [16.9, 32.2]), ("widths", [True, 2]),
                        ("com", "no"), ("com", 0), ("seed", False), ("out_channels", True)]:
         with pytest.raises(ModelFormatError, match=key):
-            ModelSpec.from_json(json.dumps({**good, key: value}))
+            from_json(json.dumps({**good, key: value}))
 
 
 # ---- initialization --------------------------------------------------------------
@@ -278,9 +282,9 @@ def test_file_size_is_header_plus_width_times_count(tmp_path):
     for dtype, width in ((np.float32, 4), (np.float64, 8)):
         model = init_params(build_model(small_spec(), dtype=dtype), seed=0)
         blob = serialize_model(model)
-        config = model.spec.to_json().encode()
-        header = len(MAGIC) + struct.calcsize("<HBBI") + len(config)
-        assert len(blob) == header + width * model.parameter_count()
+        header = encode_gacm(KIND_MODEL, asdict(model.spec), {}, width)
+        assert blob.startswith(header) and len(header) > len(MAGIC) + struct.calcsize("<HBBI")
+        assert len(blob) == len(header) + width * model.parameter_count()
 
 
 def test_float64_round_trip_preserves_width(tmp_path):
@@ -378,7 +382,7 @@ def test_load_rejects_non_finite_parameters(tmp_path):
             load_model(path)
 
 
-PROPERTY_CONFIG = small_spec().to_json().encode()
+PROPERTY_CONFIG = json.dumps(asdict(small_spec())).encode()
 
 
 @settings(derandomize=True, database=None, deadline=None,

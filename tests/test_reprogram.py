@@ -200,6 +200,15 @@ def test_training_validates_inputs():
         reprogram_train(wrapper, pairs, steps=1)
 
 
+def test_a_misspelt_keyword_names_reprogram_train_before_any_step():
+    wrapper = ReprogramWrapper(small_base())
+    before = {k: p.data.copy() for k, p in wrapper.params.items()}
+    with pytest.raises(TypeError, match=r"^reprogram_train: .*'learning_rate'$"):
+        reprogram_train(wrapper, generate_flood_set(2, 8, seed=8), steps=1, learning_rate=0.1)
+    for k, p in wrapper.params.items():
+        np.testing.assert_array_equal(p.data, before[k])
+
+
 def test_make_pretrained_base_smoke():
     base = make_pretrained_base(c_old=3, size=8, widths=(2,), seed=0, steps=2)
     assert base.spec.out_channels == 3

@@ -204,6 +204,15 @@ def test_optimizer_settings_are_refused_before_any_pair_is_read(entries, tmp_pat
         train_model(tiny_model(), entries, val, lr=0.0)
 
 
+def test_a_misspelt_keyword_names_train_model_before_any_pair_is_read(tmp_path):
+    missing = tmp_path / "missing"
+    train = [ManifestEntry(str(missing / "a.ppm"), str(missing / "a.pgm"), "train")]
+    model = tiny_model()
+    with pytest.raises(TypeError, match=r"^train_model: .*'epoch'$"):
+        train_model(model, train, train, freeze=("enc",), epoch=3)
+    assert all(p.requires_grad for p in model.params.values())     # nothing was frozen
+
+
 def test_train_step_loss_is_the_mean_of_per_sample_losses():
     spec = ModelSpec(input_size=16, widths=(2, 4), gat_out=4, cheb_order=1, cheb_out=4)
     model = init_params(build_model(spec, np.float64), 3)
