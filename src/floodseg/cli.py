@@ -150,10 +150,13 @@ def _config_echo(config: dict) -> list:
     return lines
 
 
-def _load_mask_model(path: str):
-    """A saved model with the one output channel that a mask is cut from."""
+def _load_mask_model(path: str, output: str | None):
+    """A saved model with the one output channel that a mask is cut from. ``output``, the
+    file the command writes, if any, is refused first if its parent is not a directory."""
     from .dataio import DataError
     from .model import load_model
+    if output and not Path(output).parent.is_dir():
+        raise NotADirectoryError(f"cannot write {output}: {Path(output).parent} is not a directory")
     net = load_model(path)
     if net.spec.out_channels != 1:
         raise DataError(f"{path}: model has {net.spec.out_channels} output channels, not 1")
@@ -222,7 +225,7 @@ def cmd_eval(config: dict) -> int:
     from .dataio import load_pairs, read_split
     from .metrics import evaluate
 
-    net = _load_mask_model(config["model"])
+    net = _load_mask_model(config["model"], config["report"])
     pairs = load_pairs(read_split(config["manifest"], config["split"]))
     report = evaluate(net.predict_proba, pairs, config["pred_threshold"])
     text = str(report)
@@ -233,11 +236,11 @@ def cmd_eval(config: dict) -> int:
 
 
 def cmd_predict(config: dict) -> int:
-    from .dataio import load_image, save_mask
+    from .dataio import binarize_mask, load_image, save_mask
 
-    net = _load_mask_model(config["model"])
+    net = _load_mask_model(config["model"], config["output"])
     prob = net.predict_proba(load_image(config["image"]))
-    save_mask(config["output"], (prob > config["pred_threshold"]).astype("float32"))
+    save_mask(config["output"], binarize_mask(prob, config["pred_threshold"]))
     print(f"mask: {config['output']}")
     return EXIT_OK
 

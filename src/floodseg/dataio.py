@@ -4,17 +4,17 @@ Images are binary color pixmaps (P6 .ppm) and masks are binary graymaps
 (P5 .pgm), both with max value 255. Loading scales bytes to floats in
 [0, 1]; saving rounds back, so a save/load round trip is bit-exact.
 
-Every command and trainer reads an image/mask pair through ``load_pair``,
-which binarizes the mask at load, so training targets, scored masks and
-prepared crops are thresholded alike; ``model_arrays`` turns a pair into the
-(3, S, S) input and (1, S, S) target that every loss takes.
+Three data-path decisions have one owner each. ``binarize_mask`` is the
+flood rule, strictly above a threshold: ``load_pair`` applies it to every
+mask it reads, ``metrics.evaluate`` to truth and prediction, ``predict`` to
+the mask it writes. ``model_input`` is the (3, S, S) model input behind
+``model_arrays`` and ``predict_proba``; ``save_pair`` writes the pair
+layout ``discover_pairs`` reads, ``<id>.ppm`` and ``<id>.pgm``.
 
-The preparation pipeline mirrors how the training corpus is produced from
-raw pairs: binarize the mask, resize to a working resolution with
-half-pixel-center bilinear interpolation, take the four corner crops and the
-center crop, and repeat for the horizontally and vertically flipped pair,
-giving 15 augmented pairs per source pair. Augmentation is applied to the
-train split only; test pairs pass through untouched.
+Preparation binarizes each train pair's mask, resizes the pair with
+half-pixel-center bilinear interpolation, and takes the four corner crops
+and the center crop of the pair and of its horizontal and vertical mirror
+views: 15 augmented pairs per train pair. Test pairs pass through untouched.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ import numpy as np
 TRAIN_FRACTION_NUM = 7    # train split is floor(0.7 * N), done in integers
 TRAIN_FRACTION_DEN = 10
 
-FLIP_VARIANTS = ("id", "hf", "vf")
+FLIPS = {"id": np.s_[:], "hf": np.s_[:, ::-1], "vf": np.s_[::-1]}   # name -> mirrored view
 CROP_NAMES = ("tl", "tr", "bl", "br", "c")
 
 
@@ -126,6 +126,15 @@ def save_mask(path, mask: np.ndarray):
     _write_pnm(path, mask, b"P5")
 
 
+def save_pair(out_dir, pair: ImagePair) -> tuple[Path, Path]:
+    """Write a pair as ``<source_id>.ppm`` and ``<source_id>.pgm`` in ``out_dir``, the
+    layout ``discover_pairs`` reads; returns the image and mask paths."""
+    image_path, mask_path = (Path(out_dir) / f"{pair.source_id}{ext}" for ext in (".ppm", ".pgm"))
+    save_image(image_path, pair.image)
+    save_mask(mask_path, pair.mask)
+    return image_path, mask_path
+
+
 # ---- pairs and transforms ---------------------------------------------------
 
 
@@ -146,9 +155,9 @@ class ImagePair:
                             f"does not match image {self.image.shape[:2]}")
 
 
-def binarize_mask(mask: np.ndarray) -> np.ndarray:
-    """Strictly-above-one-half threshold onto {0.0, 1.0}."""
-    return (np.asarray(mask) > 0.5).astype(np.float32)
+def binarize_mask(values, threshold: float = 0.5) -> np.ndarray:
+    """The flood rule for masks and predictions: 1.0 strictly above ``threshold``, else 0.0."""
+    return (np.asarray(values) > threshold).astype(np.float32)
 
 
 def resize_bilinear(array: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
@@ -187,19 +196,15 @@ def resize_pair(pair: ImagePair, size: int) -> ImagePair:
                      pair.source_id)
 
 
+def model_input(image: np.ndarray, size: int, dtype=np.float32) -> np.ndarray:
+    """The model's input layout: an (H, W, 3) image resized to a contiguous (3, size, size)."""
+    return np.ascontiguousarray(resize_bilinear(image, size, size).transpose(2, 0, 1), dtype=dtype)
+
+
 def model_arrays(pair: ImagePair, size: int, dtype=np.float32) -> tuple[np.ndarray, np.ndarray]:
-    """One model sample: the (3, size, size) image and the re-binarized (1, size, size) target."""
-    pair = resize_pair(pair, size)
-    return (np.ascontiguousarray(pair.image.transpose(2, 0, 1).astype(dtype)),
-            pair.mask[None].astype(dtype))
-
-
-def flip_horizontal(pair: ImagePair) -> ImagePair:
-    return ImagePair(pair.image[:, ::-1].copy(), pair.mask[:, ::-1].copy(), pair.source_id)
-
-
-def flip_vertical(pair: ImagePair) -> ImagePair:
-    return ImagePair(pair.image[::-1].copy(), pair.mask[::-1].copy(), pair.source_id)
+    """One model sample: the ``model_input`` image and the re-binarized (1, size, size) target."""
+    return (model_input(pair.image, size, dtype),
+            binarize_mask(resize_bilinear(pair.mask, size, size))[None].astype(dtype))
 
 
 def five_crop(pair: ImagePair, crop: int = 256) -> list[ImagePair]:
@@ -220,12 +225,11 @@ def five_crop(pair: ImagePair, crop: int = 256) -> list[ImagePair]:
 
 
 def augment_expand(pair: ImagePair, crop: int = 256) -> list[ImagePair]:
-    """Expand one pair into 15: five crops of the pair and of both flips."""
-    variants = (pair, flip_horizontal(pair), flip_vertical(pair))
+    """Expand one pair into 15: five crops of the pair and of its two mirrored views."""
     out = []
-    for tag, variant in zip(FLIP_VARIANTS, variants):
-        out.extend(five_crop(ImagePair(variant.image, variant.mask, f"{pair.source_id}_{tag}"),
-                             crop))
+    for tag, flip in FLIPS.items():
+        out.extend(five_crop(ImagePair(pair.image[flip], pair.mask[flip],
+                                       f"{pair.source_id}_{tag}"), crop))
     return out
 
 
@@ -333,8 +337,8 @@ def prepare_dataset(dataset_dir, out_dir, seed: int = 0, *,
     """Split a raw corpus, augment the train side 15x, and write a manifest.
 
     Train pairs are binarized, resized to ``resize``, and expanded with
-    ``augment_expand``; each augmented pair lands in ``out_dir`` as
-    ``<stem>_<variant>_<crop>.ppm/.pgm``. Test pairs are referenced at their
+    ``augment_expand``; ``save_pair`` writes each augmented pair to ``out_dir``
+    as ``<stem>_<variant>_<crop>``. Test pairs are referenced at their
     original paths. The positive-pixel fraction is ``dataset_stats``'s, over
     every source mask at native resolution; that pass reads every pair, so a
     bad pair is refused before anything is written.
@@ -348,16 +352,12 @@ def prepare_dataset(dataset_dir, out_dir, seed: int = 0, *,
                for image_path, mask_path in test]
     for image_path, mask_path in train:
         for aug in augment_expand(resize_pair(load_pair(image_path, mask_path), resize), crop):
-            img_out = out_root / f"{aug.source_id}.ppm"
-            mask_out = out_root / f"{aug.source_id}.pgm"
-            save_image(img_out, aug.image)
-            save_mask(mask_out, aug.mask)
-            entries.append(ManifestEntry(str(img_out), str(mask_out), "train"))
+            entries.append(ManifestEntry(*map(str, save_pair(out_root, aug)), "train"))
 
     entries.sort(key=lambda e: (e.split, e.image_path))
     manifest_path = out_root / "manifest.tsv"
     write_manifest(manifest_path, entries)
-    return PrepareResult(len(train), len(test), 15 * len(train),
+    return PrepareResult(len(train), len(test), len(entries) - len(test),
                          fraction, str(manifest_path))
 
 

@@ -13,6 +13,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .dataio import binarize_mask
+
 DEFAULT_THRESHOLDS = tuple(round(0.50 + 0.05 * i, 2) for i in range(10))
 
 
@@ -117,8 +119,8 @@ def evaluate(predict, pairs, pred_threshold: float = 0.5) -> MetricReport:
     """Score a predictor over image pairs.
 
     ``predict`` maps an (H, W, 3) image to an (H, W) probability map, which
-    is binarized strictly above ``pred_threshold``, which must lie in
-    [0, 1], before scoring against the pair's mask.
+    is binarized by ``dataio.binarize_mask`` at ``pred_threshold``, which
+    must lie in [0, 1], before scoring against the pair's binarized mask.
     """
     if not 0 <= pred_threshold <= 1:
         raise ValueError(f"evaluate: pred_threshold {pred_threshold} must lie in [0, 1]")
@@ -131,7 +133,6 @@ def evaluate(predict, pairs, pred_threshold: float = 0.5) -> MetricReport:
         if prob.shape != pair.mask.shape:
             raise ValueError(f"evaluate: prediction shape {prob.shape} != mask "
                              f"{pair.mask.shape} for {pair.source_id}")
-        pred = (prob > pred_threshold).astype(np.uint8)
-        true = (pair.mask > 0.5).astype(np.uint8)
+        pred, true = binarize_mask(prob, pred_threshold), binarize_mask(pair.mask)
         scores.append(ImageScore(pair.source_id, iou(pred, true), dice_score(pred, true)))
     return MetricReport(scores, pred_threshold)

@@ -31,7 +31,7 @@ from pathlib import Path
 import numpy as np
 
 from .convnn import conv2d, maxpool2, upsample2
-from .dataio import resize_bilinear
+from .dataio import model_input, resize_bilinear
 from .graphnn import (ChebParams, GatParams, build_grid_graph, cheb_conv, center_of_mass,
                       gat_conv, normalized_laplacian)
 from .tensor import ShapeError, Tensor, concat, leaky_relu, no_grad, reshape, sigmoid, transpose
@@ -255,18 +255,16 @@ def _apply_conv(x: Tensor, layer: tuple) -> Tensor:
 def predict_proba(forward, image_hwc: np.ndarray, size: int, dtype) -> np.ndarray:
     """Run ``forward`` on an (H, W, 3) image of any size; the map comes back at (H, W).
 
-    The image is resized to the ``size`` x ``size`` input and cast to
-    ``dtype``; the output is computed without recording and each channel
-    is resized back. Returns float32 (H, W) for a single-channel output,
-    else (C, H, W).
+    The image becomes the ``dataio.model_input`` of ``size`` and ``dtype``;
+    the output is computed without recording and each channel is resized
+    back. Returns float32 (H, W) for a single-channel output, else (C, H, W).
     """
     image = np.asarray(image_hwc)
     if image.ndim != 3 or image.shape[2] != 3:
         raise ShapeError(f"predict_proba: expected an (H, W, 3) image, got {image.shape}")
     h, w = image.shape[:2]
-    chw = resize_bilinear(image, size, size).transpose(2, 0, 1)
     with no_grad():
-        out = forward(Tensor(np.ascontiguousarray(chw, dtype=dtype))).data
+        out = forward(Tensor(model_input(image, size, dtype))).data
     if out.shape[0] == 1:
         return resize_bilinear(out[0], h, w)
     return resize_bilinear(out.transpose(1, 2, 0), h, w).transpose(2, 0, 1)
@@ -277,8 +275,14 @@ def build_model(spec: ModelSpec, dtype=np.float32) -> Model:
     return Model(spec, dtype)
 
 
+def glorot_uniform(rng, shape, fan_in: int, fan_out: int, dtype) -> np.ndarray:
+    """One Glorot-uniform draw of ``shape``, cast to ``dtype``."""
+    bound = math.sqrt(6.0 / (fan_in + fan_out))
+    return rng.uniform(-bound, bound, size=shape).astype(dtype)
+
+
 def init_params(model: Model, seed: int) -> Model:
-    """Fill weights uniformly in +-sqrt(6 / (fan_in + fan_out)); biases zero.
+    """Fill weights with ``glorot_uniform`` draws; biases zero.
 
     Draws happen in declaration order from one seeded stream, so a seed
     pins every parameter and the encoder draws are shared across variants.
@@ -289,8 +293,7 @@ def init_params(model: Model, seed: int) -> Model:
         if fans is None:
             p.data[...] = 0.0
         else:
-            bound = math.sqrt(6.0 / (fans[0] + fans[1]))
-            p.data[...] = rng.uniform(-bound, bound, size=p.data.shape).astype(p.data.dtype)
+            p.data[...] = glorot_uniform(rng, p.data.shape, *fans, p.data.dtype)
     return model
 
 

@@ -22,10 +22,10 @@ from pathlib import Path
 import numpy as np
 
 from .convnn import bce_loss, conv2d, loss_named
-from .dataio import model_arrays
+from .dataio import model_arrays, model_input
 from .model import (KIND_WRAPPER, Model, ModelFormatError, ModelSpec, build_model,
-                    decode_gacm, encode_gacm, init_params, load_model, model_checksum,
-                    predict_proba)
+                    decode_gacm, encode_gacm, glorot_uniform, init_params, load_model,
+                    model_checksum, predict_proba)
 from .optim import Adam
 from .tensor import ShapeError, Tensor, no_grad, sigmoid
 from .train import train_for_steps
@@ -82,12 +82,11 @@ class ReprogramWrapper:
         dtype = base.dtype
         shape = (3, size, size) if per_channel else (size, size)
         rng = np.random.RandomState(seed)
-        bound = np.sqrt(6.0 / (c_old + c_new))
         self.params = {
             "reprog.in.w": Tensor(np.ones(shape, dtype=dtype), requires_grad=True),
             "reprog.in.b": Tensor(np.zeros(shape, dtype=dtype), requires_grad=True),
-            "reprog.out.w": Tensor(rng.uniform(-bound, bound, (c_new, c_old, 1, 1))
-                                   .astype(dtype), requires_grad=True),
+            "reprog.out.w": Tensor(glorot_uniform(rng, (c_new, c_old, 1, 1), c_old, c_new,
+                                                  dtype), requires_grad=True),
             "reprog.out.b": Tensor(np.zeros(c_new, dtype=dtype), requires_grad=True),
         }
 
@@ -160,7 +159,7 @@ def make_pretrained_base(c_old: int = 8, size: int = 32, widths=(4, 8), seed: in
                      out_channels=c_old, seed=seed)
     base = init_params(build_model(spec), seed)
     scenes = generate_multiclass_set(count=12, size=size, classes=c_old, seed=seed)
-    data = [(np.ascontiguousarray(img.transpose(2, 0, 1)), one_hot(labels, c_old))
+    data = [(model_input(img, size, base.dtype), one_hot(labels, c_old))
             for img, labels in scenes]
     train_for_steps(base.forward, Adam(base.params, lr=lr), bce_loss, data, steps,
                     batch_size=4, seed=seed)

@@ -14,11 +14,10 @@ from __future__ import annotations
 
 import argparse
 import os
-from pathlib import Path
 
 import numpy as np
 
-from .dataio import ImagePair, save_image, save_mask
+from .dataio import ImagePair, save_pair
 
 
 def _smooth_field(rng: np.random.RandomState, size: int, waves: int = 4) -> np.ndarray:
@@ -108,15 +107,10 @@ def one_hot(labels: np.ndarray, classes: int) -> np.ndarray:
 
 def write_flood_set(out_dir, count: int = 20, size: int = 64, seed: int = 0,
                     blob_scale: float = 1.0) -> list[tuple[str, str]]:
+    """Write ``generate_flood_set``'s pairs with ``dataio.save_pair``; returns their paths."""
     os.makedirs(out_dir, exist_ok=True)
-    written = []
-    for pair in generate_flood_set(count, size, seed, blob_scale):
-        image_path = Path(out_dir) / f"{pair.source_id}.ppm"
-        mask_path = Path(out_dir) / f"{pair.source_id}.pgm"
-        save_image(image_path, pair.image)
-        save_mask(mask_path, pair.mask)
-        written.append((str(image_path), str(mask_path)))
-    return written
+    return [tuple(map(str, save_pair(out_dir, pair)))
+            for pair in generate_flood_set(count, size, seed, blob_scale)]
 
 
 def main(argv=None) -> int:

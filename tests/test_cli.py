@@ -488,6 +488,26 @@ def test_an_out_dir_that_is_a_file_is_refused_before_any_work(workspace, tmp_pat
     assert sorted(p.name for p in tmp_path.iterdir()) == ["afile"]     # no base either
 
 
+@pytest.mark.parametrize("command", ["eval", "predict"])
+@pytest.mark.parametrize("parent", ["nodir", "afile"], ids=["missing", "file"])
+def test_an_output_whose_parent_is_not_a_directory_is_refused_before_loading(
+        workspace, tmp_path, capsys, monkeypatch, command, parent):
+    (tmp_path / "afile").write_text("not a directory\n", encoding="utf-8")
+
+    def load_model(path):
+        raise AssertionError(f"{path} was loaded")
+
+    monkeypatch.setattr("floodseg.model.load_model", load_model)
+    output = tmp_path / parent / "out"
+    image = next(iter(sorted(workspace["raw"].glob("*.ppm"))))
+    flags = {"eval": ["--manifest", str(workspace["manifest"]), "--report", str(output)],
+             "predict": ["--image", str(image), "--output", str(output)]}
+    assert main([command, "--model", str(tmp_path / "model.gacm")] + flags[command]) == 2
+    assert capsys.readouterr() == ("", f"error: cannot write {output}: "
+                                       f"{tmp_path / parent} is not a directory\n")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["afile"]
+
+
 def test_a_manifest_that_is_not_utf8_exits_with_data_code(workspace, tmp_path, capsys):
     manifest = tmp_path / "manifest.tsv"
     manifest.write_bytes(workspace["manifest"].read_bytes() + b"\xff\n")

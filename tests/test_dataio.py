@@ -1,13 +1,14 @@
 """Image I/O, resizing, augmentation, splitting, and manifests."""
 
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from floodseg.dataio import (DataError, ImagePair, PnmError, augment_expand,
-                             binarize_mask, discover_pairs, five_crop,
-                             flip_horizontal, flip_vertical, load_image,
+                             binarize_mask, discover_pairs, five_crop, load_image,
                              load_mask, load_pair, model_arrays, prepare_dataset,
                              read_manifest,
                              resize_bilinear, resize_pair, save_image, save_mask,
@@ -121,6 +122,7 @@ def test_save_rejects_wrong_shapes(tmp_path):
 def test_binarize_threshold_is_strictly_above_half():
     values = np.array([0, 127, 128, 200, 255]) / 255.0
     np.testing.assert_array_equal(binarize_mask(values), [0, 0, 1, 1, 1])
+    np.testing.assert_array_equal(binarize_mask(values, 200 / 255.0), [0, 0, 0, 0, 1])
 
 
 # ---- bilinear resize -----------------------------------------------------------
@@ -190,13 +192,13 @@ def test_resize_applies_per_channel():
 def test_flips_mirror_image_and_mask_together():
     rng = np.random.RandomState(5)
     pair = make_pair(rng)
-    hf = flip_horizontal(pair)
+    by_id = {p.source_id: p for p in augment_expand(pair, crop=16)}   # center crop = whole image
+    hf, vf = by_id["pair_hf_c"], by_id["pair_vf_c"]
     np.testing.assert_array_equal(hf.image, pair.image[:, ::-1])
     np.testing.assert_array_equal(hf.mask, pair.mask[:, ::-1])
-    np.testing.assert_array_equal(flip_horizontal(hf).image, pair.image)
-    vf = flip_vertical(pair)
     np.testing.assert_array_equal(vf.image, pair.image[::-1])
-    np.testing.assert_array_equal(flip_vertical(vf).mask, pair.mask)
+    np.testing.assert_array_equal(vf.mask, pair.mask[::-1])
+    assert hf.image.flags.c_contiguous and vf.mask.flags.c_contiguous
 
 
 def test_five_crop_offsets_on_512():
@@ -345,6 +347,20 @@ def test_prepare_dataset_writes_augmented_train_and_references_test(tmp_path):
     a = (out / "manifest.tsv").read_text().replace(str(out), "X")
     b = (tmp_path / "prep2" / "manifest.tsv").read_text().replace(str(tmp_path / "prep2"), "X")
     assert a == b
+
+
+def test_prepare_dataset_writes_the_pinned_bytes(tmp_path):
+    """Every crop, by name, and the manifest of a seeded synthetic corpus, byte for byte."""
+    write_flood_set(tmp_path / "raw", count=3, size=20, seed=4)
+    result = prepare_dataset(tmp_path / "raw", tmp_path, seed=0, resize=16, crop=8)
+    crops = sorted(p for p in tmp_path.iterdir() if p.suffix in (".ppm", ".pgm"))
+    table = "".join(f"{p.name} {hashlib.sha256(p.read_bytes()).hexdigest()}\n" for p in crops)
+    manifest = (tmp_path / "manifest.tsv").read_text().replace(str(tmp_path), "")
+    assert len(crops) == 2 * result.augmented_count == 60
+    assert hashlib.sha256(table.encode()).hexdigest() == (
+        "ee5eca6aea1a1a2f98582dccf7aa85a492cdd438c990e9ea4dc5909bfd226b82")
+    assert hashlib.sha256(manifest.encode()).hexdigest() == (
+        "7eadd1bf0969983e549a5cccae966412773d0e5044fa30a3a2af8a798d6dee4e")
 
 
 def test_prepare_dataset_never_mutates_the_source(tmp_path):
