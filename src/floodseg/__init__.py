@@ -6,8 +6,9 @@ reverse-mode autodiff core on netpbm imagery. Includes dataset preparation
 (70/30 split plus flip/crop augmentation), IoU/Dice/mAP evaluation, and
 model reprogramming around a frozen base network.
 
-The exported names resolve on first use (PEP 562), so importing the package
-loads no numpy and ``floodseg.cli`` can pin its thread count first.
+The exported names and submodules resolve on first use (PEP 562), so importing
+the package loads no numpy. ``floodseg.cli`` reaches the library only through
+them, so ``--deterministic`` pins the thread count before numpy loads.
 """
 
 from importlib import import_module

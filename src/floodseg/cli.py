@@ -4,8 +4,7 @@
 needs and its help line. Every setting is a flat key=value: read from
 ``--config FILE`` (one pair per line, ``#`` comments), overridden by
 ``--key value`` flags. Unknown keys are rejected. ``--deterministic`` pins
-the numeric libraries to one thread (set before they load, which is why the
-heavy imports live inside the handlers).
+the numeric libraries to one thread before they load.
 
 Exit codes: 0 success, 1 usage or configuration error, 2 data error (an
 unreadable or unwritable path included), 3 numeric failure (non-finite loss,
@@ -16,7 +15,10 @@ from __future__ import annotations
 
 import os
 import sys
+from dataclasses import fields
 from pathlib import Path
+
+import floodseg
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -140,26 +142,31 @@ def _resolve_config(args: list) -> dict:
     return config
 
 
-def _config_echo(config: dict) -> list:
-    lines = []
-    for key in sorted(config):
-        value = config[key]
-        if isinstance(value, tuple):
-            value = ",".join(str(v) for v in value)
-        lines.append(f"# {key}={value}")
-    return lines
+def _write_log(config: dict, name: str, rows: list) -> Path:
+    """Make ``out_dir`` and write its log ``name``: the configuration as sorted
+    ``# key=value`` lines (a tuple comma-joined), then ``rows``. Returns the log's path."""
+    path = Path(config["out_dir"]) / name
+    os.makedirs(path.parent, exist_ok=True)
+    echo = [f"# {key}={','.join(map(str, value)) if isinstance(value, tuple) else value}"
+            for key, value in sorted(config.items())]
+    path.write_text("\n".join(echo + rows) + "\n", encoding="utf-8")
+    return path
 
 
-def _load_mask_model(path: str, output: str | None):
-    """A saved model with the one output channel that a mask is cut from. ``output``, the
-    file the command writes, if any, is refused first if its parent is not a directory."""
-    from .dataio import DataError
-    from .model import load_model
-    if output and not Path(output).parent.is_dir():
-        raise NotADirectoryError(f"cannot write {output}: {Path(output).parent} is not a directory")
-    net = load_model(path)
+def _check_output_file(path):
+    """Refuse, before any work, a file to write that is a directory or whose parent is not one."""
+    if Path(path).is_dir():
+        raise IsADirectoryError(f"cannot write {path}: it is a directory")
+    if not Path(path).parent.is_dir():
+        raise NotADirectoryError(f"cannot write {path}: {Path(path).parent} is not a directory")
+
+
+def _load_mask_model(path: str):
+    """A saved model with the one output channel that a mask is cut from."""
+    net = floodseg.load_model(path)
     if net.spec.out_channels != 1:
-        raise DataError(f"{path}: model has {net.spec.out_channels} output channels, not 1")
+        raise floodseg.DataError(f"{path}: model has {net.spec.out_channels} output channels, "
+                                 "not 1")
     return net
 
 
@@ -172,9 +179,8 @@ def _adam(config: dict) -> dict:
 
 
 def cmd_prepare(config: dict) -> int:
-    from .dataio import prepare_dataset
-    result = prepare_dataset(config["dataset_dir"], config["out_dir"], config["seed"],
-                             resize=config["resize"], crop=config["crop"])
+    result = floodseg.prepare_dataset(config["dataset_dir"], config["out_dir"], config["seed"],
+                                      resize=config["resize"], crop=config["crop"])
     print(f"{result.train_count} train / {result.test_count} test, "
           f"{result.augmented_count} augmented train pairs")
     print(f"positive pixel fraction: {result.positive_fraction:.4f}")
@@ -183,37 +189,27 @@ def cmd_prepare(config: dict) -> int:
 
 
 def cmd_dataset_stats(config: dict) -> int:
-    from .dataio import dataset_stats
-    count, fraction = dataset_stats(config["dataset_dir"])
+    count, fraction = floodseg.dataio.dataset_stats(config["dataset_dir"])
     print(f"{count} image/mask pairs")
     print(f"positive pixel fraction: {fraction:.4f}")
     return EXIT_OK
 
 
 def cmd_train(config: dict) -> int:
-    from dataclasses import fields
+    train_entries = floodseg.read_split(config["manifest"], "train")
+    val_entries = [e for e in floodseg.read_manifest(config["manifest"]) if e.split == "test"]
+    spec = floodseg.ModelSpec(**{f.name: config[f.name] for f in fields(floodseg.ModelSpec)
+                                 if f.name in config})
+    net = floodseg.init_params(floodseg.build_model(spec, f"float{config['float_width']}"),
+                               spec.seed)
+    result = floodseg.train_model(net, train_entries, val_entries, loss=config["loss"],
+                                  epochs=config["epochs"], batch_size=config["batch_size"],
+                                  seed=spec.seed, freeze=config["freeze"],
+                                  early_stop_train_dice=config["early_stop_train_dice"],
+                                  on_epoch=lambda row: print(row.format()), **_adam(config))
 
-    from .dataio import read_manifest, read_split
-    from .model import ModelSpec, build_model, init_params
-    from .train import train_model
-
-    train_entries = read_split(config["manifest"], "train")
-    val_entries = [e for e in read_manifest(config["manifest"]) if e.split == "test"]
-    spec = ModelSpec(**{f.name: config[f.name] for f in fields(ModelSpec) if f.name in config})
-    net = init_params(build_model(spec, f"float{config['float_width']}"), spec.seed)
-    result = train_model(net, train_entries, val_entries, loss=config["loss"],
-                         epochs=config["epochs"], batch_size=config["batch_size"],
-                         seed=spec.seed, freeze=config["freeze"],
-                         early_stop_train_dice=config["early_stop_train_dice"],
-                         on_epoch=lambda row: print(row.format()), **_adam(config))
-
-    out_dir = Path(config["out_dir"])
-    os.makedirs(out_dir, exist_ok=True)
-    log_path = out_dir / "train.log"
-    log_lines = _config_echo(config) + [row.format() for row in result.rows]
-    log_path.write_text("\n".join(log_lines) + "\n", encoding="utf-8")
-
-    model_path = out_dir / "model.gacm"
+    log_path = _write_log(config, "train.log", [row.format() for row in result.rows])
+    model_path = log_path.parent / "model.gacm"
     model_path.write_bytes(result.model_bytes)
     kept = f"epoch {result.best_epoch}" if result.best_epoch else "final state"
     print(f"model: {model_path} ({kept})")
@@ -222,76 +218,64 @@ def cmd_train(config: dict) -> int:
 
 
 def cmd_eval(config: dict) -> int:
-    from .dataio import load_pairs, read_split
-    from .metrics import evaluate
-
-    net = _load_mask_model(config["model"], config["report"])
-    pairs = load_pairs(read_split(config["manifest"], config["split"]))
-    report = evaluate(net.predict_proba, pairs, config["pred_threshold"])
-    text = str(report)
-    print(text)
     if config["report"]:
-        Path(config["report"]).write_text(text + "\n", encoding="utf-8")
+        _check_output_file(config["report"])
+    net = _load_mask_model(config["model"])
+    pairs = floodseg.dataio.load_pairs(floodseg.read_split(config["manifest"], config["split"]))
+    report = str(floodseg.evaluate(net.predict_proba, pairs, config["pred_threshold"]))
+    print(report)
+    if config["report"]:
+        Path(config["report"]).write_text(report + "\n", encoding="utf-8")
     return EXIT_OK
 
 
 def cmd_predict(config: dict) -> int:
-    from .dataio import binarize_mask, load_image, save_mask
-
-    net = _load_mask_model(config["model"], config["output"])
-    prob = net.predict_proba(load_image(config["image"]))
-    save_mask(config["output"], binarize_mask(prob, config["pred_threshold"]))
+    _check_output_file(config["output"])
+    net = _load_mask_model(config["model"])
+    prob = net.predict_proba(floodseg.load_image(config["image"]))
+    floodseg.save_mask(config["output"], floodseg.binarize_mask(prob, config["pred_threshold"]))
     print(f"mask: {config['output']}")
     return EXIT_OK
 
 
 def cmd_reprogram(config: dict) -> int:
-    from .convnn import loss_named
-    from .dataio import DataError, load_pairs, read_split
-    from .model import load_model, model_checksum, save_model
-    from .optim import Adam
-    from .reprogram import (ReprogramWrapper, dataset_loss, make_pretrained_base,
-                            reprogram_train, save_wrapper)
-    from .train import check_schedule
-
-    pairs = load_pairs(read_split(config["manifest"], "train"))
-    # The run's own checks of its settings, before a base is pretrained and written.
-    loss_named(config["loss"])
-    check_schedule(len(pairs), config["steps"], config["batch_size"])
-    Adam({}, **_adam(config))
     base_path = Path(config["base_model"])
-    if config["init_base"] and not base_path.is_file():
-        base = make_pretrained_base(c_old=config["base_channels"],
-                                    size=config["input_size"], seed=config["seed"])
-        save_model(base, base_path)
+    if make_base := config["init_base"] and not base_path.is_file():
+        _check_output_file(base_path)
+    pairs = floodseg.dataio.load_pairs(floodseg.read_split(config["manifest"], "train"))
+    # The run's own checks of its settings, before a base is pretrained and written.
+    floodseg.convnn.loss_named(config["loss"])
+    floodseg.train.check_schedule(len(pairs), config["steps"], config["batch_size"])
+    floodseg.Adam({}, **_adam(config))
+    if make_base:
+        base = floodseg.reprogram.make_pretrained_base(
+            c_old=config["base_channels"], size=config["input_size"], seed=config["seed"])
+        floodseg.save_model(base, base_path)
         print(f"pretrained base: {base_path}")
     if not base_path.is_file():
-        raise DataError(f"base model not found: {base_path}")
-    base = load_model(base_path)
+        raise floodseg.DataError(f"base model not found: {base_path}")
+    base = floodseg.load_model(base_path)
 
-    wrapper = ReprogramWrapper(base, per_channel=config["per_channel"], seed=config["seed"])
+    wrapper = floodseg.ReprogramWrapper(base, per_channel=config["per_channel"],
+                                        seed=config["seed"])
     print(f"frozen base checksum: {wrapper.base_checksum}")
-    initial_loss = dataset_loss(wrapper, pairs, config["loss"])
-    losses = reprogram_train(wrapper, pairs, config["steps"], loss=config["loss"],
-                             batch_size=config["batch_size"], seed=config["seed"],
-                             **_adam(config))
-    final_loss = dataset_loss(wrapper, pairs, config["loss"])
-    print(f"frozen base checksum: {model_checksum(base)}")
+    initial_loss = floodseg.reprogram.dataset_loss(wrapper, pairs, config["loss"])
+    losses = floodseg.reprogram_train(wrapper, pairs, config["steps"], loss=config["loss"],
+                                      batch_size=config["batch_size"], seed=config["seed"],
+                                      **_adam(config))
+    final_loss = floodseg.reprogram.dataset_loss(wrapper, pairs, config["loss"])
+    print(f"frozen base checksum: {floodseg.model_checksum(base)}")
 
-    out_dir = Path(config["out_dir"])
-    os.makedirs(out_dir, exist_ok=True)
-    wrapper_path = out_dir / "wrapper.gacm"
-    save_wrapper(wrapper, wrapper_path)
-    log_lines = _config_echo(config) + [f"{i}\t{v:.6f}" for i, v in enumerate(losses)]
-    (out_dir / "reprogram.log").write_text("\n".join(log_lines) + "\n", encoding="utf-8")
+    log_path = _write_log(config, "reprogram.log", [f"{i}\t{v:.6f}" for i, v in enumerate(losses)])
+    wrapper_path = log_path.parent / "wrapper.gacm"
+    floodseg.save_wrapper(wrapper, wrapper_path)
     print(f"loss: {initial_loss:.6f} -> {final_loss:.6f} over {len(losses)} steps")
     print(f"wrapper: {wrapper_path}")
     return EXIT_OK
 
 
 def cmd_gradcheck(config: dict) -> int:
-    from .checks import run_gradient_suite
-    results = run_gradient_suite(seed=config["seed"])
+    results = floodseg.run_gradient_suite(seed=config["seed"])
     width = max(len(r.name) for r in results)
     failed = False
     for r in results:
@@ -366,20 +350,16 @@ def main(argv=None) -> int:
 
     if config["deterministic"]:
         _set_single_threaded()
-    from .dataio import DataError
-    from .model import ModelFormatError
-    from .reprogram import FrozenBaseError
-    from .tensor import ShapeError
-    from .train import NumericFailure
     try:
         if "out_dir" in required:
             _check_out_dir(config["out_dir"])
         return handler(config)
-    except (DataError, ModelFormatError, ShapeError, OSError) as exc:   # ShapeError is a ValueError
+    except (floodseg.DataError, floodseg.ModelFormatError, floodseg.ShapeError,
+            OSError) as exc:     # ShapeError is a ValueError
         return _error(exc, EXIT_DATA)
     except (UsageError, ValueError) as exc:    # bad arguments, SpecError included
         return _error(exc, EXIT_USAGE)
-    except (NumericFailure, FrozenBaseError) as exc:
+    except (floodseg.NumericFailure, floodseg.FrozenBaseError) as exc:
         return _error(exc, EXIT_NUMERIC)
 
 

@@ -311,8 +311,12 @@ def read_split(path, split: str) -> list[ManifestEntry]:
 
 
 def load_pair(image_path, mask_path) -> ImagePair:
-    """An image and its mask binarized at load, at native size, named by the image's stem."""
-    image, mask = load_image(image_path), binarize_mask(load_mask(mask_path))
+    """An image and its mask binarized at load, at native size, named by the image's stem;
+    an ``OSError`` from reading either file is a ``DataError`` naming both."""
+    try:
+        image, mask = load_image(image_path), binarize_mask(load_mask(mask_path))
+    except OSError as exc:
+        raise DataError(f"cannot read pair {image_path}, {mask_path}: {exc}") from exc
     if mask.shape != image.shape[:2]:
         raise DataError(f"{image_path}: mask {mask_path} is {mask.shape}, not {image.shape[:2]}")
     return ImagePair(image, mask, Path(image_path).stem)

@@ -1,8 +1,9 @@
 """Segmentation metrics over binary masks and the evaluation report.
 
-All inputs are binary maps (values 0 and 1). ``iou`` and ``dice_score``
-count pixels in exact integer arithmetic before one final division; the
-empty-vs-empty case scores 1.0 for both. ``mean_average_precision`` is the
+All inputs are binary maps (values 0 and 1). ``_overlap`` validates a mask
+pair and counts it once, in exact integers, for both IoU and dice (1.0 each
+when both masks are empty); ``iou``, ``dice_score`` and each image of
+``evaluate`` read that one count. ``mean_average_precision`` is the
 mean, over an ascending threshold grid, of the fraction of images whose IoU
 reaches each threshold.
 """
@@ -20,33 +21,31 @@ DEFAULT_THRESHOLDS = tuple(round(0.50 + 0.05 * i, 2) for i in range(10))
 
 def _as_binary(mask, name: str, op: str) -> np.ndarray:
     arr = np.asarray(mask)
-    values_ok = np.logical_or(arr == 0, arr == 1).all()
-    if not values_ok:
+    if not np.logical_or(arr == 0, arr == 1).all():
         raise ValueError(f"{op}: {name} mask must be binary (0/1)")
     return arr != 0
 
 
-def _counts(pred, true, op: str) -> tuple[int, int, int]:
-    p = _as_binary(pred, "pred", op)
-    t = _as_binary(true, "true", op)
+def _overlap(pred, true, op: str) -> tuple[float, float]:
+    """IoU and dice of two binary masks of one shape, from one count of the pair."""
+    p, t = _as_binary(pred, "pred", op), _as_binary(true, "true", op)
     if p.shape != t.shape:
         raise ValueError(f"{op}: shape mismatch {p.shape} vs {t.shape}")
-    intersection = int(np.logical_and(p, t).sum())
-    return intersection, int(p.sum()), int(t.sum())
+    intersection = int(np.count_nonzero(p & t))
+    total = int(np.count_nonzero(p)) + int(np.count_nonzero(t))    # |pred| + |true|
+    if total == 0:
+        return 1.0, 1.0
+    return intersection / (total - intersection), 2 * intersection / total
 
 
 def iou(pred_mask, true_mask) -> float:
     """Intersection over union; 1.0 when both masks are empty."""
-    intersection, np_, nt = _counts(pred_mask, true_mask, "iou")
-    union = np_ + nt - intersection
-    return 1.0 if union == 0 else intersection / union
+    return _overlap(pred_mask, true_mask, "iou")[0]
 
 
 def dice_score(pred_mask, true_mask) -> float:
     """2 * intersection / (|pred| + |true|); 1.0 when both masks are empty."""
-    intersection, np_, nt = _counts(pred_mask, true_mask, "dice_score")
-    total = np_ + nt
-    return 1.0 if total == 0 else 2 * intersection / total
+    return _overlap(pred_mask, true_mask, "dice_score")[1]
 
 
 def precision_at(per_image_ious, threshold: float) -> float:
@@ -134,5 +133,5 @@ def evaluate(predict, pairs, pred_threshold: float = 0.5) -> MetricReport:
             raise ValueError(f"evaluate: prediction shape {prob.shape} != mask "
                              f"{pair.mask.shape} for {pair.source_id}")
         pred, true = binarize_mask(prob, pred_threshold), binarize_mask(pair.mask)
-        scores.append(ImageScore(pair.source_id, iou(pred, true), dice_score(pred, true)))
+        scores.append(ImageScore(pair.source_id, *_overlap(pred, true, "evaluate")))
     return MetricReport(scores, pred_threshold)

@@ -8,7 +8,8 @@ the channel axis. The ``gac-unet`` variant runs each sample's bottleneck
 grid through attention mixing, a Chebyshev graph filter, and soft-centroid
 augmentation; ``plain-unet`` passes the bottleneck through unchanged, so
 the two variants share identical encoders given the same seed. The head is
-a 1x1 convolution with a per-channel sigmoid.
+a 1x1 convolution with a per-channel sigmoid. ``init_params`` zeroes the
+``*.b`` biases and draws the rest Glorot-uniform, fans read from the shape.
 
 Model files (.gacm) hold a small header (magic, version, kind, float width),
 the length-prefixed configuration JSON, and the raw little-endian parameter
@@ -142,23 +143,20 @@ class Model:
         if self.dtype not in (np.dtype(np.float32), np.dtype(np.float64)):
             raise SpecError(f"dtype: must be float32 or float64, got {self.dtype}")
         self.params: dict[str, Tensor] = {}
-        self._init_meta: dict[str, tuple | None] = {}
         self.graph = None
         self.laplacian = None
         self._assemble()
 
     # ---- construction ----------------------------------------------------
 
-    def _new_param(self, name: str, shape, fans: tuple | None) -> Tensor:
+    def _new_param(self, name: str, shape) -> Tensor:
         t = Tensor(np.zeros(shape, dtype=self.dtype), requires_grad=True)
         self.params[name] = t
-        self._init_meta[name] = fans
         return t
 
     def _conv(self, name: str, c_in: int, c_out: int, k: int, dilation: int = 1) -> tuple:
-        fan = (c_in * k * k, c_out * k * k)
-        return (self._new_param(f"{name}.w", (c_out, c_in, k, k), fan),
-                self._new_param(f"{name}.b", (c_out,), None), dilation)
+        return (self._new_param(f"{name}.w", (c_out, c_in, k, k)),
+                self._new_param(f"{name}.b", (c_out,)), dilation)
 
     def _assemble(self):
         spec = self.spec
@@ -176,12 +174,10 @@ class Model:
             g = spec.grid_size
             self.graph = build_grid_graph(g, g, spec.connectivity)
             self.laplacian = normalized_laplacian(self.graph)
-            w = self._new_param("gat.weight", (spec.gat_out, spec.widths[-1]),
-                                (spec.widths[-1], spec.gat_out))
-            a = self._new_param("gat.attn", (2 * spec.gat_out,), (2 * spec.gat_out, 1))
+            w = self._new_param("gat.weight", (spec.gat_out, spec.widths[-1]))
+            a = self._new_param("gat.attn", (2 * spec.gat_out,))
             self.gat = GatParams(w, a, ACTIVATION_SLOPE)
-            thetas = [self._new_param(f"cheb.theta{k}", (spec.cheb_out, spec.gat_out),
-                                      (spec.gat_out, spec.cheb_out))
+            thetas = [self._new_param(f"cheb.theta{k}", (spec.cheb_out, spec.gat_out))
                       for k in range(spec.cheb_order + 1)]
             self.cheb = ChebParams(thetas)
 
@@ -275,25 +271,26 @@ def build_model(spec: ModelSpec, dtype=np.float32) -> Model:
     return Model(spec, dtype)
 
 
-def glorot_uniform(rng, shape, fan_in: int, fan_out: int, dtype) -> np.ndarray:
-    """One Glorot-uniform draw of ``shape``, cast to ``dtype``."""
-    bound = math.sqrt(6.0 / (fan_in + fan_out))
+def glorot_uniform(rng, shape, dtype) -> np.ndarray:
+    """One Glorot-uniform draw of a (C_out, C_in, *kernel) ``shape``, cast to ``dtype``; its
+    fans are C_in and C_out times the kernel size, or 1 and n for a vector (n,)."""
+    c_out, c_in = (*shape, 1)[:2]
+    bound = math.sqrt(6.0 / ((c_in + c_out) * math.prod(shape[2:])))
     return rng.uniform(-bound, bound, size=shape).astype(dtype)
 
 
 def init_params(model: Model, seed: int) -> Model:
-    """Fill weights with ``glorot_uniform`` draws; biases zero.
+    """Zero the ``*.b`` biases and fill every other parameter with a ``glorot_uniform`` draw.
 
     Draws happen in declaration order from one seeded stream, so a seed
     pins every parameter and the encoder draws are shared across variants.
     """
     rng = np.random.RandomState(seed)
     for name, p in model.params.items():
-        fans = model._init_meta[name]
-        if fans is None:
+        if name.endswith(".b"):
             p.data[...] = 0.0
         else:
-            p.data[...] = glorot_uniform(rng, p.data.shape, *fans, p.data.dtype)
+            p.data[...] = glorot_uniform(rng, p.data.shape, p.data.dtype)
     return model
 
 

@@ -85,8 +85,8 @@ class ReprogramWrapper:
         self.params = {
             "reprog.in.w": Tensor(np.ones(shape, dtype=dtype), requires_grad=True),
             "reprog.in.b": Tensor(np.zeros(shape, dtype=dtype), requires_grad=True),
-            "reprog.out.w": Tensor(glorot_uniform(rng, (c_new, c_old, 1, 1), c_old, c_new,
-                                                  dtype), requires_grad=True),
+            "reprog.out.w": Tensor(glorot_uniform(rng, (c_new, c_old, 1, 1), dtype),
+                                   requires_grad=True),
             "reprog.out.b": Tensor(np.zeros(c_new, dtype=dtype), requires_grad=True),
         }
 

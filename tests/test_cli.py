@@ -488,24 +488,34 @@ def test_an_out_dir_that_is_a_file_is_refused_before_any_work(workspace, tmp_pat
     assert sorted(p.name for p in tmp_path.iterdir()) == ["afile"]     # no base either
 
 
-@pytest.mark.parametrize("command", ["eval", "predict"])
-@pytest.mark.parametrize("parent", ["nodir", "afile"], ids=["missing", "file"])
+@pytest.mark.parametrize("command", ["eval", "predict", "reprogram"])
+@pytest.mark.parametrize("target", ["nodir/out", "afile/out", "adir"],
+                         ids=["missing", "file", "directory"])
 def test_an_output_whose_parent_is_not_a_directory_is_refused_before_loading(
-        workspace, tmp_path, capsys, monkeypatch, command, parent):
+        workspace, tmp_path, capsys, monkeypatch, command, target):
+    """Also an output that is itself a directory, and the base ``reprogram`` would pretrain."""
     (tmp_path / "afile").write_text("not a directory\n", encoding="utf-8")
+    (tmp_path / "adir").mkdir()
 
-    def load_model(path):
-        raise AssertionError(f"{path} was loaded")
+    def fail(*args, **kwargs):
+        raise AssertionError("work was done before the output was checked")
 
-    monkeypatch.setattr("floodseg.model.load_model", load_model)
-    output = tmp_path / parent / "out"
+    monkeypatch.setattr("floodseg.model.load_model", fail)
+    monkeypatch.setattr("floodseg.reprogram.make_pretrained_base", fail)
+    output = tmp_path / target
     image = next(iter(sorted(workspace["raw"].glob("*.ppm"))))
-    flags = {"eval": ["--manifest", str(workspace["manifest"]), "--report", str(output)],
-             "predict": ["--image", str(image), "--output", str(output)]}
-    assert main([command, "--model", str(tmp_path / "model.gacm")] + flags[command]) == 2
-    assert capsys.readouterr() == ("", f"error: cannot write {output}: "
-                                       f"{tmp_path / parent} is not a directory\n")
-    assert sorted(p.name for p in tmp_path.iterdir()) == ["afile"]
+    model = ["--model", str(tmp_path / "model.gacm")]
+    flags = {"eval": model + ["--manifest", str(workspace["manifest"]), "--report", str(output)],
+             "predict": model + ["--image", str(image), "--output", str(output)],
+             "reprogram": ["--manifest", str(workspace["manifest"]), "--base_model", str(output),
+                           "--init_base", "true", "--out_dir", str(tmp_path / "out"),
+                           "--base_channels", "2", "--input_size", "8", "--steps", "1"]}
+    assert main([command] + flags[command]) == 2
+    reason = ("it is a directory" if target == "adir"
+              else f"{output.parent} is not a directory")
+    assert capsys.readouterr() == ("", f"error: cannot write {output}: {reason}\n")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["adir", "afile"]
+    assert not any((tmp_path / "adir").iterdir())
 
 
 def test_a_manifest_that_is_not_utf8_exits_with_data_code(workspace, tmp_path, capsys):
@@ -534,7 +544,10 @@ def test_a_directory_given_as_an_image_exits_with_data_code(workspace, trained, 
                          "--output", str(tmp_path / "pred.pgm")]}
     assert main([command] + flags[command]) == 2
     out, err = capsys.readouterr()
-    assert out == "" and err == f"error: [Errno 21] Is a directory: '{folder}'\n"
+    # train and eval read the manifest's first test row first, through load_pair
+    mask = next(e.mask_path for e in read_manifest(manifest) if e.split == "test")
+    pair = "" if command == "predict" else f"cannot read pair {folder}, {mask}: "
+    assert out == "" and err == f"error: {pair}[Errno 21] Is a directory: '{folder}'\n"
     assert sorted(p.name for p in tmp_path.iterdir()) == ["folder.ppm", "manifest.tsv"]
 
 

@@ -2,8 +2,11 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from floodseg.dataio import ImagePair
+from floodseg import metrics
+from floodseg.dataio import ImagePair, binarize_mask
 from floodseg.metrics import (DEFAULT_THRESHOLDS, MetricReport, ImageScore,
                               dice_score, evaluate, iou, mean_average_precision,
                               precision_at)
@@ -170,3 +173,54 @@ def test_evaluate_rejects_shape_drift():
         evaluate(lambda img: np.zeros((2, 2)), [pair])
     with pytest.raises(ValueError):
         evaluate(lambda img: np.zeros((4, 4)), [])
+
+
+def random_pairs(seed: int, count: int, size: int, gray: bool, threshold: float = 0.5):
+    """Pairs whose masks are 0/1 or gray bytes, and probability maps that hit ``threshold``."""
+    rng = np.random.RandomState(seed)
+    pairs, probs = [], {}
+    for i in range(count):
+        mask = rng.randint(0, 256, (size, size)) / 255 if gray else rng.randint(0, 2, (size, size))
+        prob = rng.uniform(0, 1, (size, size))
+        prob[rng.uniform(0, 1, prob.shape) < 0.2] = threshold
+        pairs.append(ImagePair(rng.uniform(0, 1, (size, size, 3)).astype(np.float32),
+                               mask.astype(np.float32), f"p{i}"))
+        probs[f"p{i}"] = prob.astype(np.float32)
+    return pairs, probs
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**31 - 1), count=st.integers(1, 5), size=st.integers(1, 9),
+       gray=st.booleans(),
+       threshold=st.one_of(st.sampled_from([0.0, 0.5, 1.0]), st.floats(0.0, 1.0)))
+def test_evaluate_scores_as_the_public_metrics_do(seed, count, size, gray, threshold):
+    pairs, probs = random_pairs(seed, count, size, gray, threshold)
+    by_image = {id(p.image): probs[p.source_id] for p in pairs}
+    report = evaluate(lambda image: by_image[id(image)], pairs, threshold)
+
+    ious = []
+    for score, pair in zip(report.scores, pairs):
+        pred = binarize_mask(probs[pair.source_id], threshold)
+        true = binarize_mask(pair.mask)
+        assert score.image_id == pair.source_id
+        assert score.iou == iou(pred, true)
+        assert score.dice == dice_score(pred, true)
+        ious.append(score.iou)
+    assert report.precision_table == {t: precision_at(ious, t) for t in DEFAULT_THRESHOLDS}
+    assert report.map_score == mean_average_precision(ious)
+
+
+def test_evaluate_checks_each_scored_mask_once(monkeypatch):
+    """k pairs cost 2k binary checks: one count per image serves both IoU and dice."""
+    checked = []
+    check = metrics._as_binary
+
+    def counting(mask, *args):
+        checked.append(mask)
+        return check(mask, *args)
+
+    monkeypatch.setattr(metrics, "_as_binary", counting)
+    pairs, probs = random_pairs(seed=0, count=3, size=6, gray=True)
+    by_image = {id(p.image): probs[p.source_id] for p in pairs}
+    evaluate(lambda image: by_image[id(image)], pairs, 0.5)
+    assert len(checked) == 2 * len(pairs)

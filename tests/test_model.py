@@ -12,8 +12,8 @@ from hypothesis import strategies as st
 
 from floodseg.model import (FORMAT_VERSION, KIND_MODEL, MAGIC, Model,
                             ModelFormatError, ModelSpec, SpecError, build_model, decode_config,
-                            encode_gacm, init_params, load_model, model_checksum, save_model,
-                            serialize_model)
+                            encode_gacm, glorot_uniform, init_params, load_model,
+                            model_checksum, save_model, serialize_model)
 from floodseg.dataio import resize_bilinear
 from floodseg.reprogram import ReprogramWrapper, serialize_wrapper
 from floodseg.tensor import ShapeError, Tensor, no_grad, tsum
@@ -156,11 +156,21 @@ def test_init_is_deterministic_and_bounded():
         if name.endswith(".b"):
             assert np.all(p.data == 0.0), name
         else:
-            fan_in, fan_out = a._init_meta[name]
-            bound = np.sqrt(6.0 / (fan_in + fan_out))
+            c_out, c_in = (*p.data.shape, 1)[:2]     # a vector (n,) has fans 1 and n
+            receptive = int(np.prod(p.data.shape[2:]))
+            bound = np.sqrt(6.0 / (c_in * receptive + c_out * receptive))
             assert np.abs(p.data).max() <= bound, name
             if p.data.size >= 20:
                 assert p.data.min() < 0 < p.data.max(), name
+
+
+@pytest.mark.parametrize("shape,fans", [((3, 5, 2, 2), (20, 12)), ((6, 4), (4, 6)),
+                                        ((7,), (1, 7)), ((2, 9, 1, 1), (9, 2))])
+def test_glorot_fans_are_read_from_the_shape(shape, fans):
+    bound = np.sqrt(6.0 / sum(fans))
+    want = np.random.RandomState(0).uniform(-bound, bound, size=shape)
+    np.testing.assert_array_equal(glorot_uniform(np.random.RandomState(0), shape, np.float64),
+                                  want)
 
 
 def test_variants_share_encoder_draws_for_a_seed():
