@@ -14,8 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .convnn import bce_loss, conv2d, dice_loss, maxpool2, upsample2
-from .graphnn import (ChebParams, GatParams, build_grid_graph, cheb_conv, center_of_mass,
-                      gat_conv, normalized_laplacian)
+from .graphnn import (ChebParams, GatParams, Graph, build_grid_graph, cheb_conv,
+                      center_of_mass, gat_conv, neighbour_sum, normalized_laplacian)
 from .model import ModelSpec, build_model, init_params
 from .reprogram import input_transform, output_map
 from .tensor import Tensor, grad_check, no_grad, tmean
@@ -84,6 +84,9 @@ def _builders():
     """(name, builder) per layer check; a builder maps an rng to (fn, inputs)."""
     grid = build_grid_graph(2, 3)
     lap = normalized_laplacian(build_grid_graph(2, 2))
+    # degrees 3, 1, 1, 1 and 0: every row but node 0's has spare slots
+    star = Graph(5, [(0, 1), (0, 2), (0, 3)])
+    isolated = normalized_laplacian(star)
     return [("conv2d", _probed(conv2d, (2, 6, 6), (3, 2, 3, 3), (3,))),
             ("conv2d_narrowing", _probed(conv2d, (3, 6, 6), (2, 3, 3, 3), (2,))),
             ("conv2d_batch", _probed(conv2d, (2, 2, 6, 6), (3, 2, 3, 3), (3,))),
@@ -92,10 +95,15 @@ def _builders():
             ("maxpool2", _probed(maxpool2, (2, 6, 6))),
             ("maxpool2_ties_batch", _pool_ties),
             ("upsample2", _probed(upsample2, (2, 3, 3))),
+            ("neighbour_sum", _probed(lambda w, x: neighbour_sum(w, x, star.index),
+                                      (5, 4), (5, 2))),
             ("gat_conv", _probed(lambda x, w, a: gat_conv(x, grid, GatParams(w, a)),
                                  (6, 3), (4, 3), (8,))),
             ("cheb_conv", _probed(lambda x, *thetas: cheb_conv(x, lap, ChebParams(list(thetas))),
                                   (4, 2), *[(3, 2)] * 4)),
+            ("cheb_conv_isolated",
+             _probed(lambda x, *thetas: cheb_conv(x, isolated, ChebParams(list(thetas))),
+                     (5, 2), *[(3, 2)] * 3)),
             ("center_of_mass", _center_of_mass),
             ("input_transform", _probed(input_transform, (3, 4, 4), (4, 4), (4, 4))),
             ("output_map", _probed(output_map, (5, 3, 3), (1, 5, 1, 1), (1,))),

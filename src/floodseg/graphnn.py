@@ -7,9 +7,15 @@ learned attention over each node's neighbourhood (self-loop included),
 Laplacian, and ``center_of_mass`` appends per-channel soft-centroid
 coordinates as two extra constant feature channels.
 
-What the model path holds: a ``Graph`` keeps only its sorted edge pairs, its
-``NormalizedLaplacian`` writes the dense ``matrix`` and ``scaled`` from them,
-and ``gat_conv`` makes its attention mask per call. ``Graph.adjacency()`` and
+Both layers sum over neighbourhoods with the tape primitive
+``neighbour_sum``, through the graph's neighbour table ``Graph.index``, in
+O(n D) for n nodes and D - 1 the largest degree.
+
+What the model path holds: a ``Graph`` keeps its sorted edge pairs and its
+neighbour table; its ``NormalizedLaplacian`` keeps the rescaled Laplacian in
+the table's layout, in float64, and the dense float64 ``matrix`` and
+``scaled``, which no layer reads. ``gat_conv`` still scores every node pair
+and makes its attention mask per call. ``Graph.adjacency()`` and
 ``Graph.attention_mask()`` are dense float64 views, built and cached only
 when called; no layer reads them.
 """
@@ -20,8 +26,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .tensor import (ShapeError, Tensor, concat, leaky_relu, matmul, reshape, softmax,
-                     tmean, transpose)
+from .tensor import (ShapeError, Tensor, concat, leaky_relu, matmul, record_op, reshape,
+                     softmax, tmean, transpose)
 
 
 class Graph:
@@ -29,8 +35,10 @@ class Graph:
 
     Edges are stored once, as sorted (u, v) pairs with u < v, in an (E, 2)
     array; self-loops are rejected here and added implicitly where a
-    neighbourhood needs them (attention). That array is all a graph holds
-    until ``adjacency()`` or ``attention_mask()`` is called.
+    neighbourhood needs them. ``index`` is the (n, D) neighbour table, D the
+    largest degree plus one: row i is i, then i's neighbours in ascending
+    order, then i again in any spare slot. The pairs and the table are all a
+    graph holds until ``adjacency()`` or ``attention_mask()`` is called.
     """
 
     def __init__(self, node_count: int, edges):
@@ -58,6 +66,14 @@ class Graph:
             raise ValueError(f"Graph: duplicate edge {(min(u, v), max(u, v))}")
         self.node_count = node_count
         self._pairs = np.stack(np.divmod(unique, node_count), axis=1)
+        # both directions of every edge, sorted by (row, neighbour); a neighbour's
+        # slot is 1 + the number of neighbours listed before it in its row
+        rows, cols = np.divmod(np.sort(np.concatenate(
+            [unique, unique % node_count * node_count + unique // node_count])), node_count)
+        deg = np.bincount(rows, minlength=node_count)
+        slots = np.arange(rows.size) - np.repeat(np.cumsum(deg) - deg, deg) + 1
+        self.index = np.repeat(np.arange(node_count)[:, None], deg.max() + 1, axis=1)
+        self.index[rows, slots] = cols
         self._adjacency = None
         self._attention_mask = None
 
@@ -118,6 +134,11 @@ class NormalizedLaplacian:
     ``scaled`` subtracts the identity, pinning the spectrum into [-1, 1]
     (the largest eigenvalue of ``matrix`` is taken as 2). Both are dense
     float64, written from the graph's edge pairs without its adjacency.
+
+    ``weights`` holds ``scaled`` in the layout of the graph's neighbour table
+    ``index``: ``weights[i, d] == scaled[i, index[i, d]]`` for i and its
+    neighbours, and 0 in the spare slots. It is float64; ``cheb_conv`` reads
+    only it and ``index``.
     """
 
     def __init__(self, graph: Graph):
@@ -134,17 +155,51 @@ class NormalizedLaplacian:
         self.matrix = lap
         self.scaled = lap.copy()
         self.scaled[np.diag_indices(graph.node_count)] -= 1.0
-        self._tensors: dict = {}
-
-    def scaled_tensor(self, dtype) -> Tensor:
-        key = np.dtype(dtype)
-        if key not in self._tensors:
-            self._tensors[key] = Tensor(self.scaled.astype(key))
-        return self._tensors[key]
+        self.index = graph.index
+        spare = self.index == np.arange(graph.node_count)[:, None]
+        self.weights = np.where(spare, 0.0, -inv_sqrt[:, None] * inv_sqrt[self.index])
+        self.weights[:, 0] = connected - 1.0
 
 
 def normalized_laplacian(graph: Graph) -> NormalizedLaplacian:
     return NormalizedLaplacian(graph)
+
+
+def _partner_slots(index: np.ndarray) -> np.ndarray:
+    """For each slot (i, d) of a symmetric table, the flat slot j * D + e with
+    ``index[j, e] == i`` for j = ``index[i, d]``; a slot in which row i points
+    at i (its first slot or a spare one) is its own partner."""
+    n, width = index.shape
+    rows = np.arange(n)[:, None]
+    slots = np.where(index == rows, np.arange(width),
+                     (index[index] == rows[:, :, None]).argmax(axis=2))
+    return index * width + slots
+
+
+def neighbour_sum(w: Tensor, x: Tensor, index: np.ndarray) -> Tensor:
+    """``out[i] = sum_d w[i, d] * x[index[i, d]]`` for an (n, D) weight ``w``, an
+    (n, f) ``x`` and an (n, D) neighbour table ``index``.
+
+    The table must be symmetric, as ``Graph.index`` is: i is in row j exactly
+    when j is in row i, once, and row i's other slots point at i. Each slot
+    then has one partner slot pointing back, so ``x``'s gradient is a gather
+    through the partners, ``dx[j] = sum_e w[partner(j, e)] * g[index[j, e]]``,
+    with no scatter-add. A call gathers one (n, D, f) copy of its operand; a
+    recorded one keeps ``w`` and ``x`` as they are.
+    """
+    if w.data.shape != index.shape or x.data.ndim != 2 or x.data.shape[0] != index.shape[0]:
+        raise ShapeError(f"neighbour_sum: weights {w.data.shape} and features {x.data.shape} "
+                         f"do not fit a neighbour table {index.shape}")
+    out = np.einsum("nd,ndf->nf", w.data, x.data[index])
+    x_data = x.data if w.requires_grad else None
+    w_data = w.data if x.requires_grad else None
+
+    def backward(g):
+        return (None if x_data is None else np.einsum("nf,ndf->nd", g, x_data[index]),
+                None if w_data is None else
+                np.einsum("nd,ndf->nf", w_data.reshape(-1)[_partner_slots(index)], g[index]))
+
+    return record_op(out, (w, x), backward)
 
 
 @dataclass
@@ -183,11 +238,13 @@ def gat_conv(features: Tensor, graph: Graph, params: GatParams, return_attention
     sum of projected neighbour features. Off-neighbourhood entries are pushed
     to -1e30 before the softmax so they contribute exactly zero weight.
 
-    The 0/1 mask and the -1e30 offset are made per call by
-    ``graph.neighbourhood`` in the features' dtype, and nothing is cached. A
-    recorded call keeps three n x n arrays on the tape (the leaky relu
-    output, the mask and the attention) and peaks at five; without a tape it
-    peaks at three.
+    The scores, the 0/1 mask, the -1e30 offset and the softmax are dense
+    n x n: the mask and the offset are made per call by ``graph.neighbourhood``
+    in the features' dtype, and nothing is cached. The weighted sum is a
+    ``neighbour_sum`` over ``graph.index`` of the attention read at the
+    table's slots, spare slots zeroed, so it costs O(n D). A recorded call
+    keeps three n x n arrays on the tape (the leaky relu output, the mask and
+    the attention) and peaks at five; without a tape it peaks at three.
     """
     if features.data.ndim != 2:
         raise ShapeError(f"gat_conv: features must be (nodes, dim), got {features.data.shape}")
@@ -211,7 +268,10 @@ def gat_conv(features: Tensor, graph: Graph, params: GatParams, return_attention
     masked = masked + Tensor(graph.neighbourhood(dtype, 0.0, -_MASK_OFF))
     attention = softmax(masked, axis=1)
     del masked
-    out = leaky_relu(matmul(attention, z), params.slope)
+    index = graph.index
+    used = Tensor((np.arange(index.shape[1]) <= graph.degrees[:, None]).astype(dtype))
+    weights = attention[np.arange(n)[:, None], index] * used
+    out = leaky_relu(neighbour_sum(weights, z, index), params.slope)
     if return_attention:
         return out, attention
     return out
@@ -246,6 +306,11 @@ def cheb_conv(features: Tensor, laplacian: NormalizedLaplacian, params: ChebPara
     Builds T_0 = X, T_1 = L~ X, T_k = 2 L~ T_{k-1} - T_{k-2} and returns
     sum_k T_k theta_k^T. Order 0 never touches the Laplacian, so it is the
     graph-independent linear map X theta_0^T.
+
+    Each L~ T is a ``neighbour_sum`` of the Laplacian's table ``weights``, cast
+    per call to the features' dtype (n x D values), so a call holds and
+    peaks at O(n (D + f)) and never an n x n array. An isolated node's
+    diagonal entry is -1, which maps its features to their negation.
     """
     if features.data.ndim != 2:
         raise ShapeError(f"cheb_conv: features must be (nodes, dim), got {features.data.shape}")
@@ -258,11 +323,11 @@ def cheb_conv(features: Tensor, laplacian: NormalizedLaplacian, params: ChebPara
     out = matmul(features, transpose(params.thetas[0]))
     if params.order == 0:
         return out
-    lap = laplacian.scaled_tensor(features.data.dtype)
-    t_prev, t_curr = features, matmul(lap, features)
+    weights = Tensor(laplacian.weights.astype(features.data.dtype, copy=False))
+    t_prev, t_curr = features, neighbour_sum(weights, features, laplacian.index)
     out = out + matmul(t_curr, transpose(params.thetas[1]))
     for k in range(2, params.order + 1):
-        t_next = 2.0 * matmul(lap, t_curr) - t_prev
+        t_next = 2.0 * neighbour_sum(weights, t_curr, laplacian.index) - t_prev
         out = out + matmul(t_next, transpose(params.thetas[k]))
         t_prev, t_curr = t_curr, t_next
     return out

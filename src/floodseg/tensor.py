@@ -83,8 +83,8 @@ class Tensor:
     __array_ufunc__ = None      # numpy defers ``array - tensor`` to ``Tensor.__rsub__``
 
     def __init__(self, data, requires_grad: bool = False, dtype=None):
-        if dtype is None and not isinstance(data, np.ndarray):
-            dtype = DEFAULT_DTYPE      # only ndarrays carry an intended width
+        if dtype is None and not isinstance(data, (np.ndarray, np.generic)):
+            dtype = DEFAULT_DTYPE      # only numpy arrays and scalars carry an intended width
         arr = np.asarray(data, dtype=dtype)
         if arr.dtype not in _FLOAT_DTYPES:
             arr = arr.astype(DEFAULT_DTYPE)

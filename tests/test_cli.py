@@ -561,8 +561,8 @@ def test_gradcheck_passes_and_prints_a_table(capsys):
     table = [line for line in out.splitlines() if "tolerance" in line]
     assert [line.split()[0] for line in table] == [
         "conv2d", "conv2d_narrowing", "conv2d_batch", "dilated_conv2d", "maxpool2",
-        "maxpool2_ties_batch", "upsample2", "gat_conv", "cheb_conv", "center_of_mass",
-        "input_transform", "output_map", "bce_loss", "dice_loss", "dice_loss_batch",
+        "maxpool2_ties_batch", "upsample2", "neighbour_sum", "gat_conv", "cheb_conv",
+        "cheb_conv_isolated", "center_of_mass", "input_transform", "output_map", "bce_loss", "dice_loss", "dice_loss_batch",
         "end_to_end_gac_unet"]
     assert all(line.endswith("pass") for line in table)
 

@@ -8,7 +8,7 @@ import pytest
 
 from floodseg.graphnn import (ChebParams, GatParams, Graph, NormalizedLaplacian,
                               build_grid_graph, center_of_mass, cheb_conv,
-                              gat_conv, normalized_laplacian)
+                              gat_conv, neighbour_sum, normalized_laplacian)
 from floodseg.model import ModelSpec, build_model, init_params
 from floodseg.tensor import ShapeError, Tensor, no_grad, tsum
 
@@ -261,6 +261,129 @@ def test_a_model_forward_builds_no_adjacency_or_attention_mask():
     with no_grad():
         model.forward(x)
     assert model.graph._adjacency is None and model.graph._attention_mask is None
+
+
+# ---- neighbour table and neighbour_sum ------------------------------------------
+
+
+def oracle_graphs():
+    """Random graphs with isolated nodes, then 4- and 8-connected grids, (1, 1) included."""
+    graphs = list(random_graphs_with_isolated_nodes(np.random.RandomState(15), 30))
+    assert sum(bool((g.degrees == 0).any()) for g in graphs) >= 10
+    return graphs + [build_grid_graph(h, w, c) for h, w in [(1, 1), (1, 5), (3, 4), (6, 5)]
+                     for c in (4, 8)]
+
+
+def scattered(w, index):
+    """The dense (n, n) matrix whose row i adds w[i, d] at column index[i, d]."""
+    dense = np.zeros((index.shape[0],) * 2)
+    np.add.at(dense, (np.arange(index.shape[0])[:, None], index), w)
+    return dense
+
+
+def assert_relative(got, want, rtol=1e-12):
+    """Equal to ``rtol`` of the largest entry of ``want``, entry by entry."""
+    assert got.shape == want.shape
+    assert np.abs(got - want).max() <= rtol * np.abs(want).max()
+
+
+def test_neighbour_table_lists_self_then_sorted_neighbours_then_self_again():
+    for g in oracle_graphs():
+        width = g.degrees.max() + 1
+        assert g.index.shape == (g.node_count, width)
+        for i in range(g.node_count):
+            nbrs = sorted([v for u, v in g.edges if u == i] + [u for u, v in g.edges if v == i])
+            assert g.index[i].tolist() == [i] + nbrs + [i] * (width - 1 - len(nbrs))
+        lap = NormalizedLaplacian(g)
+        assert lap.index is g.index and lap.weights.dtype == np.float64
+        np.testing.assert_array_equal(scattered(lap.weights, g.index), lap.scaled)
+
+
+def test_neighbour_sum_matches_the_dense_product_and_loop_gradients():
+    rng = np.random.RandomState(16)
+    for g in oracle_graphs():
+        index = g.index
+        n, width = index.shape
+        # random weights in the spare slots too: they count like any other slot
+        w, x, probe = (rng.uniform(-1, 1, shape) for shape in [(n, width), (n, 3), (n, 3)])
+        wt = Tensor(w, requires_grad=True, dtype=np.float64)
+        xt = Tensor(x, requires_grad=True, dtype=np.float64)
+        out = neighbour_sum(wt, xt, index)
+        assert_relative(out.data, scattered(w, index) @ x)
+        tsum(out * f64(probe)).backward()
+        dw, dx = np.zeros_like(w), np.zeros_like(x)
+        for i in range(n):
+            for d in range(width):
+                dw[i, d] = probe[i] @ x[index[i, d]]
+                dx[index[i, d]] += w[i, d] * probe[i]
+        assert_relative(wt.grad, dw)
+        assert_relative(xt.grad, dx)
+
+
+def test_neighbour_sum_rejects_a_table_of_another_shape():
+    index = build_grid_graph(2, 2).index
+    with pytest.raises(ShapeError):
+        neighbour_sum(f64(np.ones((4, 2))), f64(np.ones((4, 3))), index)
+    with pytest.raises(ShapeError):
+        neighbour_sum(f64(np.ones((4, 3))), f64(np.ones((5, 3))), index)
+
+
+def test_cheb_conv_matches_the_recurrence_on_the_dense_scaled_laplacian():
+    rng = np.random.RandomState(17)
+    for g in oracle_graphs():
+        lap = NormalizedLaplacian(g)
+        x = rng.uniform(-1, 1, (g.node_count, 3))
+        thetas = [rng.uniform(-1, 1, (2, 3)) for _ in range(4)]
+        terms = [x, lap.scaled @ x]
+        for _ in range(2, 4):
+            terms.append(2.0 * lap.scaled @ terms[-1] - terms[-2])
+        want = sum(t @ theta.T for t, theta in zip(terms, thetas))
+        assert_relative(cheb_conv(f64(x), lap, ChebParams([f64(t) for t in thetas])).data, want)
+        # an isolated node's diagonal entry is -1: its features are negated
+        isolated = g.degrees == 0
+        step = neighbour_sum(f64(lap.weights), f64(x), lap.index).data
+        np.testing.assert_array_equal(step[isolated], -x[isolated])
+
+
+def test_gat_conv_sums_its_own_attention_over_the_neighbour_table():
+    rng = np.random.RandomState(18)
+    for g in oracle_graphs():
+        x = rng.uniform(-1, 1, (g.node_count, 4))
+        w, a = rng.uniform(-1, 1, (3, 4)), rng.uniform(-1, 1, 6)
+        out, att = gat_conv(f64(x), g, GatParams(f64(w), f64(a)), return_attention=True)
+        v = att.data @ (x @ w.T)
+        assert_relative(out.data, np.where(v > 0, v, 0.2 * v))
+
+
+def test_float32_cheb_conv_peaks_far_below_one_dense_array():
+    # One 4096 x 4096 float32 array is 64 times the 4096 x 64 features; the
+    # table's sum holds the features, one (n, D, f) gather and a few (n, f) terms.
+    n, f = 64 * 64, 64
+    rng = np.random.RandomState(19)
+    lap = normalized_laplacian(build_grid_graph(64, 64))
+    x = Tensor(rng.uniform(-1, 1, (n, f)), dtype=np.float32)
+    params = ChebParams([Tensor(rng.uniform(-1, 1, (f, f)), dtype=np.float32) for _ in range(3)])
+    tracemalloc.start()
+    try:
+        with no_grad():
+            out = cheb_conv(x, lap, params)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert out.data.dtype == np.float32
+    assert peak < 16 * n * f * 4
+
+
+def test_a_float32_prediction_leaves_no_float32_array_on_the_laplacian():
+    spec = ModelSpec(input_size=16, widths=(2, 3), gat_out=3, cheb_order=2, cheb_out=3,
+                     variant="gac-unet")
+    model = init_params(build_model(spec), 0)
+    model.predict_proba(np.random.RandomState(20).uniform(0, 1, (20, 20, 3)))
+    held = []
+    for value in vars(model.laplacian).values():
+        held += list(value.values()) if isinstance(value, dict) else [value]
+    assert model.dtype == np.float32
+    assert not any(np.asarray(getattr(v, "data", v)).dtype == np.float32 for v in held)
 
 
 # ---- normalized Laplacian ------------------------------------------------------

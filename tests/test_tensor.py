@@ -274,6 +274,13 @@ def test_default_dtype_is_float32_and_float64_sticks():
         assert isinstance(out, Tensor) and out.dtype == np.float32
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_a_numpy_scalar_keeps_its_width(dtype):
+    t = Tensor(dtype(1.7))
+    assert t.data.dtype == dtype and t.item() == float(dtype(1.7))
+    assert Tensor(1.7).data.dtype == np.float32         # a Python number takes the default
+
+
 def test_item_and_detach():
     t = Tensor(np.array([[3.5]]), requires_grad=True)
     assert t.item() == 3.5
