@@ -95,7 +95,7 @@ def _builders():
             ("maxpool2", _probed(maxpool2, (2, 6, 6))),
             ("maxpool2_ties_batch", _pool_ties),
             ("upsample2", _probed(upsample2, (2, 3, 3))),
-            ("neighbour_sum", _probed(lambda w, x: neighbour_sum(w, x, star.index),
+            ("neighbour_sum", _probed(lambda w, x: neighbour_sum(w, x, star),
                                       (5, 4), (5, 2))),
             ("gat_conv", _probed(lambda x, w, a: gat_conv(x, grid, GatParams(w, a)),
                                  (6, 3), (4, 3), (8,))),

@@ -91,30 +91,29 @@ KEYS = {
 }
 
 
-def _read_config_file(path: str) -> dict:
+def _read_config_file(path: str) -> list:
     try:
         text = Path(path).read_text(encoding="utf-8")
     except (OSError, UnicodeDecodeError) as exc:
         raise UsageError(f"cannot read config file {path}: {exc}") from None
-    raw = {}
+    pairs = []
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.split("#", 1)[0].strip()
         if not stripped:
             continue
         if "=" not in stripped:
             raise UsageError(f"{path}:{lineno}: expected key=value, got {line!r}")
-        key, value = (part.strip() for part in stripped.split("=", 1))
-        raw[key] = value
-    return raw
+        pairs.append(tuple(part.strip() for part in stripped.split("=", 1)))
+    return pairs
 
 
 def _resolve_config(args: list) -> dict:
-    file_pairs: dict = {}
-    flag_pairs: dict = {}
+    from_files: list = []
+    from_flags: list = []
     tokens = iter(args)
     for token in tokens:
         if token == "--deterministic":
-            flag_pairs["deterministic"] = "true"
+            from_flags.append(("deterministic", "true"))
             continue
         if not token.startswith("--"):
             raise UsageError(f"unexpected argument {token!r}")
@@ -122,12 +121,14 @@ def _resolve_config(args: list) -> dict:
         if value is None:
             raise UsageError(f"flag --{key} needs a value")
         if key == "config":
-            file_pairs.update(_read_config_file(value))
+            from_files += _read_config_file(value)
         else:
-            flag_pairs[key.replace("-", "_")] = value
+            from_flags.append((key, value))
 
     config = {key: default for key, (_, default) in KEYS.items()}
-    for key, text in {**file_pairs, **flag_pairs}.items():
+    # a flag beats a file, a later value an earlier; "-" reads as "_" in either
+    settings = {key.replace("-", "_"): text for key, text in from_files + from_flags}
+    for key, text in settings.items():
         if key not in KEYS:
             raise UsageError(f"unknown configuration key {key!r}")
         parser, _ = KEYS[key]

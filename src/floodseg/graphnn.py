@@ -11,17 +11,18 @@ Both layers sum over neighbourhoods with the tape primitive
 ``neighbour_sum``, through the graph's neighbour table ``Graph.index``, in
 O(n D) for n nodes and D - 1 the largest degree.
 
-What the model path holds: a ``Graph`` keeps its sorted edge pairs and its
-neighbour table; its ``NormalizedLaplacian`` keeps the rescaled Laplacian in
-the table's layout, in float64, and the dense float64 ``matrix`` and
-``scaled``, which no layer reads. ``gat_conv`` still scores every node pair
-and makes its attention mask per call. ``Graph.adjacency()`` and
-``Graph.attention_mask()`` are dense float64 views, built and cached only
-when called; no layer reads them.
+What the model path holds: a ``Graph`` keeps its neighbour table and, built
+with it, its degrees, the table's used-slot mask and its partner slots; its
+``NormalizedLaplacian`` keeps the rescaled Laplacian in the table's layout,
+in float64, and the dense float64 ``matrix`` and ``scaled``, which no layer
+reads. ``gat_conv`` still scores every node pair and makes its attention
+mask per call. ``Graph.adjacency()`` and ``Graph.attention_mask()`` are
+dense float64 views, built and cached only when called; no layer reads them.
 """
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -30,24 +31,36 @@ from .tensor import (ShapeError, Tensor, concat, leaky_relu, matmul, record_op, 
                      softmax, tmean, transpose)
 
 
-class Graph:
-    """Undirected graph over nodes 0..node_count-1.
+def is_int(value) -> bool:
+    """Whether ``value`` is a Python or numpy integer; a bool is not one."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
-    Edges are stored once, as sorted (u, v) pairs with u < v, in an (E, 2)
-    array; self-loops are rejected here and added implicitly where a
-    neighbourhood needs them. ``index`` is the (n, D) neighbour table, D the
-    largest degree plus one: row i is i, then i's neighbours in ascending
-    order, then i again in any spare slot. The pairs and the table are all a
-    graph holds until ``adjacency()`` or ``attention_mask()`` is called.
+
+class Graph:
+    """Undirected graph over nodes 0..node_count-1, held as one neighbour table.
+
+    ``index`` is (n, D), D the largest degree plus one: row i is i, then i's
+    neighbours in ascending order, then i again in any spare slot (self-loops
+    are refused). Built with it: ``degrees``; ``used``, the mask of slot 0 and
+    the neighbour slots; and ``partner``, whose entry for slot (i, d) is the
+    flat slot j * D + e with ``index[j, e] == i``, j = ``index[i, d]`` (a slot
+    pointing at its own row is its own partner). Every other view is read
+    off the table; only ``adjacency()`` and ``attention_mask()`` are cached.
     """
 
     def __init__(self, node_count: int, edges):
-        if node_count < 1:
-            raise ValueError(f"Graph: node_count must be positive, got {node_count}")
-        pairs = np.asarray(edges, dtype=np.int64)
+        if not is_int(node_count) or node_count < 1:
+            raise ValueError(f"Graph: node_count must be a positive integer, got {node_count}")
+        pairs = np.asarray(edges)
         if pairs.size and pairs.shape[1:] != (2,):
             raise ValueError(f"Graph: edges must be (u, v) pairs, got shape {pairs.shape}")
         pairs = pairs.reshape(-1, 2)
+        # numpy reads a bool beside ints as an int: a list's ids are checked one by one
+        if pairs.size and not (isinstance(edges, np.ndarray) and pairs.dtype.kind in "iu"):
+            for u, v in np.asarray(edges, dtype=object).reshape(-1, 2):
+                if not (is_int(u) and is_int(v)):
+                    raise ValueError(f"Graph: edge ({u},{v}) has a node id that is not an integer")
+        pairs = pairs.astype(np.int64, copy=False)
         lo, hi = pairs.min(axis=1), pairs.max(axis=1)
         # one key per edge, ordered as (min, max): sorting the keys sorts the edges
         keys = lo * node_count + hi
@@ -65,43 +78,43 @@ class Graph:
                 raise ValueError(f"Graph: edge ({u},{v}) outside 0..{node_count - 1}")
             raise ValueError(f"Graph: duplicate edge {(min(u, v), max(u, v))}")
         self.node_count = node_count
-        self._pairs = np.stack(np.divmod(unique, node_count), axis=1)
         # both directions of every edge, sorted by (row, neighbour); a neighbour's
         # slot is 1 + the number of neighbours listed before it in its row
         rows, cols = np.divmod(np.sort(np.concatenate(
             [unique, unique % node_count * node_count + unique // node_count])), node_count)
-        deg = np.bincount(rows, minlength=node_count)
-        slots = np.arange(rows.size) - np.repeat(np.cumsum(deg) - deg, deg) + 1
-        self.index = np.repeat(np.arange(node_count)[:, None], deg.max() + 1, axis=1)
-        self.index[rows, slots] = cols
+        deg = self.degrees = np.bincount(rows, minlength=node_count)
+        width = deg.max() + 1
+        flat = rows * width + np.arange(rows.size) - np.repeat(np.cumsum(deg) - deg, deg) + 1
+        index = np.repeat(np.arange(node_count), width)
+        index[flat] = cols
+        # reversing every (row, neighbour) key permutes the sorted keys, so the
+        # reversed keys' argsort is, per key, the position of its reverse
+        partner = np.arange(node_count * width)
+        partner[flat] = flat[np.argsort(cols * node_count + rows)]
+        self.index, self.partner = index.reshape(-1, width), partner.reshape(-1, width)
+        self.used = np.arange(width) <= deg[:, None]
         self._adjacency = None
         self._attention_mask = None
 
     @property
     def edges(self) -> list:
         """The sorted (u, v) pairs, u < v, as a list of int tuples, built on each access."""
-        return list(map(tuple, self._pairs.tolist()))
-
-    @property
-    def degrees(self) -> np.ndarray:
-        return np.bincount(self._pairs.ravel(), minlength=self.node_count)
+        u, d = np.nonzero(self.index > np.arange(self.node_count)[:, None])
+        return list(zip(u.tolist(), self.index[u, d].tolist()))
 
     def neighbourhood(self, dtype, inside: float, outside: float) -> np.ndarray:
         """A fresh (n, n) ``dtype`` array: ``inside`` on the edges (both ways)
         and the diagonal, ``outside`` elsewhere. Nothing is cached."""
         out = np.full((self.node_count, self.node_count), outside, dtype=dtype)
-        u, v = self._pairs.T
-        out[u, v] = out[v, u] = inside
-        np.fill_diagonal(out, inside)
+        out[np.arange(self.node_count)[:, None], self.index] = inside
         return out
 
     def adjacency(self) -> np.ndarray:
         """Dense symmetric 0/1 adjacency without self-loops (float64), built and
         cached on the first call; no layer reads it."""
         if self._adjacency is None:
-            u, v = self._pairs.T
-            self._adjacency = np.zeros((self.node_count, self.node_count))
-            self._adjacency[u, v] = self._adjacency[v, u] = 1.0
+            self._adjacency = self.neighbourhood(np.float64, 1.0, 0.0)
+            np.fill_diagonal(self._adjacency, 0.0)
         return self._adjacency
 
     def attention_mask(self) -> np.ndarray:
@@ -130,63 +143,49 @@ def build_grid_graph(height: int, width: int, connectivity: int = 4) -> Graph:
 class NormalizedLaplacian:
     """Symmetric normalized Laplacian and its [-1, 1]-rescaled form.
 
-    ``matrix`` is I - D^-1/2 A D^-1/2 with zero rows for isolated nodes;
-    ``scaled`` subtracts the identity, pinning the spectrum into [-1, 1]
-    (the largest eigenvalue of ``matrix`` is taken as 2). Both are dense
-    float64, written from the graph's edge pairs without its adjacency.
-
-    ``weights`` holds ``scaled`` in the layout of the graph's neighbour table
-    ``index``: ``weights[i, d] == scaled[i, index[i, d]]`` for i and its
-    neighbours, and 0 in the spare slots. It is float64; ``cheb_conv`` reads
-    only it and ``index``.
+    ``weights`` is the rescaled Laplacian L~ in the layout of ``graph.index``
+    (slot 0 the diagonal, -d_i^-1/2 d_j^-1/2 for neighbour j, 0 in spare
+    slots), in float64; ``cheb_conv`` reads only it and ``graph``. ``scaled``
+    is the same L~, dense float64, and ``matrix`` = ``scaled`` + I is
+    I - D^-1/2 A D^-1/2 with zero rows for isolated nodes (its largest
+    eigenvalue is taken as 2, which pins ``scaled``'s spectrum into [-1, 1]).
+    No layer reads either.
     """
 
     def __init__(self, graph: Graph):
-        deg = graph.degrees
-        connected = deg > 0
-        inv_sqrt = np.zeros(graph.node_count)
-        inv_sqrt[connected] = 1.0 / np.sqrt(deg[connected])
-        # -0.0 off the edges, as the product -d_u^-1/2 * A * d_v^-1/2 gives
-        lap = np.full((graph.node_count, graph.node_count), -0.0)
-        u, v = graph._pairs.T
-        lap[u, v] = lap[v, u] = -inv_sqrt[u] * inv_sqrt[v]
-        np.fill_diagonal(lap, connected)
-        self.node_count = graph.node_count
-        self.matrix = lap
-        self.scaled = lap.copy()
-        self.scaled[np.diag_indices(graph.node_count)] -= 1.0
-        self.index = graph.index
-        spare = self.index == np.arange(graph.node_count)[:, None]
-        self.weights = np.where(spare, 0.0, -inv_sqrt[:, None] * inv_sqrt[self.index])
+        n, index = graph.node_count, graph.index
+        connected = graph.degrees > 0
+        inv_sqrt = np.zeros(n)
+        inv_sqrt[connected] = 1.0 / np.sqrt(graph.degrees[connected])
+        self.node_count = n
+        self.graph = graph
+        self.weights = np.where(graph.used, -inv_sqrt[:, None] * inv_sqrt[index], 0.0)
         self.weights[:, 0] = connected - 1.0
+        # -0.0 off the edges, as the product -d_u^-1/2 * A * d_v^-1/2 gives; the
+        # diagonal is written last, over the spare slots' zeros
+        self.scaled = np.full((n, n), -0.0)
+        self.scaled[np.arange(n)[:, None], index] = self.weights
+        self.scaled[np.diag_indices(n)] = self.weights[:, 0]
+        self.matrix = self.scaled.copy()
+        self.matrix[np.diag_indices(n)] += 1.0
 
 
 def normalized_laplacian(graph: Graph) -> NormalizedLaplacian:
     return NormalizedLaplacian(graph)
 
 
-def _partner_slots(index: np.ndarray) -> np.ndarray:
-    """For each slot (i, d) of a symmetric table, the flat slot j * D + e with
-    ``index[j, e] == i`` for j = ``index[i, d]``; a slot in which row i points
-    at i (its first slot or a spare one) is its own partner."""
-    n, width = index.shape
-    rows = np.arange(n)[:, None]
-    slots = np.where(index == rows, np.arange(width),
-                     (index[index] == rows[:, :, None]).argmax(axis=2))
-    return index * width + slots
-
-
-def neighbour_sum(w: Tensor, x: Tensor, index: np.ndarray) -> Tensor:
+def neighbour_sum(w: Tensor, x: Tensor, graph: Graph) -> Tensor:
     """``out[i] = sum_d w[i, d] * x[index[i, d]]`` for an (n, D) weight ``w``, an
-    (n, f) ``x`` and an (n, D) neighbour table ``index``.
+    (n, f) ``x`` and the graph's (n, D) neighbour table ``index``.
 
-    The table must be symmetric, as ``Graph.index`` is: i is in row j exactly
-    when j is in row i, once, and row i's other slots point at i. Each slot
-    then has one partner slot pointing back, so ``x``'s gradient is a gather
-    through the partners, ``dx[j] = sum_e w[partner(j, e)] * g[index[j, e]]``,
-    with no scatter-add. A call gathers one (n, D, f) copy of its operand; a
+    The table is symmetric: i is in row j exactly when j is in row i, once,
+    and row i's other slots point at i. So each slot has one partner slot
+    pointing back, ``graph.partner``, and ``x``'s gradient is a gather through
+    it, ``dx[j] = sum_e w[partner(j, e)] * g[index[j, e]]``, with no
+    scatter-add. A call gathers one (n, D, f) copy of its operand; a
     recorded one keeps ``w`` and ``x`` as they are.
     """
+    index = graph.index
     if w.data.shape != index.shape or x.data.ndim != 2 or x.data.shape[0] != index.shape[0]:
         raise ShapeError(f"neighbour_sum: weights {w.data.shape} and features {x.data.shape} "
                          f"do not fit a neighbour table {index.shape}")
@@ -197,7 +196,7 @@ def neighbour_sum(w: Tensor, x: Tensor, index: np.ndarray) -> Tensor:
     def backward(g):
         return (None if x_data is None else np.einsum("nf,ndf->nd", g, x_data[index]),
                 None if w_data is None else
-                np.einsum("nd,ndf->nf", w_data.reshape(-1)[_partner_slots(index)], g[index]))
+                np.einsum("nd,ndf->nf", w_data.reshape(-1)[graph.partner], g[index]))
 
     return record_op(out, (w, x), backward)
 
@@ -242,7 +241,7 @@ def gat_conv(features: Tensor, graph: Graph, params: GatParams, return_attention
     n x n: the mask and the offset are made per call by ``graph.neighbourhood``
     in the features' dtype, and nothing is cached. The weighted sum is a
     ``neighbour_sum`` over ``graph.index`` of the attention read at the
-    table's slots, spare slots zeroed, so it costs O(n D). A recorded call
+    table's slots, spare slots zeroed by ``graph.used``, so it costs O(n D). A recorded call
     keeps three n x n arrays on the tape (the leaky relu output, the mask and
     the attention) and peaks at five; without a tape it peaks at three.
     """
@@ -268,10 +267,8 @@ def gat_conv(features: Tensor, graph: Graph, params: GatParams, return_attention
     masked = masked + Tensor(graph.neighbourhood(dtype, 0.0, -_MASK_OFF))
     attention = softmax(masked, axis=1)
     del masked
-    index = graph.index
-    used = Tensor((np.arange(index.shape[1]) <= graph.degrees[:, None]).astype(dtype))
-    weights = attention[np.arange(n)[:, None], index] * used
-    out = leaky_relu(neighbour_sum(weights, z, index), params.slope)
+    weights = attention[np.arange(n)[:, None], graph.index] * Tensor(graph.used.astype(dtype))
+    out = leaky_relu(neighbour_sum(weights, z, graph), params.slope)
     if return_attention:
         return out, attention
     return out
@@ -324,10 +321,10 @@ def cheb_conv(features: Tensor, laplacian: NormalizedLaplacian, params: ChebPara
     if params.order == 0:
         return out
     weights = Tensor(laplacian.weights.astype(features.data.dtype, copy=False))
-    t_prev, t_curr = features, neighbour_sum(weights, features, laplacian.index)
+    t_prev, t_curr = features, neighbour_sum(weights, features, laplacian.graph)
     out = out + matmul(t_curr, transpose(params.thetas[1]))
     for k in range(2, params.order + 1):
-        t_next = 2.0 * neighbour_sum(weights, t_curr, laplacian.index) - t_prev
+        t_next = 2.0 * neighbour_sum(weights, t_curr, laplacian.graph) - t_prev
         out = out + matmul(t_next, transpose(params.thetas[k]))
         t_prev, t_curr = t_curr, t_next
     return out

@@ -24,7 +24,6 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-import numbers
 import struct
 from dataclasses import asdict, dataclass
 from pathlib import Path
@@ -34,7 +33,7 @@ import numpy as np
 from .convnn import conv2d, maxpool2, upsample2
 from .dataio import model_input, resize_bilinear
 from .graphnn import (ChebParams, GatParams, build_grid_graph, cheb_conv, center_of_mass,
-                      gat_conv, normalized_laplacian)
+                      gat_conv, is_int, normalized_laplacian)
 from .tensor import ShapeError, Tensor, concat, leaky_relu, no_grad, reshape, sigmoid, transpose
 
 VARIANTS = ("gac-unet", "plain-unet")
@@ -53,10 +52,6 @@ class SpecError(ValueError):
 
 class ModelFormatError(Exception):
     """A .gacm file that cannot be read back."""
-
-
-def _is_int(value) -> bool:
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -79,12 +74,12 @@ class ModelSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if not isinstance(self.widths, (tuple, list)) or not all(map(_is_int, self.widths)):
+        if not isinstance(self.widths, (tuple, list)) or not all(map(is_int, self.widths)):
             raise SpecError(f"widths: must be a list of integers, got {self.widths!r}")
         object.__setattr__(self, "widths", tuple(int(w) for w in self.widths))
         for name in ("input_size", "connectivity", "gat_out", "cheb_order", "cheb_out",
                      "out_channels", "seed"):
-            if not _is_int(getattr(self, name)):
+            if not is_int(getattr(self, name)):
                 raise SpecError(f"{name}: must be an integer, got {getattr(self, name)!r}")
         if not isinstance(self.com, bool):
             raise SpecError(f"com: must be a boolean, got {self.com!r}")

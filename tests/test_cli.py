@@ -154,6 +154,20 @@ def test_a_config_file_that_is_not_utf8_is_refused_by_name(tmp_path, capsys):
     assert err.startswith(f"error: cannot read config file {cfg}: 'utf-8' codec can't decode")
 
 
+def test_a_hyphenated_key_in_a_config_file_resolves_like_the_flag(tmp_path, monkeypatch):
+    seen = []
+    monkeypatch.setitem(COMMANDS, "gradcheck", (lambda config: seen.append(config) or 0, (), ""))
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("batch-size = 2\nearly-stop-train-dice = 0.5\n", encoding="utf-8")
+    assert main(["gradcheck", "--config", str(cfg)]) == 0
+    assert main(["gradcheck", "--batch-size", "2", "--early-stop-train-dice", "0.5"]) == 0
+    assert seen[0] == seen[1]
+    assert (seen[0]["batch_size"], seen[0]["early_stop_train_dice"]) == (2, 0.5)
+    # a flag still beats the file, whichever way either spells the key
+    assert main(["gradcheck", "--batch_size", "3", "--config", str(cfg)]) == 0
+    assert seen[2]["batch_size"] == 3
+
+
 def test_flags_override_config_file(workspace, tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("# comment line\n"

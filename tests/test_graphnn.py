@@ -182,9 +182,34 @@ def test_graph_reports_the_first_faulty_edge_in_input_order():
         Graph(3, [(0, 1, 2)])
 
 
+@pytest.mark.parametrize("edges,named", [
+    ([(0.5, 1), (1.9, 2)], r"\(0.5,1\)"),
+    ([(0, 1), (True, 2)], r"\(True,2\)"),
+    ([(0, 1), (1, 2.0)], r"\(1,2.0\)"),
+    (np.array([[0, 1], [1, 2]], dtype=float), r"\(0.0,1.0\)"),
+    (np.array([[False, True]]), r"\(False,True\)"),
+], ids=["floats", "a bool", "a float beside ints", "a float array", "a bool array"])
+def test_graph_refuses_node_ids_that_are_not_integers(edges, named):
+    with pytest.raises(ValueError, match=f"Graph: edge {named} has a node id that is not an int"):
+        Graph(3, edges)
+
+
+@pytest.mark.parametrize("count", [3.7, 3.0, True, np.float64(3)],
+                         ids=["3.7", "3.0", "True", "float64"])
+def test_graph_refuses_a_node_count_that_is_not_an_integer(count):
+    with pytest.raises(ValueError, match=f"node_count must be a positive integer, got {count}"):
+        Graph(count, [(0, 1)])
+
+
+def test_graph_takes_numpy_integer_ids_and_count():
+    g = Graph(np.int64(3), [(np.int64(0), np.int32(1)), (1, 2)])
+    assert g.edges == [(0, 1), (1, 2)]
+    assert Graph(3, np.array([[0, 1], [1, 2]], dtype=np.uint8)).edges == [(0, 1), (1, 2)]
+
+
 def test_laplacian_build_peaks_below_two_and_a_half_dense_matrices():
-    # The Laplacian is written from the edge list into one n x n array, which
-    # is then copied for the rescaled form: no adjacency is built on the way.
+    # The rescaled form is written from the neighbour table into one n x n
+    # array, which is then copied for the Laplacian: no adjacency is built.
     n = 32 * 32
     tracemalloc.start()
     try:
@@ -274,9 +299,10 @@ def oracle_graphs():
                      for c in (4, 8)]
 
 
-def scattered(w, index):
-    """The dense (n, n) matrix whose row i adds w[i, d] at column index[i, d]."""
-    dense = np.zeros((index.shape[0],) * 2)
+def scattered(w, index, start=0.0):
+    """The dense (n, n) matrix, ``start`` everywhere, whose row i adds w[i, d] at
+    column index[i, d]."""
+    dense = np.full((index.shape[0],) * 2, start)
     np.add.at(dense, (np.arange(index.shape[0])[:, None], index), w)
     return dense
 
@@ -293,10 +319,33 @@ def test_neighbour_table_lists_self_then_sorted_neighbours_then_self_again():
         assert g.index.shape == (g.node_count, width)
         for i in range(g.node_count):
             nbrs = sorted([v for u, v in g.edges if u == i] + [u for u, v in g.edges if v == i])
-            assert g.index[i].tolist() == [i] + nbrs + [i] * (width - 1 - len(nbrs))
+            spare = width - 1 - len(nbrs)
+            assert g.index[i].tolist() == [i] + nbrs + [i] * spare
+            assert g.used[i].tolist() == [True] * (1 + len(nbrs)) + [False] * spare
         lap = NormalizedLaplacian(g)
-        assert lap.index is g.index and lap.weights.dtype == np.float64
-        np.testing.assert_array_equal(scattered(lap.weights, g.index), lap.scaled)
+        assert lap.graph is g and lap.weights.dtype == np.float64
+        # byte for byte: scattered onto -0.0, as the off-edge entries are
+        assert scattered(lap.weights, g.index, -0.0).tobytes() == lap.scaled.tobytes()
+
+
+def partner_oracle(index):
+    """For each slot (i, d), the flat slot j * D + e with ``index[j, e] == i`` for
+    j = ``index[i, d]``, from an (n, D, D) comparison; a slot that points at its
+    own row is its own partner."""
+    n, width = index.shape
+    rows = np.arange(n)[:, None]
+    slots = np.where(index == rows, np.arange(width),
+                     (index[index] == rows[:, :, None]).argmax(axis=2))
+    return index * width + slots
+
+
+def test_partner_slots_match_the_comparison_oracle_and_pair_up():
+    for g in oracle_graphs() + [build_grid_graph(64, 64, c) for c in (4, 8)]:
+        assert g.partner.dtype == np.int64
+        assert g.partner.tobytes() == partner_oracle(g.index).tobytes()
+        # each slot's partner's partner is the slot itself
+        np.testing.assert_array_equal(g.partner.flat[g.partner],
+                                      np.arange(g.partner.size).reshape(g.partner.shape))
 
 
 def test_neighbour_sum_matches_the_dense_product_and_loop_gradients():
@@ -308,7 +357,7 @@ def test_neighbour_sum_matches_the_dense_product_and_loop_gradients():
         w, x, probe = (rng.uniform(-1, 1, shape) for shape in [(n, width), (n, 3), (n, 3)])
         wt = Tensor(w, requires_grad=True, dtype=np.float64)
         xt = Tensor(x, requires_grad=True, dtype=np.float64)
-        out = neighbour_sum(wt, xt, index)
+        out = neighbour_sum(wt, xt, g)
         assert_relative(out.data, scattered(w, index) @ x)
         tsum(out * f64(probe)).backward()
         dw, dx = np.zeros_like(w), np.zeros_like(x)
@@ -321,11 +370,11 @@ def test_neighbour_sum_matches_the_dense_product_and_loop_gradients():
 
 
 def test_neighbour_sum_rejects_a_table_of_another_shape():
-    index = build_grid_graph(2, 2).index
+    graph = build_grid_graph(2, 2)
     with pytest.raises(ShapeError):
-        neighbour_sum(f64(np.ones((4, 2))), f64(np.ones((4, 3))), index)
+        neighbour_sum(f64(np.ones((4, 2))), f64(np.ones((4, 3))), graph)
     with pytest.raises(ShapeError):
-        neighbour_sum(f64(np.ones((4, 3))), f64(np.ones((5, 3))), index)
+        neighbour_sum(f64(np.ones((4, 3))), f64(np.ones((5, 3))), graph)
 
 
 def test_cheb_conv_matches_the_recurrence_on_the_dense_scaled_laplacian():
@@ -341,7 +390,7 @@ def test_cheb_conv_matches_the_recurrence_on_the_dense_scaled_laplacian():
         assert_relative(cheb_conv(f64(x), lap, ChebParams([f64(t) for t in thetas])).data, want)
         # an isolated node's diagonal entry is -1: its features are negated
         isolated = g.degrees == 0
-        step = neighbour_sum(f64(lap.weights), f64(x), lap.index).data
+        step = neighbour_sum(f64(lap.weights), f64(x), lap.graph).data
         np.testing.assert_array_equal(step[isolated], -x[isolated])
 
 
