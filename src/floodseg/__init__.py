@@ -16,8 +16,7 @@ from importlib import import_module
 __version__ = "0.1.0"
 
 _EXPORTS = {
-    "tensor": ("GradCheckFailure", "ShapeError", "TapeError", "Tensor", "grad_check",
-               "no_grad"),
+    "tensor": ("ShapeError", "TapeError", "Tensor", "grad_check", "no_grad"),
     "convnn": ("bce_loss", "conv2d", "dice_loss", "maxpool2", "upsample2"),
     "graphnn": ("ChebParams", "GatParams", "Graph", "NormalizedLaplacian",
                 "build_grid_graph", "center_of_mass", "cheb_conv", "gat_conv"),

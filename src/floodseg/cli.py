@@ -4,7 +4,8 @@
 needs and its help line. Every setting is a flat key=value: read from
 ``--config FILE`` (one pair per line, ``#`` comments), overridden by
 ``--key value`` flags. Unknown keys are rejected. ``--deterministic`` pins
-the numeric libraries to one thread before they load.
+the numeric libraries to one thread before they load; given alone it means
+true, and it takes a boolean value as any other boolean key does.
 
 Exit codes: 0 success, 1 usage or configuration error, 2 data error (an
 unreadable or unwritable path included), 3 numeric failure (non-finite loss,
@@ -110,16 +111,17 @@ def _read_config_file(path: str) -> list:
 def _resolve_config(args: list) -> dict:
     from_files: list = []
     from_flags: list = []
-    tokens = iter(args)
-    for token in tokens:
-        if token == "--deterministic":
-            from_flags.append(("deterministic", "true"))
-            continue
+    tokens = list(reversed(args))      # popped from the end
+    while tokens:
+        token = tokens.pop()
         if not token.startswith("--"):
             raise UsageError(f"unexpected argument {token!r}")
-        key, value = token[2:], next(tokens, None)
-        if value is None:
+        key = token[2:]
+        if key == "deterministic" and (not tokens or tokens[-1].startswith("--")):
+            tokens.append("true")      # a bare --deterministic means true
+        if not tokens:
             raise UsageError(f"flag --{key} needs a value")
+        value = tokens.pop()
         if key == "config":
             from_files += _read_config_file(value)
         else:

@@ -26,6 +26,7 @@ from .tensor import ShapeError, Tensor, log, record_op, tmean, tsum
 # sizes timed on gac-unet's 256 and 512 px conv shapes, these were fastest.
 _COLUMN_TILE_BYTES = 1 << 20
 _TAP_TILE_BYTES = 4 << 20
+DICE_EPS = 1e-6     # added to dice_loss's overlap and denominator: empty masks give -1
 
 
 def _pad_flat(a: np.ndarray, p: int) -> np.ndarray:
@@ -207,7 +208,7 @@ def bce_loss(pred: Tensor, target: Tensor) -> Tensor:
     return -tmean(term)
 
 
-def dice_loss(pred: Tensor, target: Tensor, eps: float = 1e-6) -> Tensor:
+def dice_loss(pred: Tensor, target: Tensor) -> Tensor:
     """Mean over the batch of one minus the soft overlap ratio 2*|pred*target| / (|pred| + |target|).
 
     Each sample's sums run over the last three axes (C,H,W); an input with
@@ -217,8 +218,8 @@ def dice_loss(pred: Tensor, target: Tensor, eps: float = 1e-6) -> Tensor:
         raise ShapeError(f"dice_loss: shape mismatch {pred.data.shape} vs {target.data.shape}")
     axes = tuple(range(pred.data.ndim))[-3:]
     intersection = tsum(pred * target, axis=axes, keepdims=True)
-    denom = tsum(pred, axis=axes, keepdims=True) + tsum(target, axis=axes, keepdims=True) + eps
-    return tmean(1.0 - (2.0 * (intersection + eps)) / denom)
+    sums = tsum(pred, axis=axes, keepdims=True) + tsum(target, axis=axes, keepdims=True)
+    return tmean(1.0 - (2.0 * (intersection + DICE_EPS)) / (sums + DICE_EPS))
 
 
 LOSSES = {"bce": bce_loss, "dice": dice_loss}

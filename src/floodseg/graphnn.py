@@ -2,10 +2,11 @@
 
 The bottleneck feature grid is treated as a graph: one node per spatial cell,
 edges between neighbouring cells. ``gat_conv`` mixes node features with
-learned attention over each node's neighbourhood (self-loop included),
-``cheb_conv`` applies a Chebyshev polynomial of the rescaled normalized
-Laplacian, and ``center_of_mass`` appends per-channel soft-centroid
-coordinates as two extra constant feature channels.
+learned attention over each node's neighbourhood (self-loop included), both
+of its leaky-relus at GAT's slope ``tensor.LEAKY_SLOPE`` (0.2); ``cheb_conv``
+applies a Chebyshev polynomial of the rescaled normalized Laplacian, and
+``center_of_mass`` appends per-channel soft-centroid coordinates as two extra
+constant feature channels.
 
 Both layers sum over neighbourhoods with the tape primitive
 ``neighbour_sum``, through the graph's neighbour table ``Graph.index``, in
@@ -51,7 +52,10 @@ class Graph:
     def __init__(self, node_count: int, edges):
         if not is_int(node_count) or node_count < 1:
             raise ValueError(f"Graph: node_count must be a positive integer, got {node_count}")
-        pairs = np.asarray(edges)
+        try:
+            pairs = np.asarray(edges)
+        except ValueError:      # a ragged list
+            raise ValueError("Graph: edges must be (u, v) pairs, got a ragged list") from None
         if pairs.size and pairs.shape[1:] != (2,):
             raise ValueError(f"Graph: edges must be (u, v) pairs, got shape {pairs.shape}")
         pairs = pairs.reshape(-1, 2)
@@ -60,6 +64,8 @@ class Graph:
             for u, v in np.asarray(edges, dtype=object).reshape(-1, 2):
                 if not (is_int(u) and is_int(v)):
                     raise ValueError(f"Graph: edge ({u},{v}) has a node id that is not an integer")
+                if not -2**63 <= min(u, v) <= max(u, v) < 2**63:     # past what int64 holds
+                    raise ValueError(f"Graph: edge ({u},{v}) outside 0..{node_count - 1}")
         pairs = pairs.astype(np.int64, copy=False)
         lo, hi = pairs.min(axis=1), pairs.max(axis=1)
         # one key per edge, ordered as (min, max): sorting the keys sorts the edges
@@ -203,11 +209,10 @@ def neighbour_sum(w: Tensor, x: Tensor, graph: Graph) -> Tensor:
 
 @dataclass
 class GatParams:
-    """Attention layer parameters: feature projection, edge scorer, slope."""
+    """Attention layer parameters: feature projection and edge scorer."""
 
     weight: Tensor            # (out_dim, in_dim)
     attn: Tensor              # (2 * out_dim,)
-    slope: float = 0.2
 
     def __post_init__(self):
         if self.weight.data.ndim != 2:
@@ -259,7 +264,7 @@ def gat_conv(features: Tensor, graph: Graph, params: GatParams, return_attention
     attn_col = reshape(params.attn, (2 * fo, 1))
     source_score = matmul(z, attn_col[:fo, :])                  # (n, 1)
     target_score = matmul(z, attn_col[fo:, :])                  # (n, 1)
-    scores = leaky_relu(source_score + transpose(target_score), params.slope)
+    scores = leaky_relu(source_score + transpose(target_score))
 
     # each n x n reference goes once its consumer has run
     masked = scores * Tensor(graph.neighbourhood(dtype, 1.0, 0.0))
@@ -268,7 +273,7 @@ def gat_conv(features: Tensor, graph: Graph, params: GatParams, return_attention
     attention = softmax(masked, axis=1)
     del masked
     weights = attention[np.arange(n)[:, None], graph.index] * Tensor(graph.used.astype(dtype))
-    out = leaky_relu(neighbour_sum(weights, z, graph), params.slope)
+    out = leaky_relu(neighbour_sum(weights, z, graph))
     if return_attention:
         return out, attention
     return out

@@ -4,8 +4,8 @@ All inputs are binary maps (values 0 and 1). ``_overlap`` validates a mask
 pair and counts it once, in exact integers, for both IoU and dice (1.0 each
 when both masks are empty); ``iou``, ``dice_score`` and each image of
 ``evaluate`` read that one count. ``mean_average_precision`` is the
-mean, over an ascending threshold grid, of the fraction of images whose IoU
-reaches each threshold.
+mean, over the fixed IoU grid ``IOU_THRESHOLDS`` (0.50:0.05:0.95, as in
+COCO), of the fraction of images whose IoU reaches each threshold.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ import numpy as np
 
 from .dataio import binarize_mask
 
-DEFAULT_THRESHOLDS = tuple(round(0.50 + 0.05 * i, 2) for i in range(10))
+IOU_THRESHOLDS = tuple(round(0.50 + 0.05 * i, 2) for i in range(10))
 
 
 def _as_binary(mask, name: str, op: str) -> np.ndarray:
@@ -56,20 +56,17 @@ def precision_at(per_image_ious, threshold: float) -> float:
     return sum(1 for v in ious if v >= threshold) / len(ious)
 
 
-def mean_average_precision(per_image_ious, thresholds=DEFAULT_THRESHOLDS) -> float:
-    """Mean per-threshold hit fraction over an ascending threshold grid."""
-    ious = list(per_image_ious)
-    thresholds = list(thresholds)
-    if not ious:
-        raise ValueError("mean_average_precision: no per-image IoUs given")
-    if not thresholds or any(b <= a for a, b in zip(thresholds, thresholds[1:])):
-        raise ValueError("mean_average_precision: thresholds must be ascending and non-empty")
-    if not all(0 <= t <= 1 for t in thresholds):
-        raise ValueError("mean_average_precision: thresholds must lie in [0, 1]")
+def _precision_table(ious: list) -> dict:
+    """``precision_at`` each threshold of ``IOU_THRESHOLDS``, in order."""
     if not all(0 <= v <= 1 for v in ious):
         raise ValueError("mean_average_precision: IoUs must lie in [0, 1]")
-    precisions = [precision_at(ious, t) for t in thresholds]
-    return sum(precisions) / len(precisions)
+    return {t: precision_at(ious, t) for t in IOU_THRESHOLDS}
+
+
+def mean_average_precision(per_image_ious) -> float:
+    """Mean per-threshold hit fraction over ``IOU_THRESHOLDS``."""
+    table = _precision_table(list(per_image_ious))
+    return sum(table.values()) / len(table)
 
 
 @dataclass
@@ -85,7 +82,6 @@ class MetricReport:
 
     scores: list
     pred_threshold: float
-    thresholds: tuple = DEFAULT_THRESHOLDS
     mean_iou: float = field(init=False)
     mean_dice: float = field(init=False)
     map_score: float = field(init=False)
@@ -97,16 +93,16 @@ class MetricReport:
         ious = [s.iou for s in self.scores]
         self.mean_iou = sum(ious) / len(ious)
         self.mean_dice = sum(s.dice for s in self.scores) / len(self.scores)
-        self.precision_table = {t: precision_at(ious, t) for t in self.thresholds}
-        self.map_score = mean_average_precision(ious, self.thresholds)
+        self.precision_table = _precision_table(ious)
+        self.map_score = sum(self.precision_table.values()) / len(self.precision_table)
 
     def to_lines(self) -> list[str]:
         lines = [f"{s.image_id}\t{s.iou:.6f}\t{s.dice:.6f}" for s in self.scores]
         lines.append(f"# mean_iou\t{self.mean_iou:.6f}")
         lines.append(f"# mean_dice\t{self.mean_dice:.6f}")
         lines.append(f"# map\t{self.map_score:.6f}")
-        for t in self.thresholds:
-            lines.append(f"# precision@{t:.2f}\t{self.precision_table[t]:.6f}")
+        for t, precision in self.precision_table.items():
+            lines.append(f"# precision@{t:.2f}\t{precision:.6f}")
         lines.append(f"# pred_threshold\t{self.pred_threshold:.2f}")
         return lines
 

@@ -37,7 +37,6 @@ from .graphnn import (ChebParams, GatParams, build_grid_graph, cheb_conv, center
 from .tensor import ShapeError, Tensor, concat, leaky_relu, no_grad, reshape, sigmoid, transpose
 
 VARIANTS = ("gac-unet", "plain-unet")
-ACTIVATION_SLOPE = 0.2
 
 MAGIC = b"GACM"
 FORMAT_VERSION = 1
@@ -171,7 +170,7 @@ class Model:
             self.laplacian = normalized_laplacian(self.graph)
             w = self._new_param("gat.weight", (spec.gat_out, spec.widths[-1]))
             a = self._new_param("gat.attn", (2 * spec.gat_out,))
-            self.gat = GatParams(w, a, ACTIVATION_SLOPE)
+            self.gat = GatParams(w, a)
             thetas = [self._new_param(f"cheb.theta{k}", (spec.cheb_out, spec.gat_out))
                       for k in range(spec.cheb_order + 1)]
             self.cheb = ChebParams(thetas)
@@ -196,8 +195,8 @@ class Model:
         skips = []
         h = reshape(x, (-1, 3, size, size))
         for conv, dconv in self.encoder:
-            h = leaky_relu(_apply_conv(h, conv), ACTIVATION_SLOPE)
-            h = leaky_relu(_apply_conv(h, dconv), ACTIVATION_SLOPE)
+            h = leaky_relu(_apply_conv(h, conv))
+            h = leaky_relu(_apply_conv(h, dconv))
             skips.append(h)
             h = maxpool2(h)
         if self.gat is not None:
@@ -207,7 +206,7 @@ class Model:
         for conv, skip in zip(self.decoder, reversed(skips)):
             h = upsample2(h)
             h = concat([h, skip], axis=1)
-            h = leaky_relu(_apply_conv(h, conv), ACTIVATION_SLOPE)
+            h = leaky_relu(_apply_conv(h, conv))
         out = sigmoid(_apply_conv(h, self.head))
         return reshape(out, x.data.shape[:-3] + out.data.shape[1:])
 

@@ -8,6 +8,9 @@ Everything is a pure function of the seed. Run this module directly to
 write a flood set as .ppm/.pgm pairs:
 
     python -m floodseg.synthetic data/raw --count 20 --size 64 --seed 1
+
+It exits as ``floodseg`` does: 1 on a bad count or size, 2 on a path it
+cannot write, each with one ``error:`` line.
 """
 
 from __future__ import annotations
@@ -17,6 +20,7 @@ import os
 
 import numpy as np
 
+from .cli import EXIT_DATA, EXIT_OK, EXIT_USAGE, _error
 from .dataio import ImagePair, save_pair
 
 
@@ -77,6 +81,8 @@ def generate_flood_pair(rng: np.random.RandomState, size: int = 64,
 
 def generate_flood_set(count: int = 20, size: int = 64, seed: int = 0,
                        blob_scale: float = 1.0) -> list[ImagePair]:
+    if count < 1 or size < 1:
+        raise ValueError(f"count and size must be at least 1, got {count} and {size}")
     rng = np.random.RandomState(seed)
     return [generate_flood_pair(rng, size, f"flood_{i:03d}", blob_scale)
             for i in range(count)]
@@ -108,9 +114,9 @@ def one_hot(labels: np.ndarray, classes: int) -> np.ndarray:
 def write_flood_set(out_dir, count: int = 20, size: int = 64, seed: int = 0,
                     blob_scale: float = 1.0) -> list[tuple[str, str]]:
     """Write ``generate_flood_set``'s pairs with ``dataio.save_pair``; returns their paths."""
+    pairs = generate_flood_set(count, size, seed, blob_scale)
     os.makedirs(out_dir, exist_ok=True)
-    return [tuple(map(str, save_pair(out_dir, pair)))
-            for pair in generate_flood_set(count, size, seed, blob_scale)]
+    return [tuple(map(str, save_pair(out_dir, pair))) for pair in pairs]
 
 
 def main(argv=None) -> int:
@@ -121,10 +127,15 @@ def main(argv=None) -> int:
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--blob_scale", type=float, default=1.0)
     args = parser.parse_args(argv)
-    written = write_flood_set(args.out_dir, args.count, args.size, args.seed,
-                              args.blob_scale)
+    try:
+        written = write_flood_set(args.out_dir, args.count, args.size, args.seed,
+                                  args.blob_scale)
+    except ValueError as exc:
+        return _error(exc, EXIT_USAGE)
+    except OSError as exc:
+        return _error(exc, EXIT_DATA)
     print(f"wrote {len(written)} image/mask pairs to {args.out_dir}")
-    return 0
+    return EXIT_OK
 
 
 if __name__ == "__main__":

@@ -168,6 +168,32 @@ def test_a_hyphenated_key_in_a_config_file_resolves_like_the_flag(tmp_path, monk
     assert seen[2]["batch_size"] == 3
 
 
+def test_deterministic_takes_a_boolean_value_as_its_config_key_does(tmp_path, monkeypatch,
+                                                                    capsys):
+    seen = []
+    monkeypatch.setitem(COMMANDS, "gradcheck",
+                        (lambda config: seen.append(config["deterministic"]) or 0, (), ""))
+    monkeypatch.setattr(floodseg.cli, "_set_single_threaded", lambda: None)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("deterministic = false\n", encoding="utf-8")
+    for flags in (["--deterministic", "false"], ["--config", str(cfg)], ["--deterministic", "off"],
+                  ["--deterministic"], ["--deterministic", "--seed", "1"],
+                  ["--seed", "1", "--deterministic"], ["--deterministic", "yes"]):
+        assert main(["gradcheck"] + flags) == 0
+    assert seen == [False, False, False, True, True, True, True]
+    assert main(["gradcheck", "--deterministic", "maybe"]) == 1
+    assert capsys.readouterr().err == "error: expected a boolean, got 'maybe'\n"
+
+
+def test_every_name_in_the_package_all_resolves_to_its_module_binding():
+    for module, names in floodseg._EXPORTS.items():
+        home = getattr(floodseg, module)
+        assert home.__name__ == f"floodseg.{module}"
+        for name in names:
+            assert getattr(floodseg, name) is getattr(home, name)
+    assert floodseg.__all__ == sorted(n for names in floodseg._EXPORTS.values() for n in names)
+
+
 def test_flags_override_config_file(workspace, tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("# comment line\n"

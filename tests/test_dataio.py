@@ -321,6 +321,22 @@ def test_synthetic_main_writes_pairs_the_reader_reads_back(tmp_path, capsys):
         assert pair.image.shape == (8, 8, 3) and pair.mask.shape == (8, 8)
 
 
+@pytest.mark.parametrize("out,flags,code,message", [
+    ("raw", ["--size", "0"], 1, "error: count and size must be at least 1, got 20 and 0\n"),
+    ("raw", ["--count", "-3"], 1, "error: count and size must be at least 1, got -3 and 64\n"),
+    ("a_file", [], 2, "error: [Errno 17] File exists: '{out}'\n"),
+], ids=["size 0", "count -3", "out_dir a file"])
+def test_synthetic_main_refuses_bad_input_with_one_error_line(tmp_path, capsys, out, flags,
+                                                              code, message):
+    (tmp_path / "a_file").write_bytes(b"")
+    out = tmp_path / out
+    assert synthetic_main([str(out)] + flags) == code
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == message.format(out=out)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["a_file"]
+    assert (tmp_path / "a_file").read_bytes() == b""
+
+
 def test_prepare_dataset_writes_augmented_train_and_references_test(tmp_path):
     raw = tmp_path / "raw"
     write_flood_set(raw, count=6, size=32, seed=0)

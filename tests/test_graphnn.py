@@ -194,6 +194,17 @@ def test_graph_refuses_node_ids_that_are_not_integers(edges, named):
         Graph(3, edges)
 
 
+@pytest.mark.parametrize("edges,message", [
+    ([(0, 1), (1,)], r"edges must be \(u, v\) pairs, got a ragged list"),
+    ([(0, 1), (1, 2, 0)], r"edges must be \(u, v\) pairs, got a ragged list"),
+    ([(0, 2**70)], rf"edge \(0,{2**70}\) outside 0..2"),
+    ([(-2**70, 1)], rf"edge \({-2**70},1\) outside 0..2"),
+], ids=["a short pair", "a long pair", "an id past int64", "an id below int64"])
+def test_graph_refuses_ragged_lists_and_ids_past_int64_with_its_own_errors(edges, message):
+    with pytest.raises(ValueError, match=message):
+        Graph(3, edges)
+
+
 @pytest.mark.parametrize("count", [3.7, 3.0, True, np.float64(3)],
                          ids=["3.7", "3.0", "True", "float64"])
 def test_graph_refuses_a_node_count_that_is_not_an_integer(count):

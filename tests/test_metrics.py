@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from floodseg import metrics
 from floodseg.dataio import ImagePair, binarize_mask
-from floodseg.metrics import (DEFAULT_THRESHOLDS, MetricReport, ImageScore,
+from floodseg.metrics import (IOU_THRESHOLDS, MetricReport, ImageScore,
                               dice_score, evaluate, iou, mean_average_precision,
                               precision_at)
 
@@ -84,36 +84,28 @@ def test_map_matches_direct_enumeration():
     for _ in range(20):
         ious = rng.uniform(0, 1, rng.randint(1, 12)).tolist()
         want = sum(sum(1 for v in ious if v >= t) / len(ious)
-                   for t in DEFAULT_THRESHOLDS) / len(DEFAULT_THRESHOLDS)
+                   for t in IOU_THRESHOLDS) / len(IOU_THRESHOLDS)
         assert abs(mean_average_precision(ious) - want) < 1e-15
 
 
 def test_map_validates_inputs():
     with pytest.raises(ValueError):
         mean_average_precision([])
-    with pytest.raises(ValueError):
-        mean_average_precision([0.5], thresholds=[0.6, 0.5])
-    with pytest.raises(ValueError):
-        mean_average_precision([1.5])
-    assert mean_average_precision([1.0], thresholds=[0.5]) == 1.0
-    assert mean_average_precision([0.0, 1.0], thresholds=[0.0, 1.0]) == 0.75
+    assert mean_average_precision([1.0]) == 1.0
+    assert mean_average_precision([0.0, 1.0]) == 0.5
 
 
-@pytest.mark.parametrize("ious,thresholds", [
-    ([float("nan"), 1.0], DEFAULT_THRESHOLDS),
-    ([0.5], [0.5, float("nan")]),
-    ([0.5], [float("nan")]),
-    ([0.5], [-5, 7]),
-    ([0.5], [0.5, 1.5]),
-], ids=["nan-iou", "nan-threshold", "only-nan-threshold", "thresholds-outside",
-        "threshold-above-one"])
-def test_map_refuses_non_finite_and_out_of_range_values(ious, thresholds):
-    with pytest.raises(ValueError):
-        mean_average_precision(ious, thresholds)
+@pytest.mark.parametrize("ious", [[float("nan"), 1.0], [0.5, -0.1], [1.5]],
+                         ids=["nan-iou", "negative-iou", "iou-above-one"])
+def test_map_refuses_non_finite_and_out_of_range_values(ious):
+    with pytest.raises(ValueError, match="IoUs must lie in"):
+        mean_average_precision(ious)
+    with pytest.raises(ValueError, match="IoUs must lie in"):
+        MetricReport([ImageScore(str(i), v, v) for i, v in enumerate(ious)], pred_threshold=0.5)
 
 
 def test_default_threshold_grid():
-    assert DEFAULT_THRESHOLDS == (0.5, 0.55, 0.6, 0.65, 0.7, 0.75, 0.8, 0.85, 0.9, 0.95)
+    assert IOU_THRESHOLDS == (0.5, 0.55, 0.6, 0.65, 0.7, 0.75, 0.8, 0.85, 0.9, 0.95)
 
 
 # ---- report -------------------------------------------------------------------
@@ -206,7 +198,7 @@ def test_evaluate_scores_as_the_public_metrics_do(seed, count, size, gray, thres
         assert score.iou == iou(pred, true)
         assert score.dice == dice_score(pred, true)
         ious.append(score.iou)
-    assert report.precision_table == {t: precision_at(ious, t) for t in DEFAULT_THRESHOLDS}
+    assert report.precision_table == {t: precision_at(ious, t) for t in IOU_THRESHOLDS}
     assert report.map_score == mean_average_precision(ious)
 
 
