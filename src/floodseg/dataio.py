@@ -207,10 +207,15 @@ def model_arrays(pair: ImagePair, size: int, dtype=np.float32) -> tuple[np.ndarr
             binarize_mask(resize_bilinear(pair.mask, size, size))[None].astype(dtype))
 
 
-def five_crop(pair: ImagePair, crop: int = 256) -> list[ImagePair]:
-    """Four corner crops plus the centered crop, in tl/tr/bl/br/c order."""
+def _check_crop(crop: int):
+    """``five_crop``'s refusal of a crop below 1, which ``prepare_dataset`` also makes up front."""
     if crop < 1:
         raise ValueError(f"five_crop: crop must be >= 1, got {crop}")
+
+
+def five_crop(pair: ImagePair, crop: int = 256) -> list[ImagePair]:
+    """Four corner crops plus the centered crop, in tl/tr/bl/br/c order."""
+    _check_crop(crop)
     h, w = pair.mask.shape
     if crop > h or crop > w:
         raise DataError(f"five_crop: crop {crop} exceeds input {(h, w)} for {pair.source_id}")
@@ -304,6 +309,8 @@ def read_manifest(path) -> list[ManifestEntry]:
 
 def read_split(path, split: str) -> list[ManifestEntry]:
     """The manifest's entries of one split, or every entry for ``"all"``; none is an error."""
+    if split not in ("train", "test", "all"):
+        raise ValueError(f"split must be 'train', 'test' or 'all', got {split!r}")
     entries = [e for e in read_manifest(path) if split in ("all", e.split)]
     if not entries:
         raise DataError(f"{path}: manifest has no {split!r} entries")
@@ -345,8 +352,12 @@ def prepare_dataset(dataset_dir, out_dir, seed: int = 0, *,
     as ``<stem>_<variant>_<crop>``. Test pairs are referenced at their
     original paths. The positive-pixel fraction is ``dataset_stats``'s, over
     every source mask at native resolution; that pass reads every pair, so a
-    bad pair is refused before anything is written.
+    bad pair is refused before anything is written. A ``crop`` outside
+    1..``resize`` is refused before anything is read.
     """
+    _check_crop(crop)
+    if crop > resize:
+        raise ValueError(f"prepare: crop {crop} exceeds resize {resize}")
     fraction = dataset_stats(dataset_dir)[1]     # before writing: out_dir may be dataset_dir
     train, test = split_dataset(discover_pairs(dataset_dir), seed)
     out_root = Path(out_dir)

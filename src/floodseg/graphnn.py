@@ -66,12 +66,14 @@ class Graph:
                     raise ValueError(f"Graph: edge ({u},{v}) has a node id that is not an integer")
                 if not -2**63 <= min(u, v) <= max(u, v) < 2**63:     # past what int64 holds
                     raise ValueError(f"Graph: edge ({u},{v}) outside 0..{node_count - 1}")
-        pairs = pairs.astype(np.int64, copy=False)
+            pairs = pairs.astype(np.int64)
         lo, hi = pairs.min(axis=1), pairs.max(axis=1)
+        # tested on the ids' own dtype: a uint64 id past int64 would wrap in the cast
+        bad = (lo == hi) | (lo < 0) | (hi >= node_count)
+        lo, hi = lo.astype(np.int64, copy=False), hi.astype(np.int64, copy=False)
         # one key per edge, ordered as (min, max): sorting the keys sorts the edges
         keys = lo * node_count + hi
         unique, first = np.unique(keys, return_index=True)
-        bad = (lo == hi) | (lo < 0) | (hi >= node_count)
         faulty = bad | ~np.isin(np.arange(keys.size), first)    # bad, or a key seen before
         if faulty.any():
             # the first faulty edge in input order; one that is not bad repeats

@@ -11,6 +11,11 @@ the two variants share identical encoders given the same seed. The head is
 a 1x1 convolution with a per-channel sigmoid. ``init_params`` zeroes the
 ``*.b`` biases and draws the rest Glorot-uniform, fans read from the shape.
 
+A model's layers live only in its ``params`` table, declared in ``.gacm``
+payload order: ``enc{i}.conv``, ``enc{i}.dil``, then ``gat`` and ``cheb`` for
+gac-unet, ``dec{i}.conv`` from the deepest stage, and ``head``. ``forward``
+reads each layer from the table by name.
+
 Model files (.gacm) hold a small header (magic, version, kind, float width),
 the length-prefixed configuration JSON, and the raw little-endian parameter
 payload in declaration order; nothing else, so the file size is exactly
@@ -129,7 +134,7 @@ class ModelSpec:
 
 
 class Model:
-    """A built network: parameter tensors plus the forward computation."""
+    """A built network: the ``params`` table, the gac-unet graph, and the forward computation."""
 
     def __init__(self, spec: ModelSpec, dtype=np.float32):
         self.spec = spec
@@ -143,80 +148,76 @@ class Model:
 
     # ---- construction ----------------------------------------------------
 
-    def _new_param(self, name: str, shape) -> Tensor:
-        t = Tensor(np.zeros(shape, dtype=self.dtype), requires_grad=True)
-        self.params[name] = t
-        return t
+    def _new_param(self, name: str, shape):
+        self.params[name] = Tensor(np.zeros(shape, dtype=self.dtype), requires_grad=True)
 
-    def _conv(self, name: str, c_in: int, c_out: int, k: int, dilation: int = 1) -> tuple:
-        return (self._new_param(f"{name}.w", (c_out, c_in, k, k)),
-                self._new_param(f"{name}.b", (c_out,)), dilation)
+    def _conv(self, name: str, c_in: int, c_out: int, k: int):
+        self._new_param(f"{name}.w", (c_out, c_in, k, k))
+        self._new_param(f"{name}.b", (c_out,))
 
     def _assemble(self):
+        """Declare every parameter, in ``.gacm`` order, and build the gac-unet graph."""
         spec = self.spec
-        self.encoder = []
         c_in = 3
         for i, width in enumerate(spec.widths, start=1):
-            conv = self._conv(f"enc{i}.conv", c_in, width, 3)
-            dconv = self._conv(f"enc{i}.dil", width, width, 3, dilation=2)
-            self.encoder.append((conv, dconv))
+            self._conv(f"enc{i}.conv", c_in, width, 3)
+            self._conv(f"enc{i}.dil", width, width, 3)
             c_in = width
-
-        self.gat = None
-        self.cheb = None
         if spec.variant == "gac-unet":
             g = spec.grid_size
             self.graph = build_grid_graph(g, g, spec.connectivity)
             self.laplacian = normalized_laplacian(self.graph)
-            w = self._new_param("gat.weight", (spec.gat_out, spec.widths[-1]))
-            a = self._new_param("gat.attn", (2 * spec.gat_out,))
-            self.gat = GatParams(w, a)
-            thetas = [self._new_param(f"cheb.theta{k}", (spec.cheb_out, spec.gat_out))
-                      for k in range(spec.cheb_order + 1)]
-            self.cheb = ChebParams(thetas)
-
-        self.decoder = []
+            self._new_param("gat.weight", (spec.gat_out, spec.widths[-1]))
+            self._new_param("gat.attn", (2 * spec.gat_out,))
+            for k in range(spec.cheb_order + 1):
+                self._new_param(f"cheb.theta{k}", (spec.cheb_out, spec.gat_out))
         below = spec.bottleneck_channels
         for i in range(spec.stages, 0, -1):
             skip = spec.widths[i - 1]
-            conv = self._conv(f"dec{i}.conv", below + skip, skip, 3)
-            self.decoder.append(conv)
+            self._conv(f"dec{i}.conv", below + skip, skip, 3)
             below = skip
-        self.head = self._conv("head", below, spec.out_channels, 1)
+        self._conv("head", below, spec.out_channels, 1)
 
     # ---- forward -----------------------------------------------------------
 
+    def _conv_layer(self, x: Tensor, name: str, dilation: int = 1) -> Tensor:
+        """The conv layer ``name``; floodbench's tracer reads the weight positionally."""
+        return conv2d(x, self.params[name + ".w"], self.params[name + ".b"], dilation=dilation)
+
     def forward(self, x: Tensor) -> Tensor:
         """Output map of an input batch (N, 3, S, S), or of one (3, S, S) sample."""
-        size = self.spec.input_size
+        spec, p = self.spec, self.params
+        size = spec.input_size
         if x.data.ndim not in (3, 4) or x.data.shape[-3:] != (3, size, size):
             raise ShapeError(f"forward: expected input shape (3, {size}, {size}) or "
                              f"(N, 3, {size}, {size}), got {x.data.shape}")
         skips = []
         h = reshape(x, (-1, 3, size, size))
-        for conv, dconv in self.encoder:
-            h = leaky_relu(_apply_conv(h, conv))
-            h = leaky_relu(_apply_conv(h, dconv))
+        for i in range(1, spec.stages + 1):
+            h = leaky_relu(self._conv_layer(h, f"enc{i}.conv"))
+            h = leaky_relu(self._conv_layer(h, f"enc{i}.dil", dilation=2))
             skips.append(h)
             h = maxpool2(h)
-        if self.gat is not None:
+        if self.graph is not None:
+            gat = GatParams(p["gat.weight"], p["gat.attn"])
+            cheb = ChebParams([p[f"cheb.theta{k}"] for k in range(spec.cheb_order + 1)])
             n, _, gh, gw = h.data.shape
-            h = reshape(concat([self._graph_stage(h[i]) for i in range(n)], axis=0),
+            h = reshape(concat([self._graph_stage(h[i], gat, cheb) for i in range(n)], axis=0),
                         (n, -1, gh, gw))
-        for conv, skip in zip(self.decoder, reversed(skips)):
+        for i in range(spec.stages, 0, -1):
             h = upsample2(h)
-            h = concat([h, skip], axis=1)
-            h = leaky_relu(_apply_conv(h, conv))
-        out = sigmoid(_apply_conv(h, self.head))
+            h = concat([h, skips[i - 1]], axis=1)
+            h = leaky_relu(self._conv_layer(h, f"dec{i}.conv"))
+        out = sigmoid(self._conv_layer(h, "head"))
         return reshape(out, x.data.shape[:-3] + out.data.shape[1:])
 
-    def _graph_stage(self, h: Tensor) -> Tensor:
+    def _graph_stage(self, h: Tensor, gat: GatParams, cheb: ChebParams) -> Tensor:
         """The gac-unet bottleneck of one sample's (C, g, g) grid; the graph layers take
         one sample's nodes at a time."""
         c, gh, gw = h.data.shape
         nodes = transpose(reshape(h, (c, gh * gw)))
-        nodes = gat_conv(nodes, self.graph, self.gat)
-        nodes = cheb_conv(nodes, self.laplacian, self.cheb)
+        nodes = gat_conv(nodes, self.graph, gat)
+        nodes = cheb_conv(nodes, self.laplacian, cheb)
         h = reshape(transpose(nodes), (self.spec.cheb_out, gh, gw))
         if self.spec.com:
             _, h = center_of_mass(h)
@@ -234,12 +235,6 @@ class Model:
 
     def parameter_count(self) -> int:
         return sum(int(p.data.size) for p in self.params.values())
-
-
-def _apply_conv(x: Tensor, layer: tuple) -> Tensor:
-    """A (weight, bias, dilation) conv layer; floodbench's tracer reads the weight positionally."""
-    weight, bias, dilation = layer
-    return conv2d(x, weight, bias, dilation=dilation)
 
 
 def predict_proba(forward, image_hwc: np.ndarray, size: int, dtype) -> np.ndarray:

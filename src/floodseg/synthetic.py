@@ -9,8 +9,8 @@ write a flood set as .ppm/.pgm pairs:
 
     python -m floodseg.synthetic data/raw --count 20 --size 64 --seed 1
 
-It exits as ``floodseg`` does: 1 on a bad count or size, 2 on a path it
-cannot write, each with one ``error:`` line.
+It exits as ``floodseg`` does: 1 on a bad count, size or blob scale, 2 on a
+path it cannot write, each with one ``error:`` line.
 """
 
 from __future__ import annotations
@@ -83,6 +83,8 @@ def generate_flood_set(count: int = 20, size: int = 64, seed: int = 0,
                        blob_scale: float = 1.0) -> list[ImagePair]:
     if count < 1 or size < 1:
         raise ValueError(f"count and size must be at least 1, got {count} and {size}")
+    if not 0 < blob_scale < np.inf:
+        raise ValueError(f"blob_scale must be finite and above 0, got {blob_scale}")
     rng = np.random.RandomState(seed)
     return [generate_flood_pair(rng, size, f"flood_{i:03d}", blob_scale)
             for i in range(count)]

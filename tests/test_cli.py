@@ -241,6 +241,21 @@ def test_prepare_refuses_a_zero_crop_before_writing(tmp_path, capsys):
     assert not list(out.glob("*"))
 
 
+@pytest.mark.parametrize("flags,message", [
+    (["--resize", "16", "--crop", "32"], "prepare: crop 32 exceeds resize 16"),
+    (["--resize", "0"], "prepare: crop 256 exceeds resize 0"),
+    (["--crop", "0"], "five_crop: crop must be >= 1, got 0"),
+], ids=["crop above resize", "resize 0", "crop 0"])
+def test_prepare_refuses_a_crop_outside_one_to_resize_before_making_out_dir(tmp_path, capsys,
+                                                                            flags, message):
+    raw = tmp_path / "raw"
+    write_flood_set(raw, count=4, size=16, seed=1)
+    out = tmp_path / "out"
+    assert main(["prepare", "--dataset_dir", str(raw), "--out_dir", str(out)] + flags) == 1
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+    assert not out.exists()
+
+
 def test_prepare_and_dataset_stats_refuse_a_test_mask_of_another_size(tmp_path, capsys):
     raw = tmp_path / "raw"
     write_flood_set(raw, count=4, size=16, seed=1)
@@ -391,6 +406,14 @@ def test_eval_matches_direct_library_computation(workspace, trained, tmp_path, c
         return resize_bilinear(prob, image.shape[0], image.shape[1])
 
     assert str(evaluate(predict, pairs, 0.5)) == out.rstrip("\n")
+
+
+@pytest.mark.parametrize("split", ["bogus", "Train"])
+def test_eval_refuses_an_unknown_split_as_a_usage_error(workspace, trained, capsys, split):
+    assert main(["eval", "--model", str(trained / "model.gacm"),
+                 "--manifest", str(workspace["manifest"]), "--split", split]) == 1
+    assert capsys.readouterr() == ("", f"error: split must be 'train', 'test' or 'all', "
+                                       f"got {split!r}\n")
 
 
 def test_eval_missing_model_is_a_data_error(workspace, tmp_path):

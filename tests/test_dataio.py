@@ -325,7 +325,11 @@ def test_synthetic_main_writes_pairs_the_reader_reads_back(tmp_path, capsys):
     ("raw", ["--size", "0"], 1, "error: count and size must be at least 1, got 20 and 0\n"),
     ("raw", ["--count", "-3"], 1, "error: count and size must be at least 1, got -3 and 64\n"),
     ("a_file", [], 2, "error: [Errno 17] File exists: '{out}'\n"),
-], ids=["size 0", "count -3", "out_dir a file"])
+    *(("raw", ["--blob_scale", scale], 1,
+       f"error: blob_scale must be finite and above 0, got {float(scale)}\n")
+      for scale in ("-1", "0", "nan", "inf")),
+], ids=["size 0", "count -3", "out_dir a file", "blob_scale -1", "blob_scale 0", "blob_scale nan",
+        "blob_scale inf"])
 def test_synthetic_main_refuses_bad_input_with_one_error_line(tmp_path, capsys, out, flags,
                                                               code, message):
     (tmp_path / "a_file").write_bytes(b"")

@@ -199,7 +199,10 @@ def test_graph_refuses_node_ids_that_are_not_integers(edges, named):
     ([(0, 1), (1, 2, 0)], r"edges must be \(u, v\) pairs, got a ragged list"),
     ([(0, 2**70)], rf"edge \(0,{2**70}\) outside 0..2"),
     ([(-2**70, 1)], rf"edge \({-2**70},1\) outside 0..2"),
-], ids=["a short pair", "a long pair", "an id past int64", "an id below int64"])
+    (np.array([(0, 2**64 - 1)], dtype=np.uint64), rf"edge \(0,{2**64 - 1}\) outside 0..2"),
+    (np.array([(2**63, 1)], dtype=np.uint64), rf"edge \({2**63},1\) outside 0..2"),
+], ids=["a short pair", "a long pair", "an id past int64", "an id below int64",
+        "a uint64 id of 2**64-1", "a uint64 id of 2**63"])
 def test_graph_refuses_ragged_lists_and_ids_past_int64_with_its_own_errors(edges, message):
     with pytest.raises(ValueError, match=message):
         Graph(3, edges)

@@ -265,6 +265,51 @@ def test_forward_shape_validation():
         model.forward(Tensor(np.zeros((1, 2, 3, 16, 16), dtype=np.float32)))
 
 
+def tensors_outside_params(model) -> list[str]:
+    """The paths of every Tensor reachable from ``vars(model)`` but not through ``params``."""
+    found, seen = [], set()
+
+    def walk(value, path):
+        if id(value) in seen:
+            return
+        seen.add(id(value))
+        if isinstance(value, Tensor):
+            found.append(path)
+        elif isinstance(value, dict):
+            for key, item in value.items():
+                walk(item, f"{path}[{key!r}]")
+        elif isinstance(value, (list, tuple)):
+            for i, item in enumerate(value):
+                walk(item, f"{path}[{i}]")
+        elif hasattr(value, "__dict__"):
+            for key, item in vars(value).items():
+                walk(item, f"{path}.{key}")
+
+    for key, value in vars(model).items():
+        if key != "params":
+            walk(value, key)
+    return found
+
+
+@pytest.mark.parametrize("variant", ["gac-unet", "plain-unet"])
+def test_the_params_table_is_the_one_record_of_the_layers(variant):
+    model = build_model(small_spec(variant=variant))
+    assert tensors_outside_params(model) == []
+
+
+@pytest.mark.parametrize("variant", ["gac-unet", "plain-unet"])
+def test_forward_reads_every_layer_from_the_params_table(variant):
+    model = init_params(build_model(small_spec(variant=variant), np.float64), seed=0)
+    x = Tensor(np.random.RandomState(8).uniform(0, 1, (3, 16, 16)), dtype=np.float64)
+    with no_grad():
+        before = model.forward(x).data
+        for name, p in list(model.params.items()):
+            model.params[name] = Tensor(p.data + 0.25, requires_grad=True)
+            assert not np.array_equal(model.forward(x).data, before), name
+            model.params[name] = p
+        np.testing.assert_array_equal(model.forward(x).data, before)
+
+
 def test_forward_is_deterministic():
     model = init_params(build_model(small_spec()), seed=7)
     rng = np.random.RandomState(4)
