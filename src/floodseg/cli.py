@@ -1,11 +1,13 @@
 """Command-line driver.
 
 ``COMMANDS`` is the one table of commands: each name's handler, the keys it
-needs and its help line. Every setting is a flat key=value: read from
+reads and its help line. Every setting is a flat key=value: read from
 ``--config FILE`` (one pair per line, ``#`` comments), overridden by
-``--key value`` flags. Unknown keys are rejected. ``--deterministic`` pins
-the numeric libraries to one thread before they load; given alone it means
-true, and it takes a boolean value as any other boolean key does.
+``--key value`` flags. A command takes only the keys it reads: any other key
+is refused, from a flag or a file alike. ``--deterministic``, which every
+command takes, pins the numeric libraries to one thread before they load;
+given alone it means true, and it takes a boolean value as any other boolean
+key does.
 
 Exit codes: 0 success, 1 usage or configuration error, 2 data error (an
 unreadable or unwritable path included), 3 numeric failure (non-finite loss,
@@ -16,7 +18,6 @@ from __future__ import annotations
 
 import os
 import sys
-from dataclasses import fields
 from pathlib import Path
 
 import floodseg
@@ -51,7 +52,14 @@ def _parse_str_list(text: str) -> tuple:
     return tuple(part.strip() for part in text.split(",") if part.strip())
 
 
-# key -> (parser, default). Paths default to None and are demanded per command.
+def _parse_seed(text: str) -> int:
+    seed = int(text)
+    if not 0 <= seed < 2 ** 32:
+        raise ValueError(f"must lie in 0..2**32-1, got {seed}")
+    return seed
+
+
+# key -> (parser, default). A command requires each key it reads whose default is None.
 KEYS = {
     "dataset_dir": (str, None),
     "out_dir": (str, None),
@@ -60,9 +68,9 @@ KEYS = {
     "base_model": (str, None),
     "image": (str, None),
     "output": (str, None),
-    "report": (str, None),
+    "report": (str, ""),
     "split": (str, "test"),
-    "seed": (int, 0),
+    "seed": (_parse_seed, 0),
     "float_width": (int, 32),
     "input_size": (int, 256),
     "widths": (_parse_int_list, (16, 32, 64)),
@@ -90,6 +98,9 @@ KEYS = {
     "pred_threshold": (float, 0.5),
     "deterministic": (_parse_bool, False),
 }
+_ADAM = ("lr", "beta1", "beta2", "eps")
+_SPEC = ("input_size", "widths", "variant", "connectivity", "gat_out", "cheb_order", "cheb_out",
+         "com")
 
 
 def _read_config_file(path: str) -> list:
@@ -108,7 +119,8 @@ def _read_config_file(path: str) -> list:
     return pairs
 
 
-def _resolve_config(args: list) -> dict:
+def _resolve_config(command: str, args: list) -> dict:
+    """The settings of ``command``: the keys it reads, plus ``deterministic``."""
     from_files: list = []
     from_flags: list = []
     tokens = list(reversed(args))      # popped from the end
@@ -127,21 +139,27 @@ def _resolve_config(args: list) -> dict:
         else:
             from_flags.append((key, value))
 
-    config = {key: default for key, (_, default) in KEYS.items()}
+    _, keys, _ = COMMANDS[command]
+    config = {key: KEYS[key][1] for key in keys + ("deterministic",)}
     # a flag beats a file, a later value an earlier; "-" reads as "_" in either
     settings = {key.replace("-", "_"): text for key, text in from_files + from_flags}
     for key, text in settings.items():
         if key not in KEYS:
             raise UsageError(f"unknown configuration key {key!r}")
+        if key not in config:
+            raise UsageError(f"{command} does not read {key!r}")
         parser, _ = KEYS[key]
         try:
             config[key] = parser(text)
         except (TypeError, ValueError) as exc:
             raise UsageError(f"bad value for {key!r}: {exc}") from exc
-    if config["float_width"] not in (32, 64):
+    if config.get("float_width", 32) not in (32, 64):
         raise UsageError(f"float_width must be 32 or 64, got {config['float_width']}")
-    if not 0 <= config["pred_threshold"] <= 1:
+    if not 0 <= config.get("pred_threshold", 0) <= 1:
         raise UsageError(f"pred_threshold must lie in [0, 1], got {config['pred_threshold']}")
+    missing = [key for key in keys if KEYS[key][1] is None and not config[key]]
+    if missing:
+        raise UsageError(f"{command} needs --" + ", --".join(missing))
     return config
 
 
@@ -175,7 +193,7 @@ def _load_mask_model(path: str):
 
 def _adam(config: dict) -> dict:
     """``Adam``'s keyword settings, as ``train_model`` and ``reprogram_train`` pass them on."""
-    return {key: config[key] for key in ("lr", "beta1", "beta2", "eps")}
+    return {key: config[key] for key in _ADAM}
 
 
 # ---- command handlers -------------------------------------------------------
@@ -201,8 +219,7 @@ def cmd_dataset_stats(config: dict) -> int:
 def cmd_train(config: dict) -> int:
     train_entries = floodseg.read_split(config["manifest"], "train")
     val_entries = [e for e in floodseg.read_manifest(config["manifest"]) if e.split == "test"]
-    spec = floodseg.ModelSpec(**{f.name: config[f.name] for f in fields(floodseg.ModelSpec)
-                                 if f.name in config})
+    spec = floodseg.ModelSpec(seed=config["seed"], **{key: config[key] for key in _SPEC})
     net = floodseg.init_params(floodseg.build_model(spec, f"float{config['float_width']}"),
                                spec.seed)
     result = floodseg.train_model(net, train_entries, val_entries, loss=config["loss"],
@@ -292,17 +309,22 @@ def cmd_gradcheck(config: dict) -> int:
     return EXIT_OK
 
 
-# name -> (handler, keys it needs, help line); the usage text lists them in this order.
+# name -> (handler, keys it reads, help line); the usage text lists them in this order.
 COMMANDS = {
-    "prepare": (cmd_prepare, ("dataset_dir", "out_dir"),
+    "prepare": (cmd_prepare, ("dataset_dir", "out_dir", "seed", "resize", "crop"),
                 "split a raw corpus 70/30 and write the augmented train set"),
-    "train": (cmd_train, ("manifest", "out_dir"), "train a model on a prepared manifest"),
-    "eval": (cmd_eval, ("model", "manifest"), "score a model on a manifest split"),
-    "predict": (cmd_predict, ("model", "image", "output"),
+    "train": (cmd_train, ("manifest", "out_dir", "seed", "float_width") + _SPEC + ("loss",)
+              + _ADAM + ("epochs", "batch_size", "freeze", "early_stop_train_dice"),
+              "train a model on a prepared manifest"),
+    "eval": (cmd_eval, ("model", "manifest", "split", "report", "pred_threshold"),
+             "score a model on a manifest split"),
+    "predict": (cmd_predict, ("model", "image", "output", "pred_threshold"),
                 "write a predicted mask for one image"),
-    "reprogram": (cmd_reprogram, ("base_model", "manifest", "out_dir"),
+    "reprogram": (cmd_reprogram, ("base_model", "manifest", "out_dir", "seed", "loss") + _ADAM
+                  + ("steps", "batch_size", "per_channel", "init_base", "base_channels",
+                     "input_size"),
                   "train an input/output program around a frozen base model"),
-    "gradcheck": (cmd_gradcheck, (), "finite-difference check of every layer and loss"),
+    "gradcheck": (cmd_gradcheck, ("seed",), "finite-difference check of every layer and loss"),
     "dataset-stats": (cmd_dataset_stats, ("dataset_dir",),
                       "pair count and positive-pixel fraction of a raw corpus"),
 }
@@ -342,21 +364,17 @@ def main(argv=None) -> int:
         print(USAGE, end="", file=sys.stderr)
         return EXIT_USAGE
 
-    handler, required, _ = COMMANDS[command]
     try:
-        config = _resolve_config(rest)
-        missing = [key for key in required if not config[key]]
-        if missing:
-            raise UsageError(f"{command} needs --" + ", --".join(missing))
+        config = _resolve_config(command, rest)
     except UsageError as exc:
         return _error(exc, EXIT_USAGE)
 
     if config["deterministic"]:
         _set_single_threaded()
     try:
-        if "out_dir" in required:
+        if "out_dir" in config:
             _check_out_dir(config["out_dir"])
-        return handler(config)
+        return COMMANDS[command][0](config)
     except (floodseg.DataError, floodseg.ModelFormatError, floodseg.ShapeError,
             OSError) as exc:     # ShapeError is a ValueError
         return _error(exc, EXIT_DATA)

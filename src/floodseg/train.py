@@ -144,6 +144,9 @@ def train_model(model: Model, train_entries, val_entries=(), *, loss: str = "dic
     loss_fn = loss_named(loss)
     if batch_size < 1 or epochs < 0:
         raise ValueError("train_model: batch_size must be >= 1 and epochs >= 0")
+    if not 0.0 <= early_stop_train_dice <= 1.0:
+        raise ValueError(f"train_model: early_stop_train_dice must lie in [0, 1] (0 is off), "
+                         f"got {early_stop_train_dice}")
     if isinstance(freeze, str):
         raise ValueError(f"train_model: freeze must be a sequence of name prefixes, "
                          f"not the string {freeze!r}; pass ({freeze!r},)")

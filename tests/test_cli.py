@@ -13,7 +13,7 @@ import pytest
 
 import floodseg
 from floodseg.checks import CheckResult
-from floodseg.cli import COMMANDS, UsageError, main
+from floodseg.cli import COMMANDS, KEYS, UsageError, _resolve_config, main
 from floodseg.dataio import (DataError, discover_pairs, load_mask, read_manifest, save_mask,
                              split_dataset, write_manifest)
 from floodseg.model import (FORMAT_VERSION, KIND_MODEL, MAGIC, ModelFormatError, ModelSpec,
@@ -156,7 +156,8 @@ def test_a_config_file_that_is_not_utf8_is_refused_by_name(tmp_path, capsys):
 
 def test_a_hyphenated_key_in_a_config_file_resolves_like_the_flag(tmp_path, monkeypatch):
     seen = []
-    monkeypatch.setitem(COMMANDS, "gradcheck", (lambda config: seen.append(config) or 0, (), ""))
+    monkeypatch.setitem(COMMANDS, "gradcheck", (lambda config: seen.append(config) or 0,
+                                                ("batch_size", "early_stop_train_dice"), ""))
     cfg = tmp_path / "run.cfg"
     cfg.write_text("batch-size = 2\nearly-stop-train-dice = 0.5\n", encoding="utf-8")
     assert main(["gradcheck", "--config", str(cfg)]) == 0
@@ -172,7 +173,8 @@ def test_deterministic_takes_a_boolean_value_as_its_config_key_does(tmp_path, mo
                                                                     capsys):
     seen = []
     monkeypatch.setitem(COMMANDS, "gradcheck",
-                        (lambda config: seen.append(config["deterministic"]) or 0, (), ""))
+                        (lambda config: seen.append(config["deterministic"]) or 0, ("seed",),
+                         ""))
     monkeypatch.setattr(floodseg.cli, "_set_single_threaded", lambda: None)
     cfg = tmp_path / "run.cfg"
     cfg.write_text("deterministic = false\n", encoding="utf-8")
@@ -183,6 +185,90 @@ def test_deterministic_takes_a_boolean_value_as_its_config_key_does(tmp_path, mo
     assert seen == [False, False, False, True, True, True, True]
     assert main(["gradcheck", "--deterministic", "maybe"]) == 1
     assert capsys.readouterr().err == "error: expected a boolean, got 'maybe'\n"
+
+
+def _as_flag_value(value) -> str:
+    """A ``KEYS`` default spelt as a flag or config file would spell it."""
+    return ",".join(map(str, value)) if isinstance(value, tuple) else str(value)
+
+
+def test_every_key_a_command_does_not_read_is_refused_before_any_work(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    refused = 0
+    for command, (_, keys, _) in COMMANDS.items():
+        needed = [arg for key in keys if KEYS[key][1] is None
+                  for arg in (f"--{key}", str(tmp_path / key))]
+        for key, (_, default) in KEYS.items():
+            if key in keys or key == "deterministic":
+                continue
+            cfg.write_text(f"{key} = {_as_flag_value(default)}\n", encoding="utf-8")
+            for flags in ([f"--{key}", _as_flag_value(default)], ["--config", str(cfg)]):
+                assert main([command] + needed + flags) == 1
+                assert capsys.readouterr() == ("", f"error: {command} does not read {key!r}\n")
+            refused += 1
+    assert refused == 7 * 36 - 59
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["run.cfg"]     # no out_dir made
+
+
+class RecordingConfig(dict):
+    """A configuration that notes every key read from it."""
+
+    def __init__(self, config):
+        super().__init__(config)
+        self.read = set()
+
+    def __getitem__(self, key):
+        self.read.add(key)
+        return super().__getitem__(key)
+
+
+def test_each_handler_reads_exactly_the_keys_in_its_row(workspace, trained, tmp_path,
+                                                         monkeypatch):
+    monkeypatch.setattr("floodseg.checks.run_gradient_suite",
+                        lambda seed=0: [CheckResult("stub", 0.0, 1e-5)])
+    image = next(iter(sorted(workspace["raw"].glob("*.ppm"))))
+    raw = ["--dataset_dir", str(workspace["raw"])]
+    manifest = ["--manifest", str(workspace["manifest"])]
+    model = ["--model", str(trained / "model.gacm")]
+    # reprogram pretrains a missing base: only that path reads input_size and base_channels
+    flags = {"prepare": raw + ["--out_dir", str(tmp_path / "prep"), "--resize", "16",
+                               "--crop", "8"],
+             "train": manifest + ["--out_dir", str(tmp_path / "train")] + TRAIN_FLAGS,
+             "eval": model + manifest + ["--report", str(tmp_path / "report.tsv")],
+             "predict": model + ["--image", str(image), "--output", str(tmp_path / "pred.pgm")],
+             "reprogram": manifest + ["--base_model", str(tmp_path / "base.gacm"),
+                                      "--init_base", "true", "--out_dir", str(tmp_path / "rp"),
+                                      "--base_channels", "2", "--input_size", "8",
+                                      "--steps", "1"],
+             "gradcheck": [],
+             "dataset-stats": raw}
+    assert sorted(flags) == sorted(COMMANDS)
+    for command, (handler, keys, _) in COMMANDS.items():
+        config = RecordingConfig(_resolve_config(command, flags[command]))
+        assert handler(config) == 0, command
+        assert config.read == set(keys), command
+
+
+@pytest.mark.parametrize("command,seed", [("prepare", "-1"), ("train", "4294967296"),
+                                          ("reprogram", "4294967296"), ("gradcheck", "-1")])
+def test_a_seed_outside_the_32_bit_range_is_refused_before_any_work(
+        workspace, tmp_path, monkeypatch, capsys, command, seed):
+    def fail(*args, **kwargs):
+        raise AssertionError("work was done before the seed was checked")
+
+    for name in ("dataio.prepare_dataset", "dataio.read_split", "checks.run_gradient_suite"):
+        monkeypatch.setattr(f"floodseg.{name}", fail)
+    out = ["--out_dir", str(tmp_path / "out")]
+    manifest = ["--manifest", str(workspace["manifest"])]
+    flags = {"prepare": out + ["--dataset_dir", str(workspace["raw"])],
+             "train": out + manifest,
+             "reprogram": out + manifest + ["--base_model", str(tmp_path / "base.gacm"),
+                                            "--init_base", "true"],
+             "gradcheck": []}
+    assert main([command, "--seed", seed] + flags[command]) == 1
+    assert capsys.readouterr() == ("", f"error: bad value for 'seed': must lie in 0..2**32-1, "
+                                       f"got {seed}\n")
+    assert not list(tmp_path.iterdir())
 
 
 def test_every_name_in_the_package_all_resolves_to_its_module_binding():

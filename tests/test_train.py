@@ -204,6 +204,15 @@ def test_optimizer_settings_are_refused_before_any_pair_is_read(entries, tmp_pat
         train_model(tiny_model(), entries, val, lr=0.0)
 
 
+@pytest.mark.parametrize("value", [float("nan"), -0.1, 1.5])
+def test_an_early_stop_train_dice_outside_the_unit_interval_is_refused_before_any_pair_is_read(
+        tmp_path, value):
+    missing = tmp_path / "missing"
+    train = [ManifestEntry(str(missing / "a.ppm"), str(missing / "a.pgm"), "train")]
+    with pytest.raises(ValueError, match=r"^train_model: early_stop_train_dice must lie in "):
+        train_model(tiny_model(), train, train, early_stop_train_dice=value)
+
+
 def test_a_misspelt_keyword_names_train_model_before_any_pair_is_read(tmp_path):
     missing = tmp_path / "missing"
     train = [ManifestEntry(str(missing / "a.ppm"), str(missing / "a.pgm"), "train")]
