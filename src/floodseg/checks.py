@@ -90,8 +90,11 @@ def _builders():
     return [("conv2d", _probed(conv2d, (2, 6, 6), (3, 2, 3, 3), (3,))),
             ("conv2d_narrowing", _probed(conv2d, (3, 6, 6), (2, 3, 3, 3), (2,))),
             ("conv2d_batch", _probed(conv2d, (2, 2, 6, 6), (3, 2, 3, 3), (3,))),
+            ("conv2d_pointwise_batch", _probed(conv2d, (2, 2, 5, 5), (3, 2, 1, 1), (3,))),
             ("dilated_conv2d", _probed(lambda x, w, b: conv2d(x, w, b, dilation=2),
                                        (2, 8, 8), (2, 2, 3, 3), (2,))),
+            ("dilated_conv2d_batch", _probed(lambda x, w, b: conv2d(x, w, b, dilation=2),
+                                             (2, 2, 8, 8), (2, 2, 3, 3), (2,))),
             ("maxpool2", _probed(maxpool2, (2, 6, 6))),
             ("maxpool2_ties_batch", _pool_ties),
             ("upsample2", _probed(upsample2, (2, 3, 3))),

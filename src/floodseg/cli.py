@@ -32,6 +32,11 @@ class UsageError(Exception):
     """Bad arguments or configuration; maps to exit code 1."""
 
 
+class Config(dict):
+    """A command's settings; ``given`` names those set by a flag or a ``--config`` file."""
+    given = frozenset()
+
+
 def _parse_bool(text: str) -> bool:
     lowered = text.strip().lower()
     if lowered in ("1", "true", "yes", "on"):
@@ -140,7 +145,7 @@ def _resolve_config(command: str, args: list) -> dict:
             from_flags.append((key, value))
 
     _, keys, _ = COMMANDS[command]
-    config = {key: KEYS[key][1] for key in keys + ("deterministic",)}
+    config = Config((key, KEYS[key][1]) for key in keys + ("deterministic",))
     # a flag beats a file, a later value an earlier; "-" reads as "_" in either
     settings = {key.replace("-", "_"): text for key, text in from_files + from_flags}
     for key, text in settings.items():
@@ -153,6 +158,7 @@ def _resolve_config(command: str, args: list) -> dict:
             config[key] = parser(text)
         except (TypeError, ValueError) as exc:
             raise UsageError(f"bad value for {key!r}: {exc}") from exc
+    config.given = frozenset(settings)
     if config.get("float_width", 32) not in (32, 64):
         raise UsageError(f"float_width must be 32 or 64, got {config['float_width']}")
     if not 0 <= config.get("pred_threshold", 0) <= 1:
@@ -260,8 +266,17 @@ def cmd_predict(config: dict) -> int:
 
 def cmd_reprogram(config: dict) -> int:
     base_path = Path(config["base_model"])
+    base = None
     if make_base := config["init_base"] and not base_path.is_file():
         _check_output_file(base_path)
+    elif base_path.is_file():
+        base = floodseg.load_model(base_path)
+        # a loaded base fixes the two keys a pretrained one is built from
+        for key, value in (("input_size", base.spec.input_size),
+                           ("base_channels", base.spec.out_channels)):
+            if key in config.given and config[key] != value:
+                raise UsageError(f"{key} {config[key]} differs from the base model's {value} "
+                                 f"in {base_path}")
     pairs = floodseg.dataio.load_pairs(floodseg.read_split(config["manifest"], "train"))
     # The run's own checks of its settings, before a base is pretrained and written.
     floodseg.convnn.loss_named(config["loss"])
@@ -272,9 +287,9 @@ def cmd_reprogram(config: dict) -> int:
             c_old=config["base_channels"], size=config["input_size"], seed=config["seed"])
         floodseg.save_model(base, base_path)
         print(f"pretrained base: {base_path}")
-    if not base_path.is_file():
+        base = floodseg.load_model(base_path)
+    if base is None:
         raise floodseg.DataError(f"base model not found: {base_path}")
-    base = floodseg.load_model(base_path)
 
     wrapper = floodseg.ReprogramWrapper(base, per_channel=config["per_channel"],
                                         seed=config["seed"])

@@ -3,21 +3,23 @@
 Operators take a batch laid out channels-first, ``(N, C, H, W)``; a single
 ``(C, H, W)`` sample is the N = 1 case. ``conv2d`` is a stride-1
 cross-correlation (no kernel flip) with an odd square kernel, zero-padded so
-the output keeps the input's extent. Its taps are strided views of a flat
-padded copy of one sample, made when a correlation needs it and dropped
-after. The tape keeps the unpadded input for the kernel gradient, and only
-when the kernel trains; the input gradient reads only the kernel. The
-forward and input-gradient correlations run one sample at a time, over
-column tiles of the sample's flat padded rows: each tile's GEMM operand (its
-tap columns, or its per-tap output rows) fits a fixed byte budget, so that
-scratch stays cache-sized whatever the image size. ``dice_loss`` is the mean
-over the batch of per-sample dice losses.
+the output keeps the input's extent. A 1x1 kernel is one GEMM per sample,
+with no padding. A larger kernel's taps are strided views of a flat padded
+map, made when a correlation needs it and dropped after. The tape keeps the
+unpadded input for the kernel gradient, and only when the kernel trains; the
+input gradient reads only the kernel. The forward and input-gradient
+correlations walk column tiles of the flat padded rows: each tile's GEMM
+operand (its tap columns, or its per-tap output rows) fits a fixed byte
+budget, so that scratch stays cache-sized whatever the image size. Samples
+smaller than one tile are stacked, G to a map, one below the other, and one
+walk covers the G samples; a sample as large as a tile or larger has a walk
+of its own. ``dice_loss`` is the mean over the batch of per-sample dice
+losses.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from numpy.lib.stride_tricks import as_strided
 
 from .tensor import ShapeError, Tensor, log, record_op, tmean, tsum
 
@@ -30,11 +32,14 @@ DICE_EPS = 1e-6     # added to dice_loss's overlap and denominator: empty masks 
 
 
 def _pad_flat(a: np.ndarray, p: int) -> np.ndarray:
-    """``a`` (...,H,W) zero-padded by p on each side, rows end to end, then 2p zeros."""
-    *lead, h, w = a.shape
-    size = (h + 2 * p) * (w + 2 * p)
-    flat = np.zeros((*lead, size + 2 * p), dtype=a.dtype)
-    flat[..., :size].reshape(*lead, h + 2 * p, w + 2 * p)[..., p:p + h, p:p + w] = a
+    """Samples ``a`` (G,C,H,W) as one (C, G*(H+2p)*(W+2p) + 2p*(W+2p+1)) map: each
+    zero-padded by p on each side, its rows end to end below the previous sample's,
+    then zeros for the taps of the last sample's bottom padding rows."""
+    g, c, h, w = a.shape
+    size = g * (h + 2 * p) * (w + 2 * p)
+    flat = np.zeros((c, size + 2 * p * (w + 2 * p + 1)), dtype=a.dtype)
+    flat[:, :size].reshape(c, g, h + 2 * p, w + 2 * p)[..., p:p + h, p:p + w] = \
+        a.transpose(1, 0, 2, 3)
     return flat
 
 
@@ -70,60 +75,76 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None, *,
     kernel = weight.data
     p = dilation * (k - 1) // 2
     wp = w + 2 * p
+    span = (h + 2 * p) * wp         # one sample's columns in a stacked ``_pad_flat`` map
+    samples = x.data.reshape(-1, c_in, h, w)
+    batch = len(samples)
 
-    def taps(a, tap_rows=0, m=h * wp):
-        """Read-only (R,k,k,m) view of ``a``, R = tap_rows or len(a): [r,i,j,q]
-        is element [(i*k + j)*tap_rows + r, (i*wp + j)*dilation + q]."""
+    def taps(a, q0=0, tap_rows=0, m=h * wp):
+        """(R,k,k,m) view of the C-contiguous ``a`` from column q0, R = tap_rows or
+        len(a): [r,i,j,q] is element [(i*k + j)*tap_rows + r, q0 + (i*wp + j)*dilation + q]."""
         s0, s1 = a.strides
         steps = (s0, k * tap_rows * s0 + dilation * wp * s1, tap_rows * s0 + dilation * s1, s1)
-        return as_strided(a, (tap_rows or len(a), k, k, m), steps, writeable=False)
+        return np.ndarray((tap_rows or len(a), k, k, m), a.dtype, a, q0 * s1, steps)
 
     def correlator(kern, dtype):
-        """A function that writes the same-padded correlation of one sample's
-        ``_pad_flat`` map with ``kern`` (C_o,C_i,k,k) to a (C_o,H*wp) ``dtype``
-        array, one column tile at a time.
+        """A function that writes the same-padded correlation of G samples'
+        stacked ``_pad_flat`` map with ``kern`` (C_o,C_i,k,k) to their
+        (G,C_o,H*wp) ``dtype`` rows; and G.
 
-        The kernel's GEMM operand and the tile width are prepared here, once
-        per call of ``conv2d`` or of its backward. If C_i <= C_o, each tile
+        The kernel's GEMM operand and the tile width m are prepared here, once
+        per call of ``conv2d`` or of its backward, and G = min(N, m // span),
+        at least 1: samples smaller than a tile share one walk over m-column
+        tiles, and a larger sample walks alone. If C_i <= C_o, each tile
         copies its taps into columns for one GEMM; otherwise one GEMM gives
         every tap's output rows for the tile and its 2p*(wp+1) halo columns,
-        into one buffer that every tile of the sample reuses, summed at their
+        into one buffer that every tile of the walk reuses, summed at their
         shifted offsets. A tile's operand fills its byte budget, halo aside.
         Rows run over the padded width, so each ends in 2p wrap-around columns
-        to be dropped."""
+        to be dropped. A walk over G > 1 samples also computes, then drops,
+        each sample's 2p bottom padding rows, whose taps never reach the next
+        sample; it runs on through the last sample's, so that the GEMM's
+        ragged last columns, which BLAS may round differently, are dropped."""
         c_o, c_i = kern.shape[:2]
         if c_i <= c_o:
             columns = kern.reshape(c_o, -1)
             m = max(1, _COLUMN_TILE_BYTES // (columns.shape[1] * dtype.itemsize))
 
-            def correlate(buf, out):
-                for q0 in range(0, h * wp, m):
-                    n = min(m, h * wp - q0)
-                    np.matmul(columns, taps(buf[:, q0:], 0, n).reshape(-1, n),
+            def walk(buf, out):
+                for q0 in range(0, out.shape[1], m):
+                    n = min(m, out.shape[1] - q0)
+                    np.matmul(columns, taps(buf, q0, 0, n).reshape(-1, n),
                               out=out[:, q0:q0 + n])
         else:
             per_tap_rows = kern.transpose(2, 3, 0, 1).reshape(k * k * c_o, c_i)
             m = max(1, _TAP_TILE_BYTES // (len(per_tap_rows) * dtype.itemsize))
             halo = 2 * p * (wp + 1)
 
-            def correlate(buf, out):
-                prod = np.empty((len(per_tap_rows), min(m, h * wp) + halo), dtype)
-                for q0 in range(0, h * wp, m):
-                    n = min(m, h * wp - q0)
-                    per_tap = np.matmul(per_tap_rows, buf[:, q0:q0 + n + halo],
-                                        out=prod[:, :n + halo])
-                    taps(per_tap, c_o, n).sum(axis=(1, 2), out=out[:, q0:q0 + n])
-        return correlate
+            def walk(buf, out):
+                prod = np.empty((len(per_tap_rows), min(m, out.shape[1]) + halo), dtype)
+                for q0 in range(0, out.shape[1], m):
+                    n = min(m, out.shape[1] - q0)
+                    np.matmul(per_tap_rows, buf[:, q0:q0 + n + halo], out=prod[:, :n + halo])
+                    taps(prod, 0, c_o, n).sum(axis=(1, 2), out=out[:, q0:q0 + n])
+
+        def correlate(buf, rows):
+            if len(rows) == 1:
+                return walk(buf, rows[0])
+            stack = np.empty((c_o, len(rows), span), dtype)
+            walk(buf, stack.reshape(c_o, -1))
+            rows[...] = stack[:, :, :h * wp].transpose(1, 0, 2)
+        return correlate, max(1, min(batch, m // span))
 
     def cropped(rows):
         """(...,C,H,W) view of (...,C,H*wp) rows, without the wrap-around columns."""
         return rows.reshape(rows.shape[:-1] + (h, wp))[..., :w]
 
-    samples = x.data.reshape(-1, c_in, h, w)
-    rows = np.empty((len(samples), c_out, h * wp), np.result_type(x.data, kernel))
-    correlate = correlator(kernel, rows.dtype)
-    for sample, r in zip(samples, rows):
-        correlate(_pad_flat(sample, p), r)
+    if k == 1:
+        rows = np.matmul(kernel.reshape(c_out, c_in), samples.reshape(-1, c_in, h * w))
+    else:
+        rows = np.empty((batch, c_out, h * wp), np.result_type(x.data, kernel))
+        correlate, group = correlator(kernel, rows.dtype)
+        for n0 in range(0, batch, group):
+            correlate(_pad_flat(samples[n0:n0 + group], p), rows[n0:n0 + group])
     out = cropped(rows)
     if bias is not None:
         out = out + bias.data[:, None, None]
@@ -135,17 +156,30 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None, *,
 
     def backward(g):
         g = g.reshape(-1, c_out, h, w)
-        dw = 0
-        if x_grad:
-            dx = np.empty((len(g), c_in, h * wp), np.result_type(g, kernel))
-            correlate_dx = correlator(kernel[:, :, ::-1, ::-1].transpose(1, 0, 2, 3), dx.dtype)
-        for i in range(len(g)):
-            g_flat = _pad_flat(g[i], p)
-            if saved is not None:
-                g_wp = g_flat[:, p * wp + p:][:, :h * wp]      # zeros in the wrap-around columns
-                dw = dw + np.matmul(g_wp, taps(_pad_flat(saved[i], p)).transpose(1, 2, 3, 0))
+        dx, dw = None, 0
+        if k == 1:
+            g_rows = g.reshape(-1, c_out, h * w)
             if x_grad:
-                correlate_dx(g_flat, dx[i])
+                dx = np.matmul(kernel.reshape(c_out, c_in).T, g_rows)
+            if saved is not None:       # the samples' (C_out,C_in) products, summed in order
+                dw = np.matmul(g_rows, saved.reshape(-1, c_in, h * w).transpose(0, 2, 1))
+                dw = dw.sum(axis=0)[None, None]
+        else:
+            group = 1
+            if x_grad:
+                dx = np.empty((batch, c_in, h * wp), np.result_type(g, kernel))
+                correlate_dx, group = correlator(kernel[:, :, ::-1, ::-1].transpose(1, 0, 2, 3),
+                                                 dx.dtype)
+            for n0 in range(0, batch, group):
+                chunk = g[n0:n0 + group]
+                g_flat = _pad_flat(chunk, p)
+                if saved is not None:       # one GEMM per sample, added in sample order
+                    x_flat = _pad_flat(saved[n0:n0 + group], p)
+                    for q0 in range(0, len(chunk) * span, span):
+                        g_wp = g_flat[:, q0 + p * wp + p:][:, :h * wp]  # zeros in wrap-arounds
+                        dw = dw + np.matmul(g_wp, taps(x_flat, q0).transpose(1, 2, 3, 0))
+                if x_grad:
+                    correlate_dx(g_flat, dx[n0:n0 + group])
         return (cropped(dx).reshape(x_shape) if x_grad else None,
                 None if saved is None else dw.transpose(2, 3, 0, 1),  # (k,k,C_out,C_in) first
                 g.sum(axis=(0, 2, 3)) if bias_grad else None)

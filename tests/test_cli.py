@@ -619,6 +619,52 @@ def test_reprogram_missing_base_is_a_data_error(workspace, tmp_path):
                  "--out_dir", str(tmp_path / "out")]) == 2
 
 
+@pytest.fixture(scope="module")
+def small_base(tmp_path_factory):
+    """A saved 8 px reprogramming base with a two-channel head."""
+    path = tmp_path_factory.mktemp("base") / "base.gacm"
+    floodseg.save_model(floodseg.reprogram.make_pretrained_base(c_old=2, size=8, steps=1), path)
+    return path
+
+
+@pytest.mark.parametrize("flags,wrong", [
+    (["--input_size", "99", "--base_channels", "99"], "input_size 99 differs from the base "
+                                                      "model's 8"),
+    (["--base_channels", "3"], "base_channels 3 differs from the base model's 2"),
+    (["--init_base", "true", "--input_size", "16"], "input_size 16 differs from the base "
+                                                    "model's 8"),
+    (["--config", "FILE"], "base_channels 8 differs from the base model's 2")],
+    ids=["both", "base_channels", "init_base_with_a_file", "config_file_default_value"])
+def test_reprogram_refuses_a_set_key_that_differs_from_a_loaded_base_before_any_pair_is_read(
+        workspace, small_base, tmp_path, monkeypatch, capsys, flags, wrong):
+    # A base that is loaded, not pretrained, fixes input_size and base_channels. A
+    # value set for either, even its default (8 channels, from the file), must match.
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("base_channels = 8\n", encoding="utf-8")
+    flags = [str(cfg) if flag == "FILE" else flag for flag in flags]
+
+    def fail(*args, **kwargs):
+        raise AssertionError("a pair was read before the base was checked")
+
+    monkeypatch.setattr("floodseg.dataio.read_split", fail)
+    out = tmp_path / "rp"
+    assert main(["reprogram", "--base_model", str(small_base), "--manifest",
+                 str(workspace["manifest"]), "--out_dir", str(out), "--steps", "1"] + flags) == 1
+    assert capsys.readouterr() == ("", f"error: {wrong} in {small_base}\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flags", [[], ["--input_size", "8", "--base_channels", "2"],
+                                   ["--init_base", "true", "--base_channels", "2"]],
+                         ids=["unset", "equal", "init_base_equal"])
+def test_reprogram_takes_an_unset_or_equal_key_with_a_loaded_base(workspace, small_base,
+                                                                  tmp_path, flags):
+    assert main(["reprogram", "--base_model", str(small_base), "--manifest",
+                 str(workspace["manifest"]), "--out_dir", str(tmp_path / "rp"),
+                 "--steps", "1", "--batch_size", "2"] + flags) == 0
+    assert (tmp_path / "rp" / "wrapper.gacm").is_file()
+
+
 @pytest.mark.parametrize("command", ["prepare", "train", "reprogram"])
 @pytest.mark.parametrize("out_dir", ["afile", "afile/sub"], ids=["file", "below_a_file"])
 def test_an_out_dir_that_is_a_file_is_refused_before_any_work(workspace, tmp_path, capsys,
@@ -709,7 +755,8 @@ def test_gradcheck_passes_and_prints_a_table(capsys):
     assert "all gradient checks passed" in out
     table = [line for line in out.splitlines() if "tolerance" in line]
     assert [line.split()[0] for line in table] == [
-        "conv2d", "conv2d_narrowing", "conv2d_batch", "dilated_conv2d", "maxpool2",
+        "conv2d", "conv2d_narrowing", "conv2d_batch", "conv2d_pointwise_batch", "dilated_conv2d",
+        "dilated_conv2d_batch", "maxpool2",
         "maxpool2_ties_batch", "upsample2", "neighbour_sum", "gat_conv", "cheb_conv",
         "cheb_conv_isolated", "center_of_mass", "input_transform", "output_map", "bce_loss", "dice_loss", "dice_loss_batch",
         "end_to_end_gac_unet"]

@@ -186,9 +186,10 @@ def test_conv2d_batch_matches_separate_samples(k, dilation, c_in, c_out):
 def test_conv2d_tape_keeps_no_column_buffer(c_in, c_out, batch):
     # Until backward the tape holds the unpadded input, which its Tensor owns
     # already, not the c_in*k*k-row columns (9x the input) or per-tap outputs.
-    # The forward pads and correlates one sample at a time, over column tiles,
-    # so its transient (one padded sample and its GEMM tiles) stays under
-    # 1.5x one sample's k*k*min(c_in, c_out)*H*(W+2) floats whatever the batch.
+    # A 64 px sample here is too large to share a column tile (G = 1), so the
+    # forward pads and correlates one sample at a time, over column tiles, and
+    # its transient (one padded sample and its GEMM tiles) stays under 1.5x one
+    # sample's k*k*min(c_in, c_out)*H*(W+2) floats whatever the batch.
     rng = np.random.RandomState(9)
     x = Tensor(rng.uniform(-1, 1, batch + (c_in, 64, 64)), requires_grad=True,
                dtype=np.float32)
@@ -256,9 +257,11 @@ def test_conv2d_backward_peaks_below_one_input_column_buffer():
 
 
 def test_conv2d_batch_backward_peaks_below_one_sample_column_buffer():
-    # The backward's GEMMs run per sample (and the input gradient's per column
-    # tile): beyond the input gradient of the second sample, a batch of two
-    # peaks under the one-sample bound.
+    # A 64 px sample is too large to share a column tile (G = 1), so the
+    # backward pads and walks one sample at a time, its kernel-gradient GEMMs
+    # run per sample and the input gradient's per column tile: beyond the input
+    # gradient of the second sample, a batch of two peaks under the one-sample
+    # bound.
     c_in, c_out, k, side = 48, 16, 3, 64
     assert conv2d_backward_peak((2,), c_in, c_out, k, side) < 0.6 * c_in * k * k * side * side * 4
 
@@ -306,6 +309,58 @@ def test_conv2d_backward_scratch_is_bounded_by_the_tile():
     assert frozen - c_in * side * side * 4 < bound
     peak = conv2d_backward_peak((), c_in, c_out, 3, side)
     assert peak - c_in * side * side * 4 < bound + padded_input
+
+
+@pytest.mark.parametrize("c_in,batch", [(1, 1), (1, 2), (2, 1), (2, 2)],
+                         ids=["columns", "columns-batch2", "per-tap", "per-tap-batch2"])
+def test_conv2d_forward_of_a_small_sample_peaks_within_a_few_padded_inputs(c_in, batch):
+    # With C_out = 1 an 8x8 sample is a small part of a tile: 145 (C_in = 1) or
+    # 582 (C_in = 2) padded samples would fit one. The forward's stacked rows
+    # are for the samples there are, not for as many as a tile could hold. Its
+    # scratch is the padded map, the k*k tap copies of it (or per-tap rows),
+    # and the stacked and final rows: under 2*(k*k + 3) padded inputs.
+    rng = np.random.RandomState(13)
+    x = Tensor(rng.uniform(-1, 1, (batch, c_in, 8, 8)), requires_grad=True)
+    w = Tensor(rng.uniform(-1, 1, (1, c_in, 3, 3)), requires_grad=True)
+    tracemalloc.start()
+    try:
+        out = conv2d(x, w)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert out.shape == (batch, 1, 8, 8)
+    assert peak - held < 2 * (9 + 3) * batch * c_in * 10 * 10 * 8
+
+
+@pytest.mark.parametrize("n", [4, 3, 2])
+@pytest.mark.parametrize("c_in,c_out,k,dilation", [(3, 4, 3, 1), (4, 4, 3, 2), (12, 4, 3, 1),
+                                                   (4, 8, 1, 1)],
+                         ids=["3to4", "4to4-dil2", "12to4", "1x1-4to8"])
+def test_conv2d_float32_batch_is_byte_identical_to_separate_samples(c_in, c_out, k, dilation, n):
+    # The convs of a 32 px (4, 8) base. Two to four 32 px samples share one
+    # stacked walk, forward and input gradient, and a 1x1 kernel is one GEMM
+    # per sample; each gives the bytes of one-sample calls. The kernel
+    # gradient is their sum, added in sample order.
+    rng = np.random.RandomState(32)
+    batch = rng.uniform(-1, 1, (n, c_in, 32, 32)).astype(np.float32)
+    w = rng.uniform(-1, 1, (c_out, c_in, k, k)).astype(np.float32)
+    b = rng.uniform(-1, 1, c_out).astype(np.float32)
+    g = rng.uniform(-1, 1, (n, c_out, 32, 32)).astype(np.float32)
+
+    def run(x, probe):
+        xt, wt = Tensor(x, requires_grad=True), Tensor(w, requires_grad=True)
+        out = conv2d(xt, wt, Tensor(b), dilation=dilation)
+        tsum(out * Tensor(probe)).backward()
+        return out.data, xt.grad, wt.grad
+
+    out, dx, dw = run(batch, g)
+    parts = [run(x[None], probe[None]) for x, probe in zip(batch, g)]
+    assert out.tobytes() == np.concatenate([part[0] for part in parts]).tobytes()
+    assert dx.tobytes() == np.concatenate([part[1] for part in parts]).tobytes()
+    want_dw = parts[0][2]
+    for part in parts[1:]:
+        want_dw = want_dw + part[2]
+    assert dw.tobytes() == want_dw.tobytes()
 
 
 def test_same_padding_preserves_extent():
