@@ -13,21 +13,28 @@ operand (its tap columns, or its per-tap output rows) fits a fixed byte
 budget, so that scratch stays cache-sized whatever the image size. Samples
 smaller than one tile are stacked, G to a map, one below the other, and one
 walk covers the G samples; a sample as large as a tile or larger has a walk
-of its own. ``dice_loss`` is the mean over the batch of per-sample dice
-losses.
+of its own. The kernel gradient also walks column tiles, one sample at a
+time: each tile's output-gradient and input columns fit a third budget, so
+they stay in cache while all k*k per-tap GEMMs read them, and the tiles'
+products are summed in column order. ``dice_loss`` is the mean over the batch
+of per-sample dice losses.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from .graphnn import is_int
 from .tensor import ShapeError, Tensor, log, record_op, tmean, tsum
 
 # Byte budgets of one column tile's GEMM operand in ``conv2d``: the tap columns
-# copied when C_i <= C_o, and the per-tap output rows when C_i > C_o. Of the
-# sizes timed on gac-unet's 256 and 512 px conv shapes, these were fastest.
+# copied when C_i <= C_o, and the per-tap output rows when C_i > C_o; and, for
+# the kernel gradient, the output-gradient and input columns that a tile's k*k
+# GEMMs read. Of the sizes timed on gac-unet's 256 and 512 px conv shapes,
+# these were fastest.
 _COLUMN_TILE_BYTES = 1 << 20
 _TAP_TILE_BYTES = 4 << 20
+_DW_TILE_BYTES = 128 << 10
 DICE_EPS = 1e-6     # added to dice_loss's overlap and denominator: empty masks give -1
 
 
@@ -65,8 +72,11 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None, *,
     if wc_in != c_in:
         raise ShapeError(f"conv2d: input has {c_in} channels but kernel expects {wc_in} "
                          f"(shapes {x.data.shape} and {weight.data.shape})")
-    if dilation < 1:
-        raise ShapeError(f"conv2d: dilation {dilation} must be >= 1")
+    if not is_int(dilation) or dilation < 1:
+        raise ShapeError(f"conv2d: dilation {dilation!r} must be an integer >= 1")
+    if 0 in (c_in, h, w, c_out):
+        raise ShapeError(f"conv2d: input {x.data.shape} and kernel {weight.data.shape} "
+                         f"need channels and an extent of at least 1")
     if k % 2 == 0:
         raise ShapeError(f"conv2d: same padding needs an odd kernel, got {k}")
     if bias is not None and bias.data.shape != (c_out,):
@@ -154,9 +164,21 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None, *,
     saved = samples if weight.requires_grad else None      # read only by the kernel gradient
     bias_grad = bias is not None and bias.requires_grad
 
+    def sample_dw(g_wp, x_flat, q0, m, total, prod):
+        """Write to ``total`` one sample's (k,k,C_out,C_in) kernel gradient from its
+        (C_out,H*wp) output gradient rows and its taps at column q0 of ``x_flat``:
+        the k*k per-tap GEMMs over m-column tiles, summed in column order. Each
+        tile after the first writes its products to ``prod`` first."""
+        for t0 in range(0, h * wp, m):
+            n = min(m, h * wp - t0)
+            np.matmul(g_wp[:, t0:t0 + n], taps(x_flat, q0 + t0, 0, n).transpose(1, 2, 3, 0),
+                      out=prod if t0 else total)
+            if t0:
+                total += prod
+
     def backward(g):
         g = g.reshape(-1, c_out, h, w)
-        dx, dw = None, 0
+        dx = dw = None
         if k == 1:
             g_rows = g.reshape(-1, c_out, h * w)
             if x_grad:
@@ -170,14 +192,19 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None, *,
                 dx = np.empty((batch, c_in, h * wp), np.result_type(g, kernel))
                 correlate_dx, group = correlator(kernel[:, :, ::-1, ::-1].transpose(1, 0, 2, 3),
                                                  dx.dtype)
+            if saved is not None:
+                dw = np.zeros((k, k, c_out, c_in), np.result_type(g, saved))
+                dw_tile = max(1, _DW_TILE_BYTES // ((c_in + c_out) * dw.itemsize))
+                sample, prod = np.empty_like(dw), np.empty_like(dw)
             for n0 in range(0, batch, group):
                 chunk = g[n0:n0 + group]
                 g_flat = _pad_flat(chunk, p)
-                if saved is not None:       # one GEMM per sample, added in sample order
+                if saved is not None:       # per sample, in column tiles; added in sample order
                     x_flat = _pad_flat(saved[n0:n0 + group], p)
                     for q0 in range(0, len(chunk) * span, span):
                         g_wp = g_flat[:, q0 + p * wp + p:][:, :h * wp]  # zeros in wrap-arounds
-                        dw = dw + np.matmul(g_wp, taps(x_flat, q0).transpose(1, 2, 3, 0))
+                        sample_dw(g_wp, x_flat, q0, dw_tile, sample, prod)
+                        dw += sample
                 if x_grad:
                     correlate_dx(g_flat, dx[n0:n0 + group])
         return (cropped(dx).reshape(x_shape) if x_grad else None,

@@ -1,6 +1,7 @@
 """Convolution/pooling operators and losses against scalar-loop oracles."""
 
 import math
+import re
 import tracemalloc
 import weakref
 
@@ -311,6 +312,32 @@ def test_conv2d_backward_scratch_is_bounded_by_the_tile():
     assert peak - c_in * side * side * 4 < bound + padded_input
 
 
+@pytest.mark.parametrize("c_in,c_out,dilation", [(48, 16, 1), (16, 16, 2)],
+                         ids=["dec1", "enc1.dil"])
+def test_conv2d_kernel_gradient_scratch_is_bounded_by_its_tile(c_in, c_out, dilation):
+    # A frozen input's backward computes only the kernel gradient. It holds
+    # the output gradient, its padded copy and the input's, and the kernel
+    # gradient; beyond them, each tile's k*k products and the sample's running
+    # sum: under one kernel-gradient tile, against the k*k*C_in*H*W values
+    # that a copy of the whole sample's tap columns would take (108 or 36 MiB).
+    side, k = 256, 3
+    p = dilation * (k - 1) // 2
+    rng = np.random.RandomState(10)
+    x = Tensor(rng.uniform(-1, 1, (1, c_in, side, side)), dtype=np.float32)
+    w = Tensor(rng.uniform(-1, 1, (c_out, c_in, k, k)), requires_grad=True, dtype=np.float32)
+    probe = Tensor(rng.uniform(-1, 1, (1, c_out, side, side)), dtype=np.float32)
+    loss = tsum(conv2d(x, w, dilation=dilation) * probe)
+    tracemalloc.start()
+    try:
+        loss.backward()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert w.grad.shape == w.shape
+    padded = (c_in + c_out) * ((side + 2 * p) ** 2 + 2 * p * (side + 2 * p + 1)) * 4
+    assert peak - c_out * side * side * 4 - padded - w.grad.nbytes < convnn._DW_TILE_BYTES
+
+
 @pytest.mark.parametrize("c_in,batch", [(1, 1), (1, 2), (2, 1), (2, 2)],
                          ids=["columns", "columns-batch2", "per-tap", "per-tap-batch2"])
 def test_conv2d_forward_of_a_small_sample_peaks_within_a_few_padded_inputs(c_in, batch):
@@ -336,11 +363,20 @@ def test_conv2d_forward_of_a_small_sample_peaks_within_a_few_padded_inputs(c_in,
 @pytest.mark.parametrize("c_in,c_out,k,dilation", [(3, 4, 3, 1), (4, 4, 3, 2), (12, 4, 3, 1),
                                                    (4, 8, 1, 1)],
                          ids=["3to4", "4to4-dil2", "12to4", "1x1-4to8"])
-def test_conv2d_float32_batch_is_byte_identical_to_separate_samples(c_in, c_out, k, dilation, n):
+def test_conv2d_float32_batch_is_byte_identical_to_separate_samples(monkeypatch, c_in, c_out, k,
+                                                                    dilation, n):
     # The convs of a 32 px (4, 8) base. Two to four 32 px samples share one
     # stacked walk, forward and input gradient, and a 1x1 kernel is one GEMM
     # per sample; each gives the bytes of one-sample calls. The kernel
-    # gradient is their sum, added in sample order.
+    # gradient is their sum, added in sample order: each sample fits one
+    # kernel-gradient tile here, and, with the budget shrunk to 8 KiB, a 3x3
+    # kernel's sample crosses 4 to 9 of them, the last one ragged.
+    assert_batch_bytes_match_samples(c_in, c_out, k, dilation, n)
+    monkeypatch.setattr(convnn, "_DW_TILE_BYTES", 8 << 10)
+    assert_batch_bytes_match_samples(c_in, c_out, k, dilation, n)
+
+
+def assert_batch_bytes_match_samples(c_in, c_out, k, dilation, n):
     rng = np.random.RandomState(32)
     batch = rng.uniform(-1, 1, (n, c_in, 32, 32)).astype(np.float32)
     w = rng.uniform(-1, 1, (c_out, c_in, k, k)).astype(np.float32)
@@ -361,6 +397,54 @@ def test_conv2d_float32_batch_is_byte_identical_to_separate_samples(c_in, c_out,
     for part in parts[1:]:
         want_dw = want_dw + part[2]
     assert dw.tobytes() == want_dw.tobytes()
+
+
+@pytest.mark.parametrize("budget", [None, 7 << 10], ids=["one-tile", "tiles"])
+def test_conv2d_kernel_gradient_is_its_tiles_matmuls_summed_in_column_order(monkeypatch, budget):
+    # A 32 px sample of 8 + 8 channels is 72 KiB of output-gradient and input
+    # columns, within one kernel-gradient tile: its dW is one matmul of the
+    # k*k per-tap GEMMs over the whole sample, byte for byte. With the budget
+    # shrunk to 7 KiB, it crosses 11 tiles of 112 columns, the last of 32, and
+    # its dW is their matmuls summed in column order.
+    c_in, c_out, k, dilation, side = 8, 8, 3, 2, 32
+    p = dilation * (k - 1) // 2
+    wp = side + 2 * p
+    if budget is None:
+        assert (c_in + c_out) * 4 * side * wp <= convnn._DW_TILE_BYTES
+        m = side * wp
+    else:
+        monkeypatch.setattr(convnn, "_DW_TILE_BYTES", budget)
+        m = budget // ((c_in + c_out) * 4)
+    rng = np.random.RandomState(33)
+    x = rng.uniform(-1, 1, (c_in, side, side)).astype(np.float32)
+    w = rng.uniform(-1, 1, (c_out, c_in, k, k)).astype(np.float32)
+    g = rng.uniform(-1, 1, (c_out, side, side)).astype(np.float32)
+    wt = Tensor(w, requires_grad=True)
+    tsum(conv2d(Tensor(x), wt, dilation=dilation) * Tensor(g)).backward()
+    # Rows over the padded width: g with 2p zero columns on the right, and x
+    # padded with one more bottom row for the last taps' wrap-around columns.
+    g_wp = np.pad(g, ((0, 0), (0, 0), (0, 2 * p))).reshape(c_out, side * wp)
+    x_flat = np.pad(x, ((0, 0), (p, p + 1), (p, p))).reshape(c_in, -1)
+    s0, s1 = x_flat.strides
+    taps = np.lib.stride_tricks.as_strided(x_flat, (k, k, side * wp, c_in),
+                                           (dilation * wp * s1, dilation * s1, s1, s0))
+    want = np.matmul(g_wp[:, :m], taps[:, :, :m])
+    for t0 in range(m, side * wp, m):
+        want += np.matmul(g_wp[:, t0:t0 + m], taps[:, :, t0:t0 + m])
+    assert wt.grad.tobytes() == want.transpose(2, 3, 0, 1).tobytes()
+
+
+@pytest.mark.parametrize("k", [3, 1])
+def test_conv2d_of_an_empty_batch_gives_zero_gradients_of_the_parameters_shapes(k):
+    x = Tensor(np.zeros((0, 2, 5, 5)), requires_grad=True)
+    w = Tensor(np.ones((3, 2, k, k)), requires_grad=True)
+    b = Tensor(np.ones(3), requires_grad=True)
+    out = conv2d(x, w, b)
+    assert out.shape == (0, 3, 5, 5)
+    tsum(out).backward()
+    assert x.grad.shape == (0, 2, 5, 5)
+    assert w.grad.shape == (3, 2, k, k) and not w.grad.any()
+    assert b.grad.shape == (3,) and not b.grad.any()
 
 
 def test_same_padding_preserves_extent():
@@ -397,8 +481,20 @@ def test_conv2d_validation_errors():
         conv2d(x, Tensor(np.zeros((3, 2, 3, 2))))                  # non-square
     with pytest.raises(ShapeError):
         conv2d(x, Tensor(np.zeros((3, 2, 2, 2))))                  # same pad needs odd k
-    with pytest.raises(ShapeError):
+    with pytest.raises(ShapeError, match="dilation 0 "):
         conv2d(x, w, dilation=0)
+    with pytest.raises(ShapeError, match="dilation 2.0 "):
+        conv2d(x, w, dilation=2.0)
+    with pytest.raises(ShapeError, match="dilation True "):
+        conv2d(x, w, dilation=True)                                # a bool is not an integer
+    assert conv2d(x, w, dilation=np.int64(2)).shape == (3, 6, 6)
+    for shape in [(2, 0, 6), (2, 6, 0), (1, 2, 6, 0)]:             # an empty extent
+        with pytest.raises(ShapeError, match=re.escape(str(shape))):
+            conv2d(Tensor(np.zeros(shape)), w)
+    with pytest.raises(ShapeError, match=r"\(0, 6, 6\)"):          # no channels
+        conv2d(Tensor(np.zeros((0, 6, 6))), Tensor(np.zeros((3, 0, 3, 3))))
+    with pytest.raises(ShapeError, match=r"\(0, 2, 3, 3\)"):
+        conv2d(x, Tensor(np.zeros((0, 2, 3, 3))))
 
 
 def test_conv2d_is_linear_in_the_input():

@@ -1,11 +1,12 @@
 """Generated checks of conv2d against the loop oracles of test_convnn.
 
 Each draw picks a batch, channel counts, an extent, a kernel, a dilation, a
-float width and the two tile budgets. Half the draws set the budgets
+float width and the three tile budgets. Half the draws set the budgets
 log-uniformly from 64 bytes, where every walk crosses many one-column tiles,
 to 64 MiB, where one walk covers the whole batch; the other half size the
 forward's tiles to hold 1 to N padded samples, so a stacked walk of G
-samples takes every G from 1 to N.
+samples takes every G from 1 to N, and the kernel gradient's tiles to hold 1
+to H*(W+2p) columns, so that most of those draws cross several of them.
 """
 
 from unittest.mock import patch
@@ -32,13 +33,18 @@ def conv_cases(draw):
     h, w = draw(st.integers(1, 13)), draw(st.integers(1, 13))
     k, dilation = draw(st.sampled_from([3, 5, 1])), draw(st.integers(1, 3))
     dtype = draw(st.sampled_from([np.float32, np.float64]))
+    itemsize = np.dtype(dtype).itemsize
     if draw(st.booleans()):
-        budgets = (1 << draw(st.integers(6, 26)), 1 << draw(st.integers(6, 26)))
+        budgets = (1 << draw(st.integers(6, 26)), 1 << draw(st.integers(6, 26)),
+                   int(2 ** draw(st.floats(6, 26))))
     else:       # the forward's tile holds 1 to n padded samples, and part of one more
-        span = (h + dilation * (k - 1)) * (w + dilation * (k - 1))
+        wp = w + dilation * (k - 1)
+        span = (h + dilation * (k - 1)) * wp
         columns = draw(st.integers(1, n)) * span + draw(st.integers(0, span - 1))
         operand_rows = c_in * k * k if c_in <= c_out else k * k * c_out
-        budgets = (columns * operand_rows * np.dtype(dtype).itemsize,) * 2
+        dw_columns = draw(st.integers(1, h * wp))
+        budgets = (columns * operand_rows * itemsize,) * 2 + \
+            (dw_columns * (c_in + c_out) * itemsize,)
     rng = np.random.RandomState(draw(st.integers(0, 2 ** 31 - 1)))
     x = rng.uniform(-1, 1, (n, c_in, h, w)).astype(dtype)
     weight = rng.uniform(-1, 1, (c_out, c_in, k, k)).astype(dtype)
@@ -51,7 +57,8 @@ def run_conv(case, backward):
     the input and kernel gradients of the probe-weighted sum."""
     x, weight, bias, probe, dilation, budgets = case
     with patch.object(convnn, "_COLUMN_TILE_BYTES", budgets[0]), \
-            patch.object(convnn, "_TAP_TILE_BYTES", budgets[1]):
+            patch.object(convnn, "_TAP_TILE_BYTES", budgets[1]), \
+            patch.object(convnn, "_DW_TILE_BYTES", budgets[2]):
         xt, wt = Tensor(x, requires_grad=True), Tensor(weight, requires_grad=True)
         out = conv2d(xt, wt, Tensor(bias), dilation=dilation)
         if backward:
