@@ -33,6 +33,7 @@ _EXPORTS = {
     "reprogram": ("FrozenBaseError", "ReprogramWrapper", "input_transform", "load_wrapper",
                   "output_map", "reprogram_train", "save_wrapper"),
     "checks": ("run_gradient_suite",),
+    "synthetic": ("write_flood_set",),
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}
 

@@ -76,6 +76,9 @@ KEYS = {
     "report": (str, ""),
     "split": (str, "test"),
     "seed": (_parse_seed, 0),
+    "count": (int, 20),
+    "size": (int, 64),
+    "blob_scale": (float, 1.0),
     "float_width": (int, 32),
     "input_size": (int, 256),
     "widths": (_parse_int_list, (16, 32, 64)),
@@ -205,6 +208,13 @@ def _adam(config: dict) -> dict:
 # ---- command handlers -------------------------------------------------------
 
 
+def cmd_synthetic(config: dict) -> int:
+    written = floodseg.write_flood_set(config["out_dir"], config["count"], config["size"],
+                                       config["seed"], config["blob_scale"])
+    print(f"wrote {len(written)} image/mask pairs to {config['out_dir']}")
+    return EXIT_OK
+
+
 def cmd_prepare(config: dict) -> int:
     result = floodseg.prepare_dataset(config["dataset_dir"], config["out_dir"], config["seed"],
                                       resize=config["resize"], crop=config["crop"])
@@ -266,10 +276,11 @@ def cmd_predict(config: dict) -> int:
 
 def cmd_reprogram(config: dict) -> int:
     base_path = Path(config["base_model"])
-    base = None
     if make_base := config["init_base"] and not base_path.is_file():
         _check_output_file(base_path)
-    elif base_path.is_file():
+    elif not base_path.is_file():
+        raise floodseg.DataError(f"base model not found: {base_path}")
+    else:
         base = floodseg.load_model(base_path)
         # a loaded base fixes the two keys a pretrained one is built from
         for key, value in (("input_size", base.spec.input_size),
@@ -288,8 +299,6 @@ def cmd_reprogram(config: dict) -> int:
         floodseg.save_model(base, base_path)
         print(f"pretrained base: {base_path}")
         base = floodseg.load_model(base_path)
-    if base is None:
-        raise floodseg.DataError(f"base model not found: {base_path}")
 
     wrapper = floodseg.ReprogramWrapper(base, per_channel=config["per_channel"],
                                         seed=config["seed"])
@@ -326,6 +335,8 @@ def cmd_gradcheck(config: dict) -> int:
 
 # name -> (handler, keys it reads, help line); the usage text lists them in this order.
 COMMANDS = {
+    "synthetic": (cmd_synthetic, ("out_dir", "count", "size", "seed", "blob_scale"),
+                  "write a seeded synthetic corpus of image/mask pairs"),
     "prepare": (cmd_prepare, ("dataset_dir", "out_dir", "seed", "resize", "crop"),
                 "split a raw corpus 70/30 and write the augmented train set"),
     "train": (cmd_train, ("manifest", "out_dir", "seed", "float_width") + _SPEC + ("loss",)

@@ -27,6 +27,7 @@ from .model import (KIND_WRAPPER, Model, ModelFormatError, ModelSpec, build_mode
                     decode_gacm, encode_gacm, glorot_uniform, init_params, load_model,
                     model_checksum, predict_proba)
 from .optim import Adam
+from .synthetic import generate_multiclass_set, one_hot
 from .tensor import ShapeError, Tensor, no_grad, sigmoid
 from .train import train_for_steps
 
@@ -153,8 +154,6 @@ def make_pretrained_base(c_old: int = 8, size: int = 32, widths=(4, 8), seed: in
     per-channel indicator probabilities under an elementwise cross-entropy,
     which is enough to make the base's channels task-structured.
     """
-    from .synthetic import generate_multiclass_set, one_hot
-
     spec = ModelSpec(input_size=size, widths=tuple(widths), variant="plain-unet",
                      out_channels=c_old, seed=seed)
     base = init_params(build_model(spec), seed)

@@ -4,23 +4,18 @@
 regions (cool, blue-leaning colors) over textured land (warm greens and
 browns) with matching binary masks. ``generate_multiclass_set`` quantizes a
 smooth random field into labeled regions for multi-channel pretraining.
-Everything is a pure function of the seed. Run this module directly to
-write a flood set as .ppm/.pgm pairs:
+Everything is a pure function of the seed. ``write_flood_set`` writes a
+flood set as .ppm/.pgm pairs; ``floodseg synthetic`` runs it:
 
-    python -m floodseg.synthetic data/raw --count 20 --size 64 --seed 1
-
-It exits as ``floodseg`` does: 1 on a bad count, size or blob scale, 2 on a
-path it cannot write, each with one ``error:`` line.
+    floodseg synthetic --out_dir data/raw --count 20 --size 64 --seed 1
 """
 
 from __future__ import annotations
 
-import argparse
 import os
 
 import numpy as np
 
-from .cli import EXIT_DATA, EXIT_OK, EXIT_USAGE, _error
 from .dataio import ImagePair, save_pair
 
 
@@ -119,26 +114,3 @@ def write_flood_set(out_dir, count: int = 20, size: int = 64, seed: int = 0,
     pairs = generate_flood_set(count, size, seed, blob_scale)
     os.makedirs(out_dir, exist_ok=True)
     return [tuple(map(str, save_pair(out_dir, pair))) for pair in pairs]
-
-
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description="Write a synthetic flood dataset.")
-    parser.add_argument("out_dir")
-    parser.add_argument("--count", type=int, default=20)
-    parser.add_argument("--size", type=int, default=64)
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--blob_scale", type=float, default=1.0)
-    args = parser.parse_args(argv)
-    try:
-        written = write_flood_set(args.out_dir, args.count, args.size, args.seed,
-                                  args.blob_scale)
-    except ValueError as exc:
-        return _error(exc, EXIT_USAGE)
-    except OSError as exc:
-        return _error(exc, EXIT_DATA)
-    print(f"wrote {len(written)} image/mask pairs to {args.out_dir}")
-    return EXIT_OK
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

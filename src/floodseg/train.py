@@ -136,10 +136,11 @@ def train_model(model: Model, train_entries, val_entries=(), *, loss: str = "dic
 
     Matching parameters get ``requires_grad`` off, the rest on, and keep it on
     return: Adam sees only the trainable ones and a frozen layer records no
-    tape. A prefix that matches no parameter, or a bare ``str`` (which would
-    freeze by its single characters), is a ``ValueError``. ``adam`` goes to
-    ``Adam`` as its keyword settings. Every setting, Adam's included, is
-    checked before any pair is read.
+    tape. A prefix that matches no parameter, a ``freeze`` that leaves none
+    to train, or a bare ``str`` (which would freeze by its single
+    characters), is a ``ValueError``. ``adam`` goes to ``Adam`` as its
+    keyword settings. Every setting, Adam's included, is checked before any
+    pair is read.
     """
     loss_fn = loss_named(loss)
     if batch_size < 1 or epochs < 0:
@@ -153,11 +154,13 @@ def train_model(model: Model, train_entries, val_entries=(), *, loss: str = "dic
     for prefix in freeze:
         if not any(name.startswith(prefix) for name in model.params):
             raise ValueError(f"train_model: freeze prefix {prefix!r} matches no parameter")
+    trainable = {name: p for name, p in model.params.items()
+                 if not name.startswith(tuple(freeze))}
+    if not trainable:
+        raise ValueError(f"train_model: freeze {','.join(freeze)} leaves no parameter to train")
     train_ds = PairDataset(train_entries, model.spec.input_size, model.dtype)
     if len(train_ds) == 0:
         raise ValueError("train_model: no training entries")
-    trainable = {name: p for name, p in model.params.items()
-                 if not name.startswith(tuple(freeze))}
     try:
         optimizer = Adam(trainable, **adam)
     except TypeError as exc:    # a misspelt keyword of this call, not of Adam's

@@ -59,6 +59,7 @@ USAGE_TEXT = """\
 usage: floodseg COMMAND [--config FILE] [--deterministic] [--KEY VALUE ...]
 
 commands:
+  synthetic      write a seeded synthetic corpus of image/mask pairs
   prepare        split a raw corpus 70/30 and write the augmented train set
   train          train a model on a prepared manifest
   eval           score a model on a manifest split
@@ -80,8 +81,9 @@ def test_help_and_unknown_command(capsys):
     assert capsys.readouterr() == ("", "unknown command 'florp'\n" + USAGE_TEXT)
 
 
-NEEDS = {"prepare": "--dataset_dir, --out_dir", "train": "--manifest, --out_dir",
-         "eval": "--model, --manifest", "predict": "--model, --image, --output",
+NEEDS = {"synthetic": "--out_dir", "prepare": "--dataset_dir, --out_dir",
+         "train": "--manifest, --out_dir", "eval": "--model, --manifest",
+         "predict": "--model, --image, --output",
          "reprogram": "--base_model, --manifest, --out_dir", "dataset-stats": "--dataset_dir",
          "gradcheck": None}
 
@@ -206,7 +208,7 @@ def test_every_key_a_command_does_not_read_is_refused_before_any_work(tmp_path, 
                 assert main([command] + needed + flags) == 1
                 assert capsys.readouterr() == ("", f"error: {command} does not read {key!r}\n")
             refused += 1
-    assert refused == 7 * 36 - 59
+    assert refused == 8 * 39 - 65
     assert sorted(p.name for p in tmp_path.iterdir()) == ["run.cfg"]     # no out_dir made
 
 
@@ -231,7 +233,9 @@ def test_each_handler_reads_exactly_the_keys_in_its_row(workspace, trained, tmp_
     manifest = ["--manifest", str(workspace["manifest"])]
     model = ["--model", str(trained / "model.gacm")]
     # reprogram pretrains a missing base: only that path reads input_size and base_channels
-    flags = {"prepare": raw + ["--out_dir", str(tmp_path / "prep"), "--resize", "16",
+    flags = {"synthetic": ["--out_dir", str(tmp_path / "raw"), "--count", "2", "--size", "8",
+                           "--blob_scale", "0.5"],
+             "prepare": raw + ["--out_dir", str(tmp_path / "prep"), "--resize", "16",
                                "--crop", "8"],
              "train": manifest + ["--out_dir", str(tmp_path / "train")] + TRAIN_FLAGS,
              "eval": model + manifest + ["--report", str(tmp_path / "report.tsv")],
@@ -384,15 +388,19 @@ def test_train_writes_model_and_log(workspace, trained):
     assert net.spec.input_size == 8
 
 
-def test_train_with_everything_frozen_keeps_init_weights(workspace, tmp_path):
+def test_train_refuses_a_freeze_that_leaves_nothing_to_train(workspace, tmp_path, monkeypatch,
+                                                             capsys):
+    def fail(*args, **kwargs):
+        raise AssertionError("a pair was read before freeze was checked")
+
+    for name in ("load_pair", "load_pairs"):
+        monkeypatch.setattr(f"floodseg.train.{name}", fail)
     out = tmp_path / "frozen"
-    code = main(["train", "--manifest", str(workspace["manifest"]), "--out_dir", str(out),
-                 "--freeze", "enc,dec,gat,cheb,head"] + TRAIN_FLAGS)
-    assert code == 0
-    spec = ModelSpec(input_size=8, widths=(2, 4), gat_out=4, cheb_order=1,
-                     cheb_out=4, seed=0)
-    want = serialize_model(init_params(build_model(spec, np.float32), 0))
-    assert (out / "model.gacm").read_bytes() == want
+    assert main(["train", "--manifest", str(workspace["manifest"]), "--out_dir", str(out),
+                 "--freeze", "enc,dec,gat,cheb,head"] + TRAIN_FLAGS + ["--epochs", "2"]) == 1
+    assert capsys.readouterr() == ("", "error: train_model: freeze enc,dec,gat,cheb,head "
+                                       "leaves no parameter to train\n")
+    assert not out.exists()
 
 
 def test_train_refuses_a_freeze_prefix_that_matches_nothing(workspace, tmp_path, capsys):
@@ -619,6 +627,21 @@ def test_reprogram_missing_base_is_a_data_error(workspace, tmp_path):
                  "--out_dir", str(tmp_path / "out")]) == 2
 
 
+@pytest.mark.parametrize("flags", [[], ["--loss", "nope"], ["--steps", "-1"]],
+                         ids=["defaults", "unknown_loss", "negative_steps"])
+def test_reprogram_refuses_a_missing_base_before_the_manifest_is_read(
+        workspace, tmp_path, monkeypatch, capsys, flags):
+    def fail(*args, **kwargs):
+        raise AssertionError("the manifest was read before the base was checked")
+
+    monkeypatch.setattr("floodseg.dataio.read_split", fail)
+    base = tmp_path / "none.gacm"
+    assert main(["reprogram", "--base_model", str(base), "--manifest",
+                 str(workspace["manifest"]), "--out_dir", str(tmp_path / "out")] + flags) == 2
+    assert capsys.readouterr() == ("", f"error: base model not found: {base}\n")
+    assert not list(tmp_path.iterdir())
+
+
 @pytest.fixture(scope="module")
 def small_base(tmp_path_factory):
     """A saved 8 px reprogramming base with a two-channel head."""
@@ -665,13 +688,14 @@ def test_reprogram_takes_an_unset_or_equal_key_with_a_loaded_base(workspace, sma
     assert (tmp_path / "rp" / "wrapper.gacm").is_file()
 
 
-@pytest.mark.parametrize("command", ["prepare", "train", "reprogram"])
+@pytest.mark.parametrize("command", ["synthetic", "prepare", "train", "reprogram"])
 @pytest.mark.parametrize("out_dir", ["afile", "afile/sub"], ids=["file", "below_a_file"])
 def test_an_out_dir_that_is_a_file_is_refused_before_any_work(workspace, tmp_path, capsys,
                                                                 command, out_dir):
     (tmp_path / "afile").write_text("not a directory\n", encoding="utf-8")
     base = tmp_path / "base.gacm"
-    flags = {"prepare": ["--dataset_dir", str(workspace["raw"]), "--resize", "16",
+    flags = {"synthetic": ["--count", "2", "--size", "8"],
+             "prepare": ["--dataset_dir", str(workspace["raw"]), "--resize", "16",
                          "--crop", "8"],
              "train": ["--manifest", str(workspace["manifest"])] + TRAIN_FLAGS,
              "reprogram": ["--manifest", str(workspace["manifest"]), "--base_model", str(base),
@@ -843,20 +867,23 @@ class Probe:
             seen.append(os.environ.get("OPENBLAS_NUM_THREADS"))
 
 sys.meta_path.insert(0, Probe())
-code = floodseg.cli.main(["dataset-stats", "--dataset_dir", sys.argv[1], "--deterministic"])
+code = floodseg.cli.main(sys.argv[1:] + ["--deterministic"])
 print("exit:", code)
 print("OPENBLAS_NUM_THREADS when numpy loaded:", seen[0])
 """
 
 
-def test_deterministic_pins_threads_before_numpy_loads(workspace):
+def test_deterministic_pins_threads_before_numpy_loads(workspace, tmp_path):
     env = {k: v for k, v in os.environ.items() if not k.endswith("_NUM_THREADS")}
     env["PYTHONPATH"] = str(Path(floodseg.__file__).parents[1])
-    for inherited in ({}, {"OPENBLAS_NUM_THREADS": "2"}):    # the flag overrides the caller
-        result = subprocess.run([sys.executable, "-c", DETERMINISTIC_PROBE,
-                                 str(workspace["raw"])], env=dict(env, **inherited),
-                                capture_output=True, text=True, timeout=120)
-        lines = result.stdout.splitlines()
-        assert "numpy loaded by import: False" in lines, result.stdout + result.stderr
-        assert "exit: 0" in lines
-        assert "OPENBLAS_NUM_THREADS when numpy loaded: 1" in lines
+    commands = (["dataset-stats", "--dataset_dir", str(workspace["raw"])],
+                ["synthetic", "--out_dir", str(tmp_path / "raw"), "--count", "1", "--size", "4"])
+    for command in commands:
+        for inherited in ({}, {"OPENBLAS_NUM_THREADS": "2"}):    # the flag overrides the caller
+            result = subprocess.run([sys.executable, "-c", DETERMINISTIC_PROBE] + command,
+                                    env=dict(env, **inherited), capture_output=True, text=True,
+                                    timeout=120)
+            lines = result.stdout.splitlines()
+            assert "numpy loaded by import: False" in lines, result.stdout + result.stderr
+            assert "exit: 0" in lines
+            assert "OPENBLAS_NUM_THREADS when numpy loaded: 1" in lines

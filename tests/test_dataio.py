@@ -14,7 +14,7 @@ from floodseg.dataio import (DataError, ImagePair, PnmError, augment_expand,
                              resize_bilinear, resize_pair, save_image, save_mask,
                              split_dataset, write_manifest, ManifestEntry)
 from floodseg.dataio import _parse_pnm
-from floodseg.synthetic import main as synthetic_main
+from floodseg.cli import main
 from floodseg.synthetic import write_flood_set
 
 
@@ -312,7 +312,8 @@ def test_discover_pairs_requires_fully_matched_stems(tmp_path):
 
 def test_synthetic_main_writes_pairs_the_reader_reads_back(tmp_path, capsys):
     out = tmp_path / "raw"
-    assert synthetic_main([str(out), "--count", "2", "--size", "8", "--seed", "1"]) == 0
+    assert main(["synthetic", "--out_dir", str(out), "--count", "2", "--size", "8",
+                 "--seed", "1"]) == 0
     assert capsys.readouterr().out == f"wrote 2 image/mask pairs to {out}\n"
     pairs = discover_pairs(out)
     assert len(pairs) == 2
@@ -324,7 +325,7 @@ def test_synthetic_main_writes_pairs_the_reader_reads_back(tmp_path, capsys):
 @pytest.mark.parametrize("out,flags,code,message", [
     ("raw", ["--size", "0"], 1, "error: count and size must be at least 1, got 20 and 0\n"),
     ("raw", ["--count", "-3"], 1, "error: count and size must be at least 1, got -3 and 64\n"),
-    ("a_file", [], 2, "error: [Errno 17] File exists: '{out}'\n"),
+    ("a_file", [], 2, "error: cannot make out_dir {out}: {out} is not a directory\n"),
     *(("raw", ["--blob_scale", scale], 1,
        f"error: blob_scale must be finite and above 0, got {float(scale)}\n")
       for scale in ("-1", "0", "nan", "inf")),
@@ -334,7 +335,7 @@ def test_synthetic_main_refuses_bad_input_with_one_error_line(tmp_path, capsys, 
                                                               code, message):
     (tmp_path / "a_file").write_bytes(b"")
     out = tmp_path / out
-    assert synthetic_main([str(out)] + flags) == code
+    assert main(["synthetic", "--out_dir", str(out)] + flags) == code
     captured = capsys.readouterr()
     assert captured.out == "" and captured.err == message.format(out=out)
     assert sorted(p.name for p in tmp_path.iterdir()) == ["a_file"]

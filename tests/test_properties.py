@@ -1,12 +1,21 @@
-"""Generated checks of conv2d against the loop oracles of test_convnn.
+"""Generated checks of the strided and tiled kernels against loop and dense
+oracles.
 
-Each draw picks a batch, channel counts, an extent, a kernel, a dilation, a
-float width and the three tile budgets. Half the draws set the budgets
+``conv2d`` is checked against the loop oracles of test_convnn. Each draw
+picks a batch, channel counts, an extent, a kernel, a dilation, a float
+width and the three tile budgets. Half the draws set the budgets
 log-uniformly from 64 bytes, where every walk crosses many one-column tiles,
 to 64 MiB, where one walk covers the whole batch; the other half size the
 forward's tiles to hold 1 to N padded samples, so a stacked walk of G
 samples takes every G from 1 to N, and the kernel gradient's tiles to hold 1
 to H*(W+2p) columns, so that most of those draws cross several of them.
+
+``maxpool2`` is checked on maps of a few integer levels, so that most
+windows tie, against a loop whose gradient goes to the first maximum in
+row-major window order; ``upsample2`` against ``np.repeat``, with its
+gradient as the 2x2 block sums; and ``neighbour_sum`` on random graphs with
+isolated nodes against the dense product and the loop gradients of
+test_graphnn.
 """
 
 from unittest.mock import patch
@@ -16,9 +25,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from floodseg import convnn
-from floodseg.convnn import conv2d
+from floodseg.convnn import conv2d, maxpool2, upsample2
+from floodseg.graphnn import Graph, neighbour_sum
 from floodseg.tensor import Tensor, tsum
-from test_convnn import assert_relative_close, conv_backward_oracle, conv_oracle
+from test_convnn import (assert_relative_close, conv_backward_oracle, conv_oracle,
+                         maxpool_loop_oracle)
+from test_graphnn import assert_relative, scattered
 
 # (forward atol, gradient rtol) against the float64 oracles. The float64 pair
 # is test_convnn's. A float32 output sums up to C_in*k*k = 150 rounded
@@ -89,3 +101,96 @@ def test_conv2d_gradients_match_the_tap_loop_oracle(case):
     rtol = TOLERANCES[x.dtype.type][1]
     assert_relative_close(dx, np.stack([d for d, _ in oracle]), rtol)
     assert_relative_close(dw, sum(d for _, d in oracle), rtol)
+
+
+
+def one_or_batch(draw, *arrays):
+    """The (N, C, H, W) ``arrays``, or each one's first sample as a (C, H, W) map."""
+    return tuple(a[0] for a in arrays) if draw(st.booleans()) else arrays
+
+
+@st.composite
+def pool_cases(draw):
+    """(x, probe) for one maxpool2 call: an even-sided map of 1 to 8 integer
+    levels, so that most windows tie, and one level ties every window."""
+    n, c = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    h, w = 2 * draw(st.integers(1, 6)), 2 * draw(st.integers(1, 6))
+    levels = draw(st.integers(1, 8))
+    dtype = draw(st.sampled_from([np.float32, np.float64]))
+    rng = np.random.RandomState(draw(st.integers(0, 2 ** 31 - 1)))
+    x = rng.randint(0, levels, (n, c, h, w)).astype(dtype)
+    return one_or_batch(draw, x, rng.uniform(-1, 1, (n, c, h // 2, w // 2)).astype(dtype))
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=100)
+@given(pool_cases())
+def test_maxpool2_routes_each_window_to_its_first_maximum(case):
+    x, probe = case
+    xt = Tensor(x, requires_grad=True)
+    out = maxpool2(xt)
+    tsum(out * Tensor(probe)).backward()
+    want_out, want_dx = maxpool_loop_oracle(x.reshape((-1,) + x.shape[-3:]),
+                                            probe.reshape((-1,) + probe.shape[-3:]))
+    assert out.data.dtype == x.dtype
+    np.testing.assert_array_equal(out.data, want_out.reshape(probe.shape))
+    np.testing.assert_array_equal(xt.grad, want_dx.reshape(x.shape))
+
+
+@st.composite
+def upsample_cases(draw):
+    """(x, probe) for one upsample2 call of any extent. The probe is integer-valued,
+    so that its 2x2 block sums are exact in any order."""
+    n, c = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    h, w = draw(st.integers(1, 7)), draw(st.integers(1, 7))
+    dtype = draw(st.sampled_from([np.float32, np.float64]))
+    rng = np.random.RandomState(draw(st.integers(0, 2 ** 31 - 1)))
+    return one_or_batch(draw, rng.uniform(-1, 1, (n, c, h, w)).astype(dtype),
+                        rng.randint(-8, 9, (n, c, 2 * h, 2 * w)).astype(dtype))
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=100)
+@given(upsample_cases())
+def test_upsample2_repeats_each_pixel_and_sums_each_block(case):
+    x, probe = case
+    xt = Tensor(x, requires_grad=True)
+    out = upsample2(xt)
+    assert out.data.dtype == x.dtype
+    np.testing.assert_array_equal(out.data, x.repeat(2, axis=-2).repeat(2, axis=-1))
+    tsum(out * Tensor(probe)).backward()
+    h, w = x.shape[-2:]
+    np.testing.assert_array_equal(
+        xt.grad, probe.reshape(probe.shape[:-2] + (h, 2, w, 2)).sum(axis=(-3, -1)))
+
+
+@st.composite
+def graph_cases(draw):
+    """(graph, w, x, probe) for one float64 neighbour_sum call. The graph has 1 to
+    24 nodes, and its edges join only its first m, relabelled by a drawn
+    permutation, so that the other n - m are isolated wherever they fall. The
+    weights are random in every slot, the spare ones included."""
+    n = draw(st.integers(1, 24))
+    m = draw(st.integers(1, n))
+    rng = np.random.RandomState(draw(st.integers(0, 2 ** 31 - 1)))
+    label = rng.permutation(n).tolist()
+    ends = rng.randint(0, m, (draw(st.integers(0, 3 * m)), 2)).tolist()
+    graph = Graph(n, sorted({tuple(sorted((label[u], label[v]))) for u, v in ends if u != v}))
+    f = draw(st.integers(1, 4))
+    return (graph,) + tuple(rng.uniform(-1, 1, shape)
+                            for shape in [graph.index.shape, (n, f), (n, f)])
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=100)
+@given(graph_cases())
+def test_neighbour_sum_matches_the_dense_product_and_the_loop_gradients(case):
+    graph, w, x, probe = case
+    index = graph.index
+    wt, xt = Tensor(w, requires_grad=True), Tensor(x, requires_grad=True)
+    out = neighbour_sum(wt, xt, graph)
+    assert_relative(out.data, scattered(w, index) @ x)
+    tsum(out * Tensor(probe)).backward()
+    dw, dx = np.zeros_like(w), np.zeros_like(x)
+    for i, d in np.ndindex(index.shape):
+        dw[i, d] = probe[i] @ x[index[i, d]]
+        dx[index[i, d]] += w[i, d] * probe[i]
+    assert_relative(wt.grad, dw)
+    assert_relative(xt.grad, dx)

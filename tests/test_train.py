@@ -10,7 +10,7 @@ from floodseg.metrics import evaluate
 from floodseg.model import Model, ModelSpec, build_model, init_params, load_model, serialize_model
 from floodseg.optim import Adam
 from floodseg.synthetic import write_flood_set
-from floodseg.tensor import Tensor
+from floodseg.tensor import Tensor, _toposort
 from floodseg.train import (EpochLog, NumericFailure, PairDataset, train_for_steps,
                             train_model, train_step)
 
@@ -125,21 +125,39 @@ def test_freeze_as_a_bare_string_is_refused(entries):
     assert serialize_model(model) == before
 
 
-def test_everything_frozen_records_no_tape_and_keeps_init_weights(entries):
+def test_frozen_layers_record_no_tape_and_keep_init_weights(entries):
     model = tiny_model(seed=8)
-    before = serialize_model(model)
-    outputs = []
+    before = {name: p.data.copy() for name, p in model.params.items()}
+    tapes = []
 
     def forward(x):
-        outputs.append(Model.forward(model, x))
-        return outputs[-1]
+        out = Model.forward(model, x)
+        tapes.append([node.shape for node in _toposort(out._node)])
+        return out
 
     model.forward = forward
-    result = train_model(model, entries, epochs=1, batch_size=2, seed=8,
-                         freeze=("enc", "dec", "gat", "cheb", "head"))
-    assert len(outputs) == 2
-    assert all(out._backward_fn is None and not out.requires_grad for out in outputs)
-    assert result.model_bytes == before
+    train_model(model, entries, epochs=1, batch_size=2, seed=8,
+                freeze=("enc", "dec", "gat", "cheb"))
+    # only the head's conv, its sigmoid and the output reshape are on the tape
+    assert tapes == [[(2, 1, 16, 16)] * 3] * 2
+    for name, p in model.params.items():
+        assert np.array_equal(p.data, before[name]) != name.startswith("head."), name
+
+
+def test_a_freeze_that_leaves_no_parameter_to_train_is_refused_before_any_pair_is_read(
+        entries, monkeypatch):
+    def fail(*args, **kwargs):
+        raise AssertionError("a pair was read before freeze was checked")
+
+    for name in ("load_pair", "load_pairs"):
+        monkeypatch.setattr(f"floodseg.train.{name}", fail)
+    model = tiny_model()
+    before = serialize_model(model)
+    with pytest.raises(ValueError, match="^train_model: freeze enc,dec,gat,cheb,head leaves "
+                                         "no parameter to train$"):
+        train_model(model, entries, entries, epochs=2, freeze=("enc", "dec", "gat", "cheb",
+                                                                 "head"))
+    assert serialize_model(model) == before
 
 
 def test_freezing_by_requires_grad_matches_discarding_frozen_gradients(entries):
