@@ -9,9 +9,10 @@ command takes, pins the numeric libraries to one thread before they load;
 given alone it means true, and it takes a boolean value as any other boolean
 key does.
 
-Exit codes: 0 success, 1 usage or configuration error, 2 data error (an
-unreadable or unwritable path included), 3 numeric failure (non-finite loss,
-a failed gradient check or a drifted frozen base).
+Exit codes: 0 success, 1 usage or configuration error (a setting too large
+for memory included), 2 data error (an unreadable or unwritable path
+included), 3 numeric failure (non-finite loss, a failed gradient check or a
+drifted frozen base).
 """
 
 from __future__ import annotations
@@ -404,7 +405,8 @@ def main(argv=None) -> int:
     except (floodseg.DataError, floodseg.ModelFormatError, floodseg.ShapeError,
             OSError) as exc:     # ShapeError is a ValueError
         return _error(exc, EXIT_DATA)
-    except (UsageError, ValueError) as exc:    # bad arguments, SpecError included
+    except (UsageError, ValueError, MemoryError) as exc:
+        # bad arguments, SpecError included, or a setting too large for memory
         return _error(exc, EXIT_USAGE)
     except (floodseg.NumericFailure, floodseg.FrozenBaseError) as exc:
         return _error(exc, EXIT_NUMERIC)

@@ -74,15 +74,20 @@ def generate_flood_pair(rng: np.random.RandomState, size: int = 64,
                      mask.astype(np.float32), source_id)
 
 
-def generate_flood_set(count: int = 20, size: int = 64, seed: int = 0,
-                       blob_scale: float = 1.0) -> list[ImagePair]:
+def _flood_pairs(count: int, size: int, seed: int, blob_scale: float):
+    """Check the settings, then draw the seeded pairs one at a time."""
     if count < 1 or size < 1:
         raise ValueError(f"count and size must be at least 1, got {count} and {size}")
     if not 0 < blob_scale < np.inf:
         raise ValueError(f"blob_scale must be finite and above 0, got {blob_scale}")
     rng = np.random.RandomState(seed)
-    return [generate_flood_pair(rng, size, f"flood_{i:03d}", blob_scale)
-            for i in range(count)]
+    for i in range(count):
+        yield generate_flood_pair(rng, size, f"flood_{i:03d}", blob_scale)
+
+
+def generate_flood_set(count: int = 20, size: int = 64, seed: int = 0,
+                       blob_scale: float = 1.0) -> list[ImagePair]:
+    return list(_flood_pairs(count, size, seed, blob_scale))
 
 
 def generate_multiclass_set(count: int, size: int, classes: int,
@@ -110,7 +115,11 @@ def one_hot(labels: np.ndarray, classes: int) -> np.ndarray:
 
 def write_flood_set(out_dir, count: int = 20, size: int = 64, seed: int = 0,
                     blob_scale: float = 1.0) -> list[tuple[str, str]]:
-    """Write ``generate_flood_set``'s pairs with ``dataio.save_pair``; returns their paths."""
-    pairs = generate_flood_set(count, size, seed, blob_scale)
-    os.makedirs(out_dir, exist_ok=True)
-    return [tuple(map(str, save_pair(out_dir, pair))) for pair in pairs]
+    """Write ``generate_flood_set``'s pairs with ``dataio.save_pair``, each as it is drawn,
+    so memory does not grow with ``count``; returns their paths. ``out_dir`` is made after
+    the first draw, so a refused run (a pair too large for memory included) makes none."""
+    written = []
+    for pair in _flood_pairs(count, size, seed, blob_scale):
+        os.makedirs(out_dir, exist_ok=True)
+        written.append(tuple(map(str, save_pair(out_dir, pair))))
+    return written

@@ -10,7 +10,7 @@ and ``requires_grad``; its node never holds a Tensor of the graph, so an
 intermediate array lives only as long as the caller's references to it or a
 closure that saved it. A closure saves only what its backward reads: shapes,
 flags, and the arrays the rule needs (``mul`` keeps the other operand,
-``exp`` and ``sigmoid`` their output).
+``sigmoid`` and ``softmax`` their output).
 
 Primitives take Tensor operands. Only the operators convert: a Python number
 or numpy array in ``+ - * /`` or right of ``@`` takes the other operand's dtype.
@@ -108,17 +108,10 @@ class Tensor:
     def shape(self):
         return self.data.shape
 
-    @property
-    def dtype(self):
-        return self.data.dtype
-
     def item(self) -> float:
         if self.data.size != 1:
             raise ShapeError(f"item: tensor has {self.data.size} elements, expected 1")
         return float(self.data.reshape(()))
-
-    def detach(self) -> "Tensor":
-        return Tensor(self.data.copy())
 
     def __repr__(self):
         return (f"Tensor(shape={self.data.shape}, dtype={self.data.dtype.name}, "
@@ -359,15 +352,9 @@ def reshape(t: Tensor, shape) -> Tensor:
     return record_op(out, (t,), lambda g: (g.reshape(shape),))
 
 
-def transpose(t: Tensor, axes=None) -> Tensor:
-    if axes is None:
-        axes = tuple(range(t.data.ndim))[::-1]
-    axes = tuple(axes)
-    if sorted(axes) != list(range(t.data.ndim)):
-        raise ShapeError(f"transpose: axes {axes} are not a permutation for shape {t.data.shape}")
-    out = np.ascontiguousarray(t.data.transpose(axes))
-    inverse = tuple(np.argsort(axes))
-    return record_op(out, (t,), lambda g: (np.ascontiguousarray(g.transpose(inverse)),))
+def transpose(t: Tensor) -> Tensor:
+    """``t`` with its axes reversed (``record_op`` makes the output contiguous)."""
+    return record_op(t.data.T, (t,), lambda g: (np.ascontiguousarray(g.T),))
 
 
 # ---- reductions ----------------------------------------------------------
@@ -397,11 +384,6 @@ def tmean(t: Tensor, axis=None, keepdims: bool = False) -> Tensor:
 
 
 # ---- nonlinearities -------------------------------------------------------
-
-
-def exp(t: Tensor) -> Tensor:
-    out = np.exp(t.data)
-    return record_op(out, (t,), lambda g: (g * out,))
 
 
 def log(t: Tensor) -> Tensor:

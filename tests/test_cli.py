@@ -1,5 +1,8 @@
 """Command-line driver: config resolution, all commands, exit codes."""
 
+import ast
+import dataclasses
+import inspect
 import json
 import os
 import struct
@@ -13,7 +16,7 @@ import pytest
 
 import floodseg
 from floodseg.checks import CheckResult
-from floodseg.cli import COMMANDS, KEYS, UsageError, _resolve_config, main
+from floodseg.cli import _SPEC, COMMANDS, KEYS, UsageError, _resolve_config, main
 from floodseg.dataio import (DataError, discover_pairs, load_mask, read_manifest, save_mask,
                              split_dataset, write_manifest)
 from floodseg.model import (FORMAT_VERSION, KIND_MODEL, MAGIC, ModelFormatError, ModelSpec,
@@ -109,6 +112,7 @@ def test_each_command_with_no_flags_names_the_keys_it_needs(command, monkeypatch
     (UsageError("bad flag"), 1),
     (NumericFailure("non-finite loss nan in batch 1:0", "1:0"), 3),
     (FrozenBaseError("frozen base parameters changed"), 3),
+    (MemoryError("Unable to allocate 596. GiB for an array with shape (200000, 200000)"), 1),
 ], ids=lambda value: type(value).__name__ if isinstance(value, Exception) else str(value))
 def test_each_error_a_handler_raises_maps_to_its_exit_code(exc, code, monkeypatch, capsys):
     def handler(config):
@@ -282,6 +286,66 @@ def test_every_name_in_the_package_all_resolves_to_its_module_binding():
         for name in names:
             assert getattr(floodseg, name) is getattr(home, name)
     assert floodseg.__all__ == sorted(n for names in floodseg._EXPORTS.values() for n in names)
+
+
+def library_default(owner, name):
+    """The default of ``owner``'s parameter or, for a dataclass, field ``name``."""
+    if dataclasses.is_dataclass(owner):
+        return next(f.default for f in dataclasses.fields(owner) if f.name == name)
+    return inspect.signature(owner).parameters[name].default
+
+
+# (library callable or dataclass, its parameter, the CLI key that sets it)
+LIBRARY_DEFAULTS = [
+    *((floodseg.ModelSpec, key, key) for key in _SPEC + ("seed",)),
+    *((floodseg.Adam, key, key) for key in ("lr", "beta1", "beta2", "eps")),
+    *((floodseg.prepare_dataset, key, key) for key in ("seed", "resize", "crop")),
+    *((floodseg.write_flood_set, key, key) for key in ("count", "size", "seed", "blob_scale")),
+    (floodseg.evaluate, "pred_threshold", "pred_threshold"),
+    (floodseg.binarize_mask, "threshold", "pred_threshold"),
+    *((floodseg.train_model, key, key)
+      for key in ("loss", "epochs", "batch_size", "seed", "freeze", "early_stop_train_dice")),
+    *((floodseg.reprogram_train, key, key) for key in ("loss", "batch_size", "seed")),
+    *((floodseg.ReprogramWrapper, key, key) for key in ("per_channel", "seed")),
+    (floodseg.reprogram.make_pretrained_base, "c_old", "base_channels"),
+    (floodseg.reprogram.make_pretrained_base, "size", "input_size"),
+]
+# The two that differ on purpose, (library, CLI): a library call trains one
+# epoch, and a library-built pretrained base is small enough for a test.
+DIFFERENT_DEFAULTS = {("train_model", "epochs"): (1, 10),
+                      ("make_pretrained_base", "size"): (32, 256)}
+
+
+def test_each_cli_default_is_the_library_default_it_stands_for():
+    rows = [(owner.__name__, name, library_default(owner, name), KEYS[key][1])
+            for owner, name, key in LIBRARY_DEFAULTS]
+    differ = {(owner, name): (lib, cli) for owner, name, lib, cli in rows
+              if (lib, type(lib)) != (cli, type(cli))}
+    assert differ == DIFFERENT_DEFAULTS
+
+
+def imported_modules(path: Path) -> set:
+    """The absolute names of the modules that ``path``, a floodseg module, imports."""
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Import):
+            names.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            package = "floodseg" if node.level else ""
+            module = ".".join(filter(None, [package, node.module]))
+            names.add(module)     # ``from M import x`` may also import the submodule M.x
+            names.update(f"{module}.{alias.name}" for alias in node.names)
+    return names
+
+
+def test_no_library_module_imports_the_cli():
+    modules = sorted(Path(floodseg.__file__).parent.glob("*.py"))
+    assert "cli.py" in [path.name for path in modules]
+    for path in modules:
+        names = imported_modules(path)
+        assert not [n for n in names if n.split(".")[0] == "argparse"], path.name
+        if path.name != "cli.py":
+            assert not [n for n in names if n.split(".")[:2] == ["floodseg", "cli"]], path.name
 
 
 def test_flags_override_config_file(workspace, tmp_path, capsys):

@@ -359,18 +359,38 @@ def test_conv2d_forward_of_a_small_sample_peaks_within_a_few_padded_inputs(c_in,
     assert peak - held < 2 * (9 + 3) * batch * c_in * 10 * 10 * 8
 
 
-@pytest.mark.parametrize("n", [4, 3, 2])
-@pytest.mark.parametrize("c_in,c_out,k,dilation", [(3, 4, 3, 1), (4, 4, 3, 2), (12, 4, 3, 1),
-                                                   (4, 8, 1, 1)],
-                         ids=["3to4", "4to4-dil2", "12to4", "1x1-4to8"])
+BATCH_SHAPES = {"3to4": (3, 4, 3, 1), "4to4-dil2": (4, 4, 3, 2), "12to4": (12, 4, 3, 1),
+                "1x1-4to8": (4, 8, 1, 1)}
+
+
+@pytest.mark.parametrize("c_in,c_out,k,dilation,n,group", [
+    pytest.param(*shape, n, group, id=f"{name}-{n}{label}")
+    for name, shape in BATCH_SHAPES.items() for n in (4, 3, 2)
+    for group, label in ((None, ""), (1, "-alone"), (2, "-pairs")) if shape[2] > 1 or not group])
 def test_conv2d_float32_batch_is_byte_identical_to_separate_samples(monkeypatch, c_in, c_out, k,
-                                                                    dilation, n):
+                                                                    dilation, n, group):
     # The convs of a 32 px (4, 8) base. Two to four 32 px samples share one
     # stacked walk, forward and input gradient, and a 1x1 kernel is one GEMM
     # per sample; each gives the bytes of one-sample calls. The kernel
     # gradient is their sum, added in sample order: each sample fits one
     # kernel-gradient tile here, and, with the budget shrunk to 8 KiB, a 3x3
     # kernel's sample crosses 4 to 9 of them, the last one ragged.
+    # With ``group`` set, the column and per-tap budgets give tiles of exactly
+    # ``group`` padded samples, so the samples walk alone or in pairs, the
+    # last pair of an odd batch one sample short. Either budget prices one
+    # column at k*k*min(C_in, C_out) floats, forward and input gradient alike.
+    if group is not None:
+        span = (32 + dilation * (k - 1)) ** 2
+        budget = group * span * k * k * min(c_in, c_out) * 4
+        monkeypatch.setattr(convnn, "_COLUMN_TILE_BYTES", budget)
+        monkeypatch.setattr(convnn, "_TAP_TILE_BYTES", budget)
+    walks = []          # the samples in each walk of the forward
+    pad_flat = convnn._pad_flat
+    monkeypatch.setattr(convnn, "_pad_flat", lambda a, p: walks.append(len(a)) or pad_flat(a, p))
+    conv2d(Tensor(np.zeros((n, c_in, 32, 32), np.float32)),
+           Tensor(np.zeros((c_out, c_in, k, k), np.float32)), dilation=dilation)
+    step = group or n
+    assert walks == ([] if k == 1 else [min(step, n - n0) for n0 in range(0, n, step)])
     assert_batch_bytes_match_samples(c_in, c_out, k, dilation, n)
     monkeypatch.setattr(convnn, "_DW_TILE_BYTES", 8 << 10)
     assert_batch_bytes_match_samples(c_in, c_out, k, dilation, n)

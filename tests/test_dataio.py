@@ -1,6 +1,7 @@
 """Image I/O, resizing, augmentation, splitting, and manifests."""
 
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from floodseg.dataio import (DataError, ImagePair, PnmError, augment_expand,
                              split_dataset, write_manifest, ManifestEntry)
 from floodseg.dataio import _parse_pnm
 from floodseg.cli import main
+from floodseg import synthetic
 from floodseg.synthetic import write_flood_set
 
 
@@ -340,6 +342,36 @@ def test_synthetic_main_refuses_bad_input_with_one_error_line(tmp_path, capsys, 
     assert captured.out == "" and captured.err == message.format(out=out)
     assert sorted(p.name for p in tmp_path.iterdir()) == ["a_file"]
     assert (tmp_path / "a_file").read_bytes() == b""
+
+
+def test_synthetic_refuses_a_pair_too_large_for_memory_with_one_error_line(tmp_path, capsys,
+                                                                          monkeypatch):
+    # The draw fails as numpy's allocation would; nothing is allocated for real.
+    def too_large(rng, size, source_id, blob_scale):
+        raise MemoryError(f"Unable to allocate 596. GiB for an array with shape ({size}, "
+                          f"{size}) and data type float64")
+
+    monkeypatch.setattr(synthetic, "generate_flood_pair", too_large)
+    out = tmp_path / "raw"
+    assert main(["synthetic", "--out_dir", str(out), "--size", "200000", "--count", "1"]) == 1
+    assert capsys.readouterr() == ("", "error: Unable to allocate 596. GiB for an array with "
+                                       "shape (200000, 200000) and data type float64\n")
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_write_flood_set_memory_does_not_grow_with_count(tmp_path):
+    # Each pair is written as it is drawn: 32 pairs of 256 px (about 1 MiB
+    # each as float32 image and mask) peak within 2 MiB of one pair.
+    peaks = []
+    for count in (1, 32):
+        tracemalloc.start()
+        try:
+            written = write_flood_set(tmp_path / str(count), count=count, size=256, seed=0)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        assert len(written) == count
+    assert peaks[1] - peaks[0] < 2 << 20, peaks
 
 
 def test_prepare_dataset_writes_augmented_train_and_references_test(tmp_path):
