@@ -30,8 +30,8 @@ _EXPORTS = {
     "metrics": ("MetricReport", "dice_score", "evaluate", "iou", "mean_average_precision"),
     "optim": ("Adam",),
     "train": ("NumericFailure", "TrainResult", "train_model"),
-    "reprogram": ("FrozenBaseError", "ReprogramWrapper", "input_transform", "load_wrapper",
-                  "output_map", "reprogram_train", "save_wrapper"),
+    "reprogram": ("FrozenBaseError", "ReprogramWrapper", "input_transform", "output_map",
+                  "reprogram_train"),
     "checks": ("run_gradient_suite",),
     "synthetic": ("write_flood_set",),
 }

@@ -16,8 +16,7 @@ import numpy as np
 from .convnn import bce_loss, conv2d, dice_loss, maxpool2, upsample2
 from .graphnn import (ChebParams, GatParams, Graph, build_grid_graph, cheb_conv,
                       center_of_mass, gat_conv, neighbour_sum, normalized_laplacian)
-from .model import ModelSpec, build_model, init_params
-from .reprogram import input_transform, output_map
+from .model import ModelSpec, build_model, init_params, input_transform, output_map
 from .tensor import Tensor, grad_check, no_grad, tmean
 
 LAYER_TOLERANCE = 1e-5

@@ -195,8 +195,8 @@ def _check_output_file(path):
 def _load_mask_model(path: str):
     """A saved model with the one output channel that a mask is cut from."""
     net = floodseg.load_model(path)
-    if net.spec.out_channels != 1:
-        raise floodseg.DataError(f"{path}: model has {net.spec.out_channels} output channels, "
+    if net.spec.output_channels != 1:
+        raise floodseg.DataError(f"{path}: model has {net.spec.output_channels} output channels, "
                                  "not 1")
     return net
 
@@ -258,7 +258,8 @@ def cmd_eval(config: dict) -> int:
     if config["report"]:
         _check_output_file(config["report"])
     net = _load_mask_model(config["model"])
-    pairs = floodseg.dataio.load_pairs(floodseg.read_split(config["manifest"], config["split"]))
+    entries = floodseg.read_split(config["manifest"], config["split"])
+    pairs = (floodseg.load_pair(e.image_path, e.mask_path) for e in entries)
     report = str(floodseg.evaluate(net.predict_proba, pairs, config["pred_threshold"]))
     print(report)
     if config["report"]:
@@ -283,6 +284,9 @@ def cmd_reprogram(config: dict) -> int:
         raise floodseg.DataError(f"base model not found: {base_path}")
     else:
         base = floodseg.load_model(base_path)
+        if base.spec.program != "none":
+            raise floodseg.DataError(f"{base_path}: model is already reprogrammed; "
+                                     "reprogram its base model instead")
         # a loaded base fixes the two keys a pretrained one is built from
         for key, value in (("input_size", base.spec.input_size),
                            ("base_channels", base.spec.out_channels)):
@@ -313,7 +317,7 @@ def cmd_reprogram(config: dict) -> int:
 
     log_path = _write_log(config, "reprogram.log", [f"{i}\t{v:.6f}" for i, v in enumerate(losses)])
     wrapper_path = log_path.parent / "wrapper.gacm"
-    floodseg.save_wrapper(wrapper, wrapper_path)
+    floodseg.save_model(wrapper.model, wrapper_path)
     print(f"loss: {initial_loss:.6f} -> {final_loss:.6f} over {len(losses)} steps")
     print(f"wrapper: {wrapper_path}")
     return EXIT_OK

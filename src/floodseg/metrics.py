@@ -116,12 +116,10 @@ def evaluate(predict, pairs, pred_threshold: float = 0.5) -> MetricReport:
     ``predict`` maps an (H, W, 3) image to an (H, W) probability map, which
     is binarized by ``dataio.binarize_mask`` at ``pred_threshold``, which
     must lie in [0, 1], before scoring against the pair's binarized mask.
+    ``pairs`` is walked once, so a generator holds one pair at a time.
     """
     if not 0 <= pred_threshold <= 1:
         raise ValueError(f"evaluate: pred_threshold {pred_threshold} must lie in [0, 1]")
-    pairs = list(pairs)
-    if not pairs:
-        raise ValueError("evaluate: no pairs to score")
     scores = []
     for pair in pairs:
         prob = np.asarray(predict(pair.image))
@@ -130,4 +128,6 @@ def evaluate(predict, pairs, pred_threshold: float = 0.5) -> MetricReport:
                              f"{pair.mask.shape} for {pair.source_id}")
         pred, true = binarize_mask(prob, pred_threshold), binarize_mask(pair.mask)
         scores.append(ImageScore(pair.source_id, *_overlap(pred, true, "evaluate")))
+    if not scores:
+        raise ValueError("evaluate: no pairs to score")
     return MetricReport(scores, pred_threshold)

@@ -11,26 +11,32 @@ the two variants share identical encoders given the same seed. The head is
 a 1x1 convolution with a per-channel sigmoid. ``init_params`` zeroes the
 ``*.b`` biases and draws the rest Glorot-uniform, fans read from the shape.
 
+A reprogrammed model (``ModelSpec.program`` not ``"none"``) scales and shifts
+the input elementwise before the first encoder, and maps the head's sigmoid
+output to ``program_channels`` with a 1x1 convolution.
+
 A model's layers live only in its ``params`` table, declared in ``.gacm``
 payload order: ``enc{i}.conv``, ``enc{i}.dil``, then ``gat`` and ``cheb`` for
-gac-unet, ``dec{i}.conv`` from the deepest stage, and ``head``. ``forward``
-reads each layer from the table by name.
+gac-unet, ``dec{i}.conv`` from the deepest stage, ``head``, and for a
+program ``reprog.in`` and ``reprog.out``. ``forward`` reads each layer from
+the table by name.
 
 Model files (.gacm) hold a small header (magic, version, kind, float width),
 the length-prefixed configuration JSON, and the raw little-endian parameter
 payload in declaration order; nothing else, so the file size is exactly
 header + width * parameter_count bytes. ``encode_gacm`` and ``decode_gacm``
-are the format's one writer and one reader, for models and for reprogramming
-wrappers alike.
+are the format's one writer and one reader. The configuration leaves out
+the program keys when no program is set.
 """
 
 from __future__ import annotations
 
+import copy
 import hashlib
 import json
 import math
 import struct
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -42,11 +48,11 @@ from .graphnn import (ChebParams, GatParams, build_grid_graph, cheb_conv, center
 from .tensor import ShapeError, Tensor, concat, leaky_relu, no_grad, reshape, sigmoid, transpose
 
 VARIANTS = ("gac-unet", "plain-unet")
+PROGRAMS = ("none", "shared", "per_channel")
 
 MAGIC = b"GACM"
 FORMAT_VERSION = 1
 KIND_MODEL = 0
-KIND_WRAPPER = 1
 _HEADER = "<HBBI"     # version, kind, float width, config length
 
 
@@ -63,7 +69,10 @@ class ModelSpec:
     """Everything needed to rebuild a model's architecture.
 
     ``gat_out`` and ``cheb_out`` accept 0 as "match the deepest encoder
-    width". ``com`` toggles the soft-centroid bottleneck stage.
+    width". ``com`` toggles the soft-centroid bottleneck stage. ``program``
+    adds an input program shared across the image channels (``"shared"``) or
+    one per channel (``"per_channel"``), and an output map to
+    ``program_channels``; with ``"none"``, ``program_channels`` stays 1.
     """
 
     input_size: int = 256
@@ -76,13 +85,15 @@ class ModelSpec:
     com: bool = True
     out_channels: int = 1
     seed: int = 0
+    program: str = "none"
+    program_channels: int = 1
 
     def __post_init__(self):
         if not isinstance(self.widths, (tuple, list)) or not all(map(is_int, self.widths)):
             raise SpecError(f"widths: must be a list of integers, got {self.widths!r}")
         object.__setattr__(self, "widths", tuple(int(w) for w in self.widths))
         for name in ("input_size", "connectivity", "gat_out", "cheb_order", "cheb_out",
-                     "out_channels", "seed"):
+                     "out_channels", "seed", "program_channels"):
             if not is_int(getattr(self, name)):
                 raise SpecError(f"{name}: must be an integer, got {getattr(self, name)!r}")
         if not isinstance(self.com, bool):
@@ -109,6 +120,11 @@ class ModelSpec:
             raise SpecError(f"cheb_order: must be >= 0, got {self.cheb_order}")
         if self.out_channels < 1:
             raise SpecError(f"out_channels: must be >= 1, got {self.out_channels}")
+        if self.program not in PROGRAMS:
+            raise SpecError(f"program: must be one of {PROGRAMS}, got {self.program!r}")
+        if self.program_channels < 1 or (self.program == "none" and self.program_channels != 1):
+            raise SpecError(f"program_channels: must be >= 1, and 1 without a program, got "
+                            f"{self.program_channels}")
 
     @property
     def stages(self) -> int:
@@ -124,6 +140,19 @@ class ModelSpec:
             return self.widths[-1]
         return self.cheb_out + (2 if self.com else 0)
 
+    @property
+    def output_channels(self) -> int:
+        """The channels ``forward`` returns: the output map's with a program, else the head's."""
+        return self.out_channels if self.program == "none" else self.program_channels
+
+    def to_config(self) -> dict:
+        """The configuration object a model file holds: every field, but the program keys
+        only when a program is set, so that a file written before they existed is unchanged."""
+        config = asdict(self)
+        if self.program == "none":
+            del config["program"], config["program_channels"]
+        return config
+
     @classmethod
     def from_config(cls, config: dict, source="model") -> "ModelSpec":
         """The spec in a decoded configuration object; errors name ``source``."""
@@ -131,6 +160,34 @@ class ModelSpec:
             return cls(**config)
         except (TypeError, ValueError, ArithmeticError) as exc:
             raise ModelFormatError(f"{source}: bad model configuration block: {exc}") from exc
+
+
+def input_transform(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
+    """Elementwise reprogramming of the input: weight * x + bias.
+
+    ``weight`` and ``bias`` are (H, W), shared across the image channels, or
+    (C, H, W) for a per-channel program; either way they must match the
+    last axes of ``x``, a (C, H, W) sample or an (N, C, H, W) batch.
+    """
+    if weight.data.shape != bias.data.shape:
+        raise ShapeError(f"input_transform: weight {weight.data.shape} and bias "
+                         f"{bias.data.shape} must match")
+    if weight.data.shape[-2:] != x.data.shape[-2:]:
+        raise ShapeError(f"input_transform: program {weight.data.shape} does not cover "
+                         f"input {x.data.shape}")
+    if weight.data.ndim == 3 and weight.data.shape != x.data.shape[-3:]:
+        raise ShapeError(f"input_transform: per-channel program {weight.data.shape} "
+                         f"does not match input {x.data.shape}")
+    return weight * x + bias
+
+
+def output_map(features: Tensor, kernel: Tensor, bias: Tensor) -> Tensor:
+    """1x1 convolution across channels; sigmoid for a 1-channel output."""
+    if kernel.data.ndim != 4 or kernel.data.shape[2:] != (1, 1):
+        raise ShapeError(f"output_map: kernel must be (C_new, C_old, 1, 1), "
+                         f"got {kernel.data.shape}")
+    out = conv2d(features, kernel, bias)
+    return sigmoid(out) if kernel.data.shape[0] == 1 else out
 
 
 class Model:
@@ -177,6 +234,27 @@ class Model:
             self._conv(f"dec{i}.conv", below + skip, skip, 3)
             below = skip
         self._conv("head", below, spec.out_channels, 1)
+        self._assemble_program()
+
+    def _assemble_program(self):
+        """Declare the spec's input program and output map after the head, if it sets one."""
+        spec, size = self.spec, self.spec.input_size
+        if spec.program != "none":
+            shape = (size, size) if spec.program == "shared" else (3, size, size)
+            self._new_param("reprog.in.w", shape)
+            self._new_param("reprog.in.b", shape)
+            self._conv("reprog.out", spec.out_channels, spec.program_channels, 1)
+
+    def with_program(self, program: str, channels: int = 1) -> "Model":
+        """This model with a zero-filled ``program`` and output map to ``channels`` after its
+        head. The two share their graph and every parameter ``Tensor`` but the program's."""
+        if self.spec.program != "none":
+            raise SpecError("with_program: the model already carries a program")
+        model = copy.copy(self)
+        model.spec = replace(self.spec, program=program, program_channels=channels)
+        model.params = dict(self.params)
+        model._assemble_program()
+        return model
 
     # ---- forward -----------------------------------------------------------
 
@@ -193,6 +271,8 @@ class Model:
                              f"(N, 3, {size}, {size}), got {x.data.shape}")
         skips = []
         h = reshape(x, (-1, 3, size, size))
+        if spec.program != "none":
+            h = input_transform(h, p["reprog.in.w"], p["reprog.in.b"])
         for i in range(1, spec.stages + 1):
             h = leaky_relu(self._conv_layer(h, f"enc{i}.conv"))
             h = leaky_relu(self._conv_layer(h, f"enc{i}.dil", dilation=2))
@@ -209,6 +289,8 @@ class Model:
             h = concat([h, skips[i - 1]], axis=1)
             h = leaky_relu(self._conv_layer(h, f"dec{i}.conv"))
         out = sigmoid(self._conv_layer(h, "head"))
+        if spec.program != "none":
+            out = output_map(out, p["reprog.out.w"], p["reprog.out.b"])
         return reshape(out, x.data.shape[:-3] + out.data.shape[1:])
 
     def _graph_stage(self, h: Tensor, gat: GatParams, cheb: ChebParams) -> Tensor:
@@ -224,35 +306,23 @@ class Model:
         return h
 
     def predict_proba(self, image_hwc: np.ndarray) -> np.ndarray:
-        """Probability map of an (H, W, 3) image in [0, 1] at its own size.
-
-        Returns (H, W) for single-channel heads, else (C, H, W); see the
-        module-level ``predict_proba``.
-        """
-        return predict_proba(self.forward, image_hwc, self.spec.input_size, self.dtype)
+        """Probability map of an (H, W, 3) image in [0, 1] of any size, at (H, W): the output
+        of its ``dataio.model_input``, computed without recording, each channel resized back.
+        Returns float32 (H, W) for a single-channel output, else (C, H, W)."""
+        image = np.asarray(image_hwc)
+        if image.ndim != 3 or image.shape[2] != 3:
+            raise ShapeError(f"predict_proba: expected an (H, W, 3) image, got {image.shape}")
+        h, w = image.shape[:2]
+        with no_grad():
+            out = self.forward(Tensor(model_input(image, self.spec.input_size, self.dtype))).data
+        if out.shape[0] == 1:
+            return resize_bilinear(out[0], h, w)
+        return resize_bilinear(out.transpose(1, 2, 0), h, w).transpose(2, 0, 1)
 
     # ---- bookkeeping ---------------------------------------------------------
 
     def parameter_count(self) -> int:
         return sum(int(p.data.size) for p in self.params.values())
-
-
-def predict_proba(forward, image_hwc: np.ndarray, size: int, dtype) -> np.ndarray:
-    """Run ``forward`` on an (H, W, 3) image of any size; the map comes back at (H, W).
-
-    The image becomes the ``dataio.model_input`` of ``size`` and ``dtype``;
-    the output is computed without recording and each channel is resized
-    back. Returns float32 (H, W) for a single-channel output, else (C, H, W).
-    """
-    image = np.asarray(image_hwc)
-    if image.ndim != 3 or image.shape[2] != 3:
-        raise ShapeError(f"predict_proba: expected an (H, W, 3) image, got {image.shape}")
-    h, w = image.shape[:2]
-    with no_grad():
-        out = forward(Tensor(model_input(image, size, dtype))).data
-    if out.shape[0] == 1:
-        return resize_bilinear(out[0], h, w)
-    return resize_bilinear(out.transpose(1, 2, 0), h, w).transpose(2, 0, 1)
 
 
 def build_model(spec: ModelSpec, dtype=np.float32) -> Model:
@@ -286,26 +356,25 @@ def init_params(model: Model, seed: int) -> Model:
 # ---- serialization -----------------------------------------------------------
 
 
-def encode_gacm(kind: int, config: dict, params: dict, width: int) -> bytes:
+def encode_gacm(config: dict, params: dict, width: int) -> bytes:
     """A .gacm file: the header, ``config`` as compact sorted JSON, and ``params`` as
     little-endian floats of ``width`` bytes in dict order."""
     block = json.dumps(config, sort_keys=True, separators=(",", ":")).encode("utf-8")
-    header = MAGIC + struct.pack(_HEADER, FORMAT_VERSION, kind, width, len(block)) + block
+    header = MAGIC + struct.pack(_HEADER, FORMAT_VERSION, KIND_MODEL, width, len(block)) + block
     return header + b"".join(p.data.astype(f"<f{width}", copy=False).tobytes()
                              for p in params.values())
 
 
-def decode_gacm(path, kind: int, build):
-    """The object in the .gacm file of ``kind`` at ``path``.
+def decode_gacm(path, build):
+    """The model in the .gacm file at ``path``.
 
     ``build(config, dtype)`` makes it from the decoded configuration object
     and the file's float type, and the payload fills its ``params`` in dict
     order. Any file that cannot be read back is a ``ModelFormatError``.
     """
-    what = "model" if kind == KIND_MODEL else "wrapper"
     source, path = path, Path(path)
     if not path.is_file():
-        raise ModelFormatError(f"{what} file not found: {path}")
+        raise ModelFormatError(f"model file not found: {path}")
     blob = path.read_bytes()
     start = len(MAGIC) + struct.calcsize(_HEADER)
     if blob[:4] != MAGIC:
@@ -316,8 +385,9 @@ def decode_gacm(path, kind: int, build):
     if version != FORMAT_VERSION:
         raise ModelFormatError(f"{path}: format version {version} is not supported "
                                f"(this build reads version {FORMAT_VERSION})")
-    if file_kind != kind:
-        raise ModelFormatError(f"{path}: not a {what} file (payload kind {file_kind})")
+    if file_kind != KIND_MODEL:     # kind 1 held an older build's reprogramming wrapper
+        rerun = "; rerun `floodseg reprogram` to write it as a model" if file_kind == 1 else ""
+        raise ModelFormatError(f"{path}: not a model file (payload kind {file_kind}){rerun}")
     if width not in (4, 8):
         raise ModelFormatError(f"{path}: bad float width {width}")
     block = blob[start:start + config_len]
@@ -351,7 +421,7 @@ def decode_config(block: bytes, source) -> dict:
 
 
 def serialize_model(model: Model) -> bytes:
-    return encode_gacm(KIND_MODEL, asdict(model.spec), model.params, model.dtype.itemsize)
+    return encode_gacm(model.spec.to_config(), model.params, model.dtype.itemsize)
 
 
 def save_model(model: Model, path):
@@ -367,7 +437,7 @@ def load_model(path) -> Model:
         except (ValueError, MemoryError) as exc:
             raise ModelFormatError(f"{path}: cannot build the configured model: {exc}") from exc
 
-    return decode_gacm(path, KIND_MODEL, build)
+    return decode_gacm(path, build)
 
 
 def model_checksum(model: Model) -> str:

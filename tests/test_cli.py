@@ -17,14 +17,15 @@ import pytest
 import floodseg
 from floodseg.checks import CheckResult
 from floodseg.cli import _SPEC, COMMANDS, KEYS, UsageError, _resolve_config, main
-from floodseg.dataio import (DataError, discover_pairs, load_mask, read_manifest, save_mask,
-                             split_dataset, write_manifest)
+from floodseg.dataio import (DataError, binarize_mask, discover_pairs, load_mask, load_pairs,
+                             read_manifest, save_mask, split_dataset, write_manifest)
 from floodseg.model import (FORMAT_VERSION, KIND_MODEL, MAGIC, ModelFormatError, ModelSpec,
                             SpecError, build_model, init_params, load_model, serialize_model)
 from floodseg.reprogram import FrozenBaseError
 from floodseg.synthetic import write_flood_set
 from floodseg.tensor import ShapeError
 from floodseg.train import NumericFailure
+from test_reprogram import old_wrapper_file
 
 TRAIN_FLAGS = ["--input_size", "8", "--widths", "2,4", "--gat_out", "4",
                "--cheb_order", "1", "--cheb_out", "4", "--epochs", "1",
@@ -642,20 +643,22 @@ def test_reprogram_freezes_base_and_logs_losses(workspace, tmp_path, capsys):
     checksums = [line.split(": ")[1] for line in out_text.splitlines()
                  if line.startswith("frozen base checksum:")]
     assert len(checksums) == 2 and checksums[0] == checksums[1]
-    assert base_path.is_file()
-    assert (out / "wrapper.gacm").is_file()
+    base = load_model(base_path)
+    assert base.spec.out_channels == 4 and base.spec.program == "none"
+    assert load_model(out / "wrapper.gacm").spec.output_channels == 1
     log = (out / "reprogram.log").read_text(encoding="utf-8").splitlines()
     steps = [line for line in log if not line.startswith("#")]
     assert len(steps) == 5
 
-    # reuse the saved base without init_base: wrapper loads against it
+    # reuse the saved base without init_base: the written model holds the base's layers
     out2 = tmp_path / "rp2"
     assert main(["reprogram", "--base_model", str(base_path),
                  "--manifest", str(workspace["manifest"]), "--out_dir", str(out2),
                  "--steps", "1", "--batch_size", "2"]) == 0
-    from floodseg.reprogram import load_wrapper
-    wrapper = load_wrapper(out2 / "wrapper.gacm", str(base_path))
-    assert wrapper.c_new == 1
+    model = load_model(out2 / "wrapper.gacm")
+    assert model.spec.program == "shared" and model.spec.output_channels == 1
+    for name, p in base.params.items():
+        assert model.params[name].data.tobytes() == p.data.tobytes()
 
 
 def test_reprogram_refuses_negative_steps(workspace, tmp_path, capsys):
@@ -739,6 +742,80 @@ def test_reprogram_refuses_a_set_key_that_differs_from_a_loaded_base_before_any_
                  str(workspace["manifest"]), "--out_dir", str(out), "--steps", "1"] + flags) == 1
     assert capsys.readouterr() == ("", f"error: {wrong} in {small_base}\n")
     assert not out.exists()
+
+
+def test_reprogram_refuses_a_reprogrammed_base_before_any_pair_is_read(
+        workspace, small_base, tmp_path, monkeypatch, capsys):
+    programmed = tmp_path / "programmed.gacm"
+    floodseg.save_model(floodseg.ReprogramWrapper(load_model(small_base)).model, programmed)
+
+    def fail(*args, **kwargs):
+        raise AssertionError("a pair was read before the base was checked")
+
+    monkeypatch.setattr("floodseg.dataio.read_split", fail)
+    out = tmp_path / "rp"
+    assert main(["reprogram", "--base_model", str(programmed), "--manifest",
+                 str(workspace["manifest"]), "--out_dir", str(out), "--steps", "1"]) == 2
+    assert capsys.readouterr() == ("", f"error: {programmed}: model is already reprogrammed; "
+                                       "reprogram its base model instead\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("per_channel", ["false", "true"])
+def test_the_transfer_path_from_a_trained_model_to_a_scored_reprogrammed_one(
+        workspace, tmp_path, capsys, per_channel):
+    """train a 1-channel gac-unet, reprogram it, then eval and predict on what reprogram
+    wrote; every model file that a command writes is a model that load_model reads."""
+    manifest = str(workspace["manifest"])
+    assert main(["train", "--manifest", manifest, "--out_dir", str(tmp_path / "run")]
+                + TRAIN_FLAGS) == 0
+    trained_model = load_model(tmp_path / "run" / "model.gacm")
+    assert trained_model.spec.variant == "gac-unet" and trained_model.spec.output_channels == 1
+    reprogrammed = tmp_path / "rp" / "wrapper.gacm"
+    assert main(["reprogram", "--base_model", str(tmp_path / "run" / "model.gacm"),
+                 "--manifest", manifest, "--out_dir", str(tmp_path / "rp"), "--steps", "3",
+                 "--batch_size", "2", "--per_channel", per_channel]) == 0
+    model = load_model(reprogrammed)
+    assert model.spec.program == ("per_channel" if per_channel == "true" else "shared")
+    assert model.spec.output_channels == 1
+    capsys.readouterr()
+
+    report = tmp_path / "report.tsv"
+    assert main(["eval", "--model", str(reprogrammed), "--manifest", manifest,
+                 "--report", str(report)]) == 0
+    printed = capsys.readouterr().out
+    pairs = load_pairs(floodseg.read_split(manifest, "test"))
+    assert printed == str(floodseg.evaluate(model.predict_proba, pairs)) + "\n"
+    assert report.read_text(encoding="utf-8") == printed
+    image = sorted(workspace["raw"].glob("*.ppm"))[0]
+    assert main(["predict", "--model", str(reprogrammed), "--image", str(image),
+                 "--output", str(tmp_path / "pred.pgm")]) == 0
+    assert capsys.readouterr().out == f"mask: {tmp_path / 'pred.pgm'}\n"
+    want = binarize_mask(model.predict_proba(floodseg.load_image(image)))
+    np.testing.assert_array_equal(binarize_mask(load_mask(tmp_path / "pred.pgm")), want)
+
+
+def test_eval_and_predict_refuse_an_old_wrapper_file_and_a_bad_program(
+        workspace, small_base, tmp_path, capsys):
+    wrapper = floodseg.ReprogramWrapper(load_model(small_base))
+    old = tmp_path / "old.gacm"
+    old_wrapper_file(old, wrapper)
+    bad = tmp_path / "bad.gacm"
+    blob = serialize_model(wrapper.model)
+    assert blob.count(b'"program":"shared"') == 1
+    bad.write_bytes(blob.replace(b'"program":"shared"', b'"program":"sharex"'))
+    image = sorted(workspace["raw"].glob("*.ppm"))[0]
+    for path, error in [(old, f"{old}: not a model file (payload kind 1); rerun `floodseg "
+                              "reprogram` to write it as a model"),
+                        (bad, f"{bad}: bad model configuration block: program: must be one "
+                              "of ('none', 'shared', 'per_channel'), got 'sharex'")]:
+        assert main(["eval", "--model", str(path), "--manifest",
+                     str(workspace["manifest"])]) == 2
+        assert capsys.readouterr() == ("", f"error: {error}\n")
+        assert main(["predict", "--model", str(path), "--image", str(image),
+                     "--output", str(tmp_path / "pred.pgm")]) == 2
+        assert capsys.readouterr() == ("", f"error: {error}\n")
+    assert not (tmp_path / "pred.pgm").exists()
 
 
 @pytest.mark.parametrize("flags", [[], ["--input_size", "8", "--base_channels", "2"],

@@ -1,5 +1,7 @@
 """Mask metrics against pixel-count oracles and the report format."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -163,8 +165,31 @@ def test_evaluate_rejects_shape_drift():
                      np.zeros((4, 4), dtype=np.float32), "bad")
     with pytest.raises(ValueError):
         evaluate(lambda img: np.zeros((2, 2)), [pair])
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="no pairs to score"):
         evaluate(lambda img: np.zeros((4, 4)), [])
+    with pytest.raises(ValueError, match="no pairs to score"):
+        evaluate(lambda img: np.zeros((4, 4)), iter([]))
+
+
+def test_evaluate_memory_does_not_grow_with_a_generator_of_pairs():
+    # A 256 px pair is about 1 MiB (a float32 image and mask), so holding every
+    # pair of 32 would peak about 28 MiB above holding every pair of 4.
+    def pairs(count):
+        rng = np.random.RandomState(0)
+        for i in range(count):
+            yield ImagePair(rng.uniform(0, 1, (256, 256, 3)).astype(np.float32),
+                            (rng.uniform(0, 1, (256, 256)) > 0.5).astype(np.float32), f"p{i}")
+
+    peaks = []
+    for count in (4, 32):
+        tracemalloc.start()
+        try:
+            report = evaluate(lambda image: image[..., 0], pairs(count))
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        assert [s.image_id for s in report.scores] == [f"p{i}" for i in range(count)]
+    assert peaks[1] - peaks[0] < 2 << 20, peaks
 
 
 def random_pairs(seed: int, count: int, size: int, gray: bool, threshold: float = 0.5):

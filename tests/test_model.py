@@ -3,7 +3,7 @@
 import hashlib
 import json
 import struct
-from dataclasses import asdict
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
@@ -15,7 +15,7 @@ from floodseg.model import (FORMAT_VERSION, KIND_MODEL, MAGIC, Model,
                             encode_gacm, glorot_uniform, init_params, load_model,
                             model_checksum, save_model, serialize_model)
 from floodseg.dataio import resize_bilinear
-from floodseg.reprogram import ReprogramWrapper, serialize_wrapper
+from floodseg.reprogram import ReprogramWrapper
 from floodseg.tensor import ShapeError, Tensor, no_grad, tsum
 
 
@@ -38,6 +38,10 @@ def count_oracle(spec: ModelSpec) -> int:
         total += w * (below + w) * 9 + w                 # decoder conv + bias
         below = w
     total += spec.out_channels * below + spec.out_channels   # 1x1 head
+    if spec.program != "none":
+        channels = 1 if spec.program == "shared" else 3
+        total += 2 * channels * spec.input_size ** 2             # input scale and shift
+        total += spec.program_channels * (spec.out_channels + 1)  # 1x1 output map
     return total
 
 
@@ -85,6 +89,22 @@ def test_parameters_are_declared_in_stage_order():
     ]
     plain = build_model(small_spec(variant="plain-unet"))
     assert [n for n in plain.params if n.startswith(("gat", "cheb"))] == []
+    programmed = build_model(small_spec(program="shared"))
+    assert list(programmed.params) == list(model.params) + [
+        "reprog.in.w", "reprog.in.b", "reprog.out.w", "reprog.out.b"]
+
+
+@pytest.mark.parametrize("program,in_shape", [("shared", (16, 16)),
+                                              ("per_channel", (3, 16, 16))])
+def test_a_program_is_declared_after_the_head_and_counted(program, in_shape):
+    for variant in ("gac-unet", "plain-unet"):
+        spec = small_spec(variant=variant, out_channels=3, program=program,
+                          program_channels=2)
+        model = build_model(spec)
+        assert model.params["reprog.in.w"].data.shape == in_shape
+        assert model.params["reprog.out.w"].data.shape == (2, 3, 1, 1)
+        assert model.parameter_count() == count_oracle(spec)
+        assert spec.output_channels == 2 and small_spec(out_channels=3).output_channels == 3
 
 
 # ---- spec validation -----------------------------------------------------------
@@ -114,6 +134,13 @@ def test_spec_rejects_bad_configurations():
         ModelSpec(out_channels=0)
     with pytest.raises(SpecError):
         build_model(ModelSpec(input_size=32, widths=(4,)), dtype=np.int32)
+    for program in ("both", "", None, ["shared"]):
+        with pytest.raises(SpecError, match="program"):
+            ModelSpec(program=program)
+    for program, channels in (("shared", 0), ("per_channel", -1), ("none", 2),
+                              ("shared", True), ("shared", 1.0)):
+        with pytest.raises(SpecError, match="program_channels"):
+            ModelSpec(program=program, program_channels=channels)
     for widths in ("16", (16.9, 32.2), (True, 2), 16):
         with pytest.raises(SpecError, match="widths"):
             ModelSpec(widths=widths)
@@ -137,9 +164,30 @@ def test_spec_json_round_trip():
     with pytest.raises(ModelFormatError):
         from_json('{"widths": [4], "variant": "nope", "input_size": 16}')
     for key, value in [("widths", "16"), ("widths", [16.9, 32.2]), ("widths", [True, 2]),
-                       ("com", "no"), ("com", 0), ("seed", False), ("out_channels", True)]:
+                       ("com", "no"), ("com", 0), ("seed", False), ("out_channels", True),
+                       ("program", "both"), ("program", None), ("program_channels", 2),
+                       ("program_channels", "1")]:
         with pytest.raises(ModelFormatError, match=key):
             from_json(json.dumps({**good, key: value}))
+    programmed = replace(spec, program="per_channel", program_channels=3)
+    assert from_json(json.dumps(programmed.to_config())) == programmed
+    with pytest.raises(ModelFormatError, match="program_channels"):
+        from_json(json.dumps({**programmed.to_config(), "program_channels": 0}))
+
+
+def test_a_config_without_a_program_has_no_program_keys():
+    old_keys = {"input_size", "widths", "variant", "connectivity", "gat_out", "cheb_order",
+                "cheb_out", "com", "out_channels", "seed"}
+    assert set(small_spec().to_config()) == old_keys
+    assert set(small_spec(program="shared").to_config()) == old_keys | {
+        "program", "program_channels"}
+    for program in ("none", "shared"):
+        model = build_model(small_spec(program=program))
+        blob = serialize_model(model)
+        (length,) = struct.unpack_from("<I", blob, len(MAGIC) + 4)
+        block = blob[len(MAGIC) + 8:len(MAGIC) + 8 + length]
+        assert json.loads(block) == json.loads(json.dumps(model.spec.to_config()))
+        assert (b'"program"' in block) == (program != "none")
 
 
 # ---- initialization --------------------------------------------------------------
@@ -337,7 +385,7 @@ def test_file_size_is_header_plus_width_times_count(tmp_path):
     for dtype, width in ((np.float32, 4), (np.float64, 8)):
         model = init_params(build_model(small_spec(), dtype=dtype), seed=0)
         blob = serialize_model(model)
-        header = encode_gacm(KIND_MODEL, asdict(model.spec), {}, width)
+        header = encode_gacm(model.spec.to_config(), {}, width)
         assert blob.startswith(header) and len(header) > len(MAGIC) + struct.calcsize("<HBBI")
         assert len(blob) == len(header) + width * model.parameter_count()
 
@@ -352,20 +400,20 @@ def test_float64_round_trip_preserves_width(tmp_path):
                                   model.params["head.w"].data)
 
 
-# sha256 of the model file, then of a (c_new=2, per_channel=True) wrapper file around it
+# sha256 of the model file, then of the (c_new=2, per_channel=True) programmed model on it
 WRITTEN_DIGESTS = {
     ("gac-unet", np.float32): (
         "f3b33ce58c47675d40192f4542878456a0a826bac6d64eed0b88ec60e9acb8c1",
-        "5f9417725464ce53b2f66fc7406b9a833ce80d79d4089cd633e70ed061d64050"),
+        "5558e0232ca7ad0227a680cd689ec6cf3cbeb285e11ea1a13086c1712c9e95d4"),
     ("gac-unet", np.float64): (
         "661c539a1c4b2c6fc20d43894ecb128ba2fa3a0eabfe4cfa4cf7eae1b0b6816c",
-        "fb8ff1187db7a2817e9930d012eed6898178414fe512d1f92f7091bee4080ff5"),
+        "87d90f454ac7ca3bc3bdcfe1791b280e53acbf41e8801460177067536dc5368e"),
     ("plain-unet", np.float32): (
         "db9da826f2e47a037563b6cb342ba847284ee9b4953a4bf21ce660b43ef1eb51",
-        "486dd5c4a323f579b7f418490cd7e50165abb556eb3eb1ae5114c9fb517fecce"),
+        "3ec01921bfea976cbcb54d5da6051cbae61dfe5ca266c6bf02db648a51f28fad"),
     ("plain-unet", np.float64): (
         "f8258edcfbe92fcd23484def3d74a10443ca2b35009d19d96f3878d17bc76ff2",
-        "dde4dd22edf5df519daa4eecec413f2e40eef2bd06498b6c3c22392c5479d8ce"),
+        "8220764f950f06e61fa07a26c163d4e17d21456afae6f4644e26d1e545f5ca06"),
 }
 
 
@@ -375,7 +423,7 @@ def test_written_bytes_are_pinned(variant, dtype):
     model = init_params(build_model(spec, dtype), seed=5)
     wrapper = ReprogramWrapper(model, c_new=2, per_channel=True, seed=2)
     digests = (hashlib.sha256(serialize_model(model)).hexdigest(),
-               hashlib.sha256(serialize_wrapper(wrapper)).hexdigest())
+               hashlib.sha256(serialize_model(wrapper.model)).hexdigest())
     assert digests == WRITTEN_DIGESTS[variant, dtype]
 
 
@@ -415,8 +463,19 @@ def test_load_rejects_corrupt_files(tmp_path):
     with pytest.raises(ModelFormatError, match="truncated configuration block"):
         load_model(bad)
 
-    with pytest.raises(ModelFormatError):
+    with pytest.raises(ModelFormatError, match="model file not found"):
         load_model(tmp_path / "missing.gacm")
+
+
+def test_load_refuses_an_old_wrapper_kind_file_with_the_rerun_line(tmp_path):
+    blob = serialize_model(init_params(build_model(small_spec()), seed=0))
+    for kind in (1, 2):
+        path = tmp_path / f"kind{kind}.gacm"
+        path.write_bytes(blob[:6] + bytes([kind]) + blob[7:])   # byte 6: payload kind
+        with pytest.raises(ModelFormatError) as info:
+            load_model(path)
+        rerun = "; rerun `floodseg reprogram` to write it as a model" if kind == 1 else ""
+        assert str(info.value) == f"{path}: not a model file (payload kind {kind}){rerun}"
 
 
 def test_checksum_tracks_parameter_changes():

@@ -49,7 +49,7 @@ def test_every_floodseg_line_in_the_sh_blocks_resolves_its_configuration(tmp_pat
     blocks = re.findall(r"^```sh\n(.*?)^```", text, flags=re.DOTALL | re.MULTILINE)
     lines = [line for block in blocks for line in block.replace("\\\n", " ").splitlines()
              if line.startswith("floodseg ")]
-    assert len(lines) >= 8
+    assert len(lines) >= 9
     for line in lines:
         command, *args = shlex.split(line)[1:]
         _resolve_config(command, [str(demo) if arg == "demo.cfg" else arg for arg in args])

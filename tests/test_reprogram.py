@@ -1,4 +1,4 @@
-"""Reprogramming wrapper: input program, output map, frozen-base guarantees."""
+"""Reprogramming: input program, output map, the programmed model, frozen-base guarantees."""
 
 import struct
 
@@ -9,21 +9,29 @@ from hypothesis import strategies as st
 
 from floodseg.convnn import bce_loss
 from floodseg.dataio import resize_bilinear
-from floodseg.model import (FORMAT_VERSION, KIND_WRAPPER, MAGIC, ModelFormatError,
-                            ModelSpec, build_model, init_params, model_checksum,
-                            save_model, serialize_model)
+from floodseg.model import (FORMAT_VERSION, KIND_MODEL, MAGIC, ModelFormatError,
+                            ModelSpec, SpecError, build_model, init_params, load_model,
+                            model_checksum, save_model, serialize_model)
 from floodseg.reprogram import (FrozenBaseError, ReprogramWrapper, input_transform,
-                                load_wrapper, make_pretrained_base, output_map,
-                                reprogram_train, save_wrapper)
+                                make_pretrained_base, output_map, reprogram_train)
 from floodseg.synthetic import generate_flood_set
 from floodseg.tensor import ShapeError, Tensor, grad_check
 from floodseg.train import NumericFailure
 
 
-def small_base(out_channels=2, size=8, widths=(2,), seed=0, dtype=np.float32):
-    spec = ModelSpec(input_size=size, widths=widths, variant="plain-unet",
+def small_base(out_channels=2, size=8, widths=(2,), seed=0, dtype=np.float32,
+               variant="plain-unet"):
+    spec = ModelSpec(input_size=size, widths=widths, variant=variant,
                      out_channels=out_channels, seed=seed)
     return init_params(build_model(spec, dtype), seed)
+
+
+def scrambled(wrapper, seed):
+    """``wrapper`` with every program parameter drawn at random, away from the identity."""
+    rng = np.random.RandomState(seed)
+    for p in wrapper.params.values():
+        p.data[...] = rng.uniform(-1, 1, p.data.shape)
+    return wrapper
 
 
 # ---- input program ----------------------------------------------------------
@@ -134,12 +142,53 @@ def test_wrapper_initializes_to_identity_program_and_freezes_base():
 def test_wrapper_per_channel_program_shape():
     wrapper = ReprogramWrapper(small_base(), per_channel=True)
     assert wrapper.params["reprog.in.w"].data.shape == (3, 8, 8)
+    assert wrapper.model.spec.program == "per_channel"
+
+
+@pytest.mark.parametrize("variant", ["gac-unet", "plain-unet"])
+def test_the_programmed_model_shares_the_base_layers_and_trains_only_the_program(variant):
+    base = small_base(out_channels=3, size=16, widths=(2, 4), variant=variant)
+    wrapper = ReprogramWrapper(base, c_new=2, seed=3)
+    model = wrapper.model
+    assert model.spec.program == "shared" and model.spec.program_channels == 2
+    assert list(model.params) == list(base.params) + list(wrapper.params)
+    assert list(wrapper.params) == ["reprog.in.w", "reprog.in.b", "reprog.out.w",
+                                    "reprog.out.b"]
+    assert all(model.params[k] is p for k, p in base.params.items())
+    assert model.graph is base.graph and model.laplacian is base.laplacian
+    assert all(wrapper.params[k] is model.params[k] for k in wrapper.params)
+    # the output map keeps its own seeded Glorot draw
+    bound = np.sqrt(6.0 / (3 + 2))
+    want = np.random.RandomState(3).uniform(-bound, bound, (2, 3, 1, 1)).astype(np.float32)
+    np.testing.assert_array_equal(wrapper.params["reprog.out.w"].data, want)
+    np.testing.assert_array_equal(wrapper.params["reprog.out.b"].data, 0.0)
+    with pytest.raises(SpecError, match="already carries a program"):
+        ReprogramWrapper(model)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("per_channel", [False, True], ids=["shared", "per_channel"])
+@pytest.mark.parametrize("batch", [None, 3], ids=["sample", "batch"])
+def test_programmed_forward_is_the_output_map_of_the_base_on_the_programmed_input(
+        dtype, per_channel, batch):
+    base = small_base(out_channels=3, size=16, widths=(2, 4), dtype=dtype,
+                      variant="gac-unet")
+    wrapper = scrambled(ReprogramWrapper(base, c_new=2, per_channel=per_channel, seed=5), 5)
+    p = wrapper.params
+    shape = (3, 16, 16) if batch is None else (batch, 3, 16, 16)
+    x = Tensor(np.random.RandomState(6).uniform(0, 1, shape).astype(dtype))
+    want = output_map(base.forward(input_transform(x, p["reprog.in.w"], p["reprog.in.b"])),
+                      p["reprog.out.w"], p["reprog.out.b"]).data
+    got = wrapper.model.forward(x).data
+    assert got.dtype == dtype and got.shape == shape[:-3] + (2, 16, 16)
+    assert got.tobytes() == want.tobytes()
+    np.testing.assert_array_equal(wrapper.forward(x).data, got)
 
 
 def test_predict_proba_shape_and_range():
     wrapper = ReprogramWrapper(small_base(), c_new=1)
     image = np.random.RandomState(5).uniform(0, 1, (8, 8, 3)).astype(np.float32)
-    prob = wrapper.predict_proba(image)
+    prob = wrapper.model.predict_proba(image)
     assert prob.shape == (8, 8)
     assert prob.min() > 0.0 and prob.max() < 1.0
 
@@ -147,9 +196,9 @@ def test_predict_proba_shape_and_range():
 def test_predict_proba_returns_the_map_at_the_image_size():
     wrapper = ReprogramWrapper(small_base(), c_new=1)
     image = np.random.RandomState(6).uniform(0, 1, (20, 12, 3)).astype(np.float32)
-    prob = wrapper.predict_proba(image)
+    prob = wrapper.model.predict_proba(image)
     assert prob.shape == (20, 12)
-    at_input = wrapper.predict_proba(resize_bilinear(image, 8, 8))
+    at_input = wrapper.model.predict_proba(resize_bilinear(image, 8, 8))
     np.testing.assert_array_equal(prob, resize_bilinear(at_input, 20, 12))
 
 
@@ -221,45 +270,47 @@ def test_make_pretrained_base_smoke():
 
 
 def test_wrapper_round_trip(tmp_path):
-    base = small_base(seed=9)
-    wrapper = ReprogramWrapper(base, c_new=1, per_channel=True, seed=9)
-    rng = np.random.RandomState(9)
-    for p in wrapper.params.values():
-        p.data[...] = rng.uniform(-1, 1, p.data.shape).astype(p.data.dtype)
+    for dtype in (np.float32, np.float64):
+        base = small_base(seed=9, dtype=dtype, size=16, widths=(2, 4), variant="gac-unet")
+        wrapper = scrambled(ReprogramWrapper(base, c_new=2, per_channel=True, seed=9), 9)
+        path = tmp_path / "wrapper.gacm"
+        save_model(wrapper.model, path)
+
+        loaded = load_model(path)          # no base file needed: the model holds it
+        assert loaded.spec == wrapper.model.spec and loaded.dtype == dtype
+        assert list(loaded.params) == list(wrapper.model.params)
+        for k, p in wrapper.model.params.items():
+            assert loaded.params[k].data.tobytes() == p.data.tobytes()
+        x = Tensor(np.random.RandomState(9).uniform(0, 1, (2, 3, 16, 16)).astype(dtype))
+        np.testing.assert_array_equal(loaded.forward(x).data, wrapper.model.forward(x).data)
+        assert serialize_model(loaded) == path.read_bytes()
+
+
+def old_wrapper_file(path, wrapper):
+    """The kind-1 wrapper file an older build wrote: its own config block and its four
+    tensors, which named the base only by checksum."""
+    config = ('{"base_checksum":"%s","c_new":1,"per_channel":false}'
+              % wrapper.base_checksum).encode()
+    payload = b"".join(p.data.astype("<f4").tobytes() for p in wrapper.params.values())
+    path.write_bytes(MAGIC + struct.pack("<HBBI", FORMAT_VERSION, 1, 4, len(config))
+                     + config + payload)
+
+
+def test_an_old_wrapper_file_is_refused_with_the_rerun_line(tmp_path):
+    wrapper = ReprogramWrapper(small_base(seed=10))
     path = tmp_path / "wrapper.gacm"
-    save_wrapper(wrapper, path)
-
-    loaded = load_wrapper(path, base)
-    assert loaded.c_new == 1 and loaded.per_channel is True
-    for k in wrapper.params:
-        np.testing.assert_array_equal(loaded.params[k].data, wrapper.params[k].data)
-
-    # the base argument may also be a saved model path
-    base_path = tmp_path / "base.gacm"
-    save_model(base, base_path)
-    from_path = load_wrapper(path, base_path)
-    np.testing.assert_array_equal(from_path.params["reprog.in.w"].data,
-                                  wrapper.params["reprog.in.w"].data)
-
-
-def test_load_wrapper_rejects_wrong_base_and_wrong_kind(tmp_path):
-    base = small_base(seed=10)
-    wrapper = ReprogramWrapper(base)
-    path = tmp_path / "wrapper.gacm"
-    save_wrapper(wrapper, path)
-    with pytest.raises(ModelFormatError):
-        load_wrapper(path, small_base(seed=11))
-    base_path = tmp_path / "base.gacm"
-    save_model(base, base_path)
-    with pytest.raises(ModelFormatError):
-        load_wrapper(base_path, base)          # a model file is not a wrapper
-    with pytest.raises(ModelFormatError):
-        load_wrapper(tmp_path / "missing.gacm", base)
-    blob = path.read_bytes()
+    old_wrapper_file(path, wrapper)
+    with pytest.raises(ModelFormatError) as info:
+        load_model(path)
+    assert str(info.value) == (f"{path}: not a model file (payload kind 1); "
+                               "rerun `floodseg reprogram` to write it as a model")
+    with pytest.raises(ModelFormatError, match="model file not found"):
+        load_model(tmp_path / "missing.gacm")
+    save_model(wrapper.model, path)
     truncated = tmp_path / "short.gacm"
-    truncated.write_bytes(blob[:-4])
-    with pytest.raises(ModelFormatError):
-        load_wrapper(truncated, base)
+    truncated.write_bytes(path.read_bytes()[:-4])
+    with pytest.raises(ModelFormatError, match="parameter payload"):
+        load_model(truncated)
 
 
 # ---- gradients --------------------------------------------------------------
@@ -301,23 +352,45 @@ def test_fewer_pairs_than_batch_size_still_fills_each_batch():
     assert all(np.isfinite(losses))
 
 
-# ---- malformed wrapper files --------------------------------------------------
+# ---- malformed programmed model files ----------------------------------------
 
 
-def test_load_wrapper_rejects_non_finite_parameters(tmp_path):
+def test_a_programmed_model_file_with_non_finite_parameters_is_refused(tmp_path):
     base = small_base(seed=15)
     for bad in (np.nan, np.inf):
         wrapper = ReprogramWrapper(base, seed=15)
         wrapper.params["reprog.in.b"].data[0, 0] = bad
         path = tmp_path / "wrapper.gacm"
-        save_wrapper(wrapper, path)
+        save_model(wrapper.model, path)
         with pytest.raises(ModelFormatError, match="non-finite"):
-            load_wrapper(path, base)
+            load_model(path)
 
 
-PROPERTY_BASE = small_base(seed=16)
-GOOD_CONFIG = ('{"base_checksum":"%s","c_new":1,"per_channel":false}'
-               % model_checksum(PROPERTY_BASE)).encode()
+PROPERTY_MODEL = ReprogramWrapper(small_base(seed=16)).model
+PROPERTY_PAYLOAD = serialize_model(PROPERTY_MODEL)[-4 * PROPERTY_MODEL.parameter_count():]
+GOOD_CONFIG = serialize_model(PROPERTY_MODEL)[12:-len(PROPERTY_PAYLOAD)]
+
+
+def model_file(path, config: bytes, payload: bytes):
+    path.write_bytes(MAGIC + struct.pack("<HBBI", FORMAT_VERSION, KIND_MODEL, 4, len(config))
+                     + config + payload)
+
+
+@pytest.mark.parametrize("old,new", [(b'"program":"shared"', b'"program":"both"'),
+                                     (b'"program":"shared"', b'"program":null'),
+                                     (b'"program_channels":1', b'"program_channels":0'),
+                                     (b'"program_channels":1', b'"program_channels":"1"'),
+                                     (b'"program":"shared"', b'"program":"none"')],
+                         ids=["unknown", "null", "zero_channels", "string_channels",
+                              "none_with_program_layers"])
+def test_a_bad_program_in_a_file_is_a_model_format_error(tmp_path, old, new):
+    assert GOOD_CONFIG.count(old) == 1
+    path = tmp_path / "bad.gacm"
+    model_file(path, GOOD_CONFIG, PROPERTY_PAYLOAD)
+    assert load_model(path).spec == PROPERTY_MODEL.spec
+    model_file(path, GOOD_CONFIG.replace(old, new), PROPERTY_PAYLOAD)
+    with pytest.raises(ModelFormatError, match="program|parameter payload"):
+        load_model(path)
 
 
 @settings(derandomize=True, database=None, deadline=None,
@@ -327,11 +400,9 @@ GOOD_CONFIG = ('{"base_checksum":"%s","c_new":1,"per_channel":false}'
 @example(config=b"[]", payload=b"")
 @example(config=b"null", payload=b"")
 @example(config=b"\xff", payload=b"")
-@example(config=b'{"c_new": "1", "per_channel": false, "base_checksum": "x"}', payload=b"")
-@example(config=b'{"c_new": 1, "per_channel": false, "base_checksum": 7}', payload=b"")
-def test_load_wrapper_raises_only_model_format_error(tmp_path, config, payload):
+def test_load_model_of_a_programmed_config_raises_only_model_format_error(tmp_path, config,
+                                                                          payload):
     path = tmp_path / "fuzz.gacm"
-    path.write_bytes(MAGIC + struct.pack("<HBBI", FORMAT_VERSION, KIND_WRAPPER, 4, len(config))
-                     + config + payload)
+    model_file(path, config, payload)
     with pytest.raises(ModelFormatError):
-        load_wrapper(path, PROPERTY_BASE)
+        load_model(path)
