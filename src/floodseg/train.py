@@ -2,19 +2,18 @@
 
 ``train_step`` is the only place a loss meets the optimizer; its finiteness
 check, not numpy's overflow warnings, judges a diverging forward pass.
-``train_model`` runs it over epochs: each manifest entry is read once
-through ``dataio.load_pair`` and kept as its ``model_arrays`` sample at the
-model input size, and the samples are shuffled each epoch from one seeded
-stream. With ``early_stop_train_dice`` set, that one read also keeps the
-native-size pairs, and the early-stop score is ``metrics.evaluate`` over
-them. Validation is ``metrics.evaluate`` over ``Model.predict_proba`` at
-each image's own size, the metric ``floodseg eval`` reports, and the
+``train_model`` runs it over epochs: the entries are shuffled each epoch from
+one seeded stream, and a batch's pairs are read through ``dataio.load_pair``
+into ``model_arrays`` samples when it is drawn, so nothing read is kept
+across steps. Validation, and the early-stop score, are ``metrics.evaluate``
+over ``Model.predict_proba`` at each image's own size (the metric
+``floodseg eval`` reports) over pairs read one at a time, and the
 best-validation-dice snapshot is kept when validation entries are given.
 ``train_for_steps`` runs it a fixed number of times over a seeded refill
-queue, for reprogramming and base pretraining. The schedules draw from the
-seeded stream differently and stay separate; in both, a (config, seed) pair
-pins the whole trajectory. Callers name a loss through ``convnn.loss_named``
-and hand Adam's settings to ``Adam`` as given.
+queue of in-memory samples, for reprogramming and base pretraining. The
+schedules draw from the seeded stream differently and stay separate; in
+both, a (config, seed) pair pins the whole trajectory. Callers name a loss
+through ``convnn.loss_named`` and hand Adam's settings to ``Adam`` as given.
 """
 
 from __future__ import annotations
@@ -24,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .convnn import loss_named
-from .dataio import ImagePair, load_pair, load_pairs, model_arrays
+from .dataio import load_pair, model_arrays
 from .metrics import evaluate
 from .model import Model, serialize_model
 from .optim import Adam
@@ -98,28 +97,24 @@ class EpochLog:
 
 
 class PairDataset:
-    """``model_arrays`` samples of manifest entries at the model input size, each read once."""
+    """Manifest entries as ``model_arrays`` samples at the input size, read anew by each ``get``."""
 
     def __init__(self, entries, size: int, dtype=np.float32):
         self.entries = list(entries)
         self.size = size
         self.dtype = np.dtype(dtype)
-        self._cache = {}
 
     def __len__(self):
         return len(self.entries)
 
-    def read(self, index: int) -> ImagePair:
-        """Read entry ``index``, keep its sample, and return the native-size pair."""
-        entry = self.entries[index]
-        pair = load_pair(entry.image_path, entry.mask_path)
-        self._cache[index] = model_arrays(pair, self.size, self.dtype)
-        return pair
-
     def get(self, index: int) -> tuple[np.ndarray, np.ndarray]:
-        if index not in self._cache:
-            self.read(index)
-        return self._cache[index]
+        entry = self.entries[index]
+        return model_arrays(load_pair(entry.image_path, entry.mask_path), self.size, self.dtype)
+
+
+def _pairs(entries):
+    """Each entry's ``load_pair``, read as the generator is walked."""
+    return (load_pair(e.image_path, e.mask_path) for e in entries)
 
 
 @dataclass
@@ -143,8 +138,10 @@ def train_model(model: Model, train_entries, val_entries=(), *, loss: str = "dic
     pair is read.
     """
     loss_fn = loss_named(loss)
-    if batch_size < 1 or epochs < 0:
-        raise ValueError("train_model: batch_size must be >= 1 and epochs >= 0")
+    if batch_size < 1:
+        raise ValueError(f"train_model: batch_size must be >= 1, got {batch_size}")
+    if epochs < 0:
+        raise ValueError(f"train_model: epochs must be >= 0, got {epochs}")
     if not 0.0 <= early_stop_train_dice <= 1.0:
         raise ValueError(f"train_model: early_stop_train_dice must lie in [0, 1] (0 is off), "
                          f"got {early_stop_train_dice}")
@@ -159,6 +156,7 @@ def train_model(model: Model, train_entries, val_entries=(), *, loss: str = "dic
     if not trainable:
         raise ValueError(f"train_model: freeze {','.join(freeze)} leaves no parameter to train")
     train_ds = PairDataset(train_entries, model.spec.input_size, model.dtype)
+    val_entries = list(val_entries)     # walked again each epoch, so not a generator
     if len(train_ds) == 0:
         raise ValueError("train_model: no training entries")
     try:
@@ -167,9 +165,6 @@ def train_model(model: Model, train_entries, val_entries=(), *, loss: str = "dic
         raise TypeError(f"train_model: {exc}") from None
     for name, p in model.params.items():
         p.requires_grad = name in trainable
-    val_pairs = load_pairs(val_entries)
-    train_pairs = ([train_ds.read(i) for i in range(len(train_ds))]
-                   if early_stop_train_dice > 0.0 else [])
     rng = np.random.RandomState(seed)
     rows = []
     best_dice = -1.0
@@ -187,8 +182,8 @@ def train_model(model: Model, train_entries, val_entries=(), *, loss: str = "dic
             batches += 1
 
         val_iou = val_dice = None
-        if val_pairs:
-            report = evaluate(model.predict_proba, val_pairs)
+        if val_entries:
+            report = evaluate(model.predict_proba, _pairs(val_entries))
             val_iou, val_dice = report.mean_iou, report.mean_dice
             if val_dice > best_dice:
                 best_dice = val_dice
@@ -198,8 +193,8 @@ def train_model(model: Model, train_entries, val_entries=(), *, loss: str = "dic
         rows.append(row)
         if on_epoch is not None:
             on_epoch(row)
-        if (train_pairs and evaluate(model.predict_proba, train_pairs).mean_dice
-                >= early_stop_train_dice):
+        if early_stop_train_dice and (evaluate(model.predict_proba, _pairs(train_ds.entries))
+                                      .mean_dice >= early_stop_train_dice):
             break
 
     if best_bytes is None:

@@ -458,8 +458,7 @@ def test_train_refuses_a_freeze_that_leaves_nothing_to_train(workspace, tmp_path
     def fail(*args, **kwargs):
         raise AssertionError("a pair was read before freeze was checked")
 
-    for name in ("load_pair", "load_pairs"):
-        monkeypatch.setattr(f"floodseg.train.{name}", fail)
+    monkeypatch.setattr("floodseg.train.load_pair", fail)
     out = tmp_path / "frozen"
     assert main(["train", "--manifest", str(workspace["manifest"]), "--out_dir", str(out),
                  "--freeze", "enc,dec,gat,cheb,head"] + TRAIN_FLAGS + ["--epochs", "2"]) == 1
@@ -496,6 +495,24 @@ def test_train_with_a_non_finite_loss_exits_with_numeric_code(workspace, tmp_pat
     err = capsys.readouterr().err
     assert err.startswith("error: non-finite loss") and err.count("\n") == 1, err
     assert not out.exists()
+
+
+def test_train_refuses_a_validation_pair_of_another_size_at_its_first_validation(
+        workspace, tmp_path, capsys):
+    odd = tmp_path / "odd.pgm"
+    save_mask(odd, np.zeros((5, 7), dtype=np.float32))
+    entries = read_manifest(workspace["manifest"])
+    bad = next(e for e in entries if e.split == "test")
+    write_manifest(tmp_path / "manifest.tsv",
+                   [replace(e, mask_path=str(odd)) if e is bad else e for e in entries])
+    out = tmp_path / "badval"
+    assert main(["train", "--manifest", str(tmp_path / "manifest.tsv"),
+                 "--out_dir", str(out)] + TRAIN_FLAGS) == 2
+    # the pair is read at epoch 1's validation, before the epoch's row is printed
+    shape = load_mask(bad.mask_path).shape
+    assert capsys.readouterr() == ("", f"error: {bad.image_path}: mask {odd} is (5, 7), "
+                                       f"not {shape}\n")
+    assert not (out / "train.log").exists() and not (out / "model.gacm").exists()
 
 
 def test_train_rejects_malformed_manifest(tmp_path, capsys):
@@ -904,8 +921,13 @@ def test_a_directory_given_as_an_image_exits_with_data_code(workspace, trained, 
                          "--output", str(tmp_path / "pred.pgm")]}
     assert main([command] + flags[command]) == 2
     out, err = capsys.readouterr()
-    # train and eval read the manifest's first test row first, through load_pair
-    mask = next(e.mask_path for e in read_manifest(manifest) if e.split == "test")
+    # eval reads the manifest's first test row first, and train the first train row that
+    # its seeded epoch-1 shuffle draws, both through load_pair
+    rows = read_manifest(manifest)
+    mask = next(e.mask_path for e in rows if e.split == "test")
+    if command == "train":
+        train = [e for e in rows if e.split == "train"]
+        mask = train[np.random.RandomState(0).permutation(len(train))[0]].mask_path
     pair = "" if command == "predict" else f"cannot read pair {folder}, {mask}: "
     assert out == "" and err == f"error: {pair}[Errno 21] Is a directory: '{folder}'\n"
     assert sorted(p.name for p in tmp_path.iterdir()) == ["folder.ppm", "manifest.tsv"]
@@ -977,6 +999,7 @@ def test_eval_rejects_malformed_config_block_as_data_error(workspace, tmp_path, 
     ("reprogram", ["--loss", "huber"]),
     ("reprogram", ["--steps", "-1"]),
     ("reprogram", ["--lr", "0"]),
+    ("train", ["--epochs", "-1"]),
 ])
 def test_bad_library_arguments_end_in_an_error_line(workspace, tmp_path, command, flags):
     # each is refused before anything is written: no --out_dir, and no base
@@ -994,6 +1017,10 @@ def test_bad_library_arguments_end_in_an_error_line(workspace, tmp_path, command
     assert result.stdout == "" and not list(tmp_path.iterdir())
     if "huber" in flags:        # train and reprogram refuse a loss with the same line
         assert result.stderr == "error: unknown loss 'huber', expected one of ['bce', 'dice']\n"
+    if command == "train" and flags[0] in ("--batch_size", "--epochs"):
+        key, value = flags[0][2:], flags[1]
+        bound = {"batch_size": ">= 1", "epochs": ">= 0"}[key]
+        assert result.stderr == f"error: train_model: {key} must be {bound}, got {value}\n"
 
 
 DETERMINISTIC_PROBE = """

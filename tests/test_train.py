@@ -1,5 +1,7 @@
 """Training loop: epoch logs, model selection, freezing, failure modes."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -33,14 +35,24 @@ def test_epoch_log_formats_missing_validation_as_dash():
     assert EpochLog(1, 0.5, 0.125, 0.25).format() == "1\t0.500000\t0.125000\t0.250000"
 
 
-def test_pair_dataset_loads_resized_binary_pairs(entries):
+def test_pair_dataset_loads_resized_binary_pairs(entries, monkeypatch):
     ds = PairDataset(entries, size=8)
     assert len(ds) == 4
     image, mask = ds.get(0)
     assert image.shape == (3, 8, 8) and image.dtype == np.float32
     assert mask.shape == (1, 8, 8)
     assert set(np.unique(mask)) <= {0.0, 1.0}
-    assert ds.get(0)[0] is image          # cache hit returns the same arrays
+    reads = []
+
+    def counting_load_pair(image_path, mask_path):
+        reads.append(image_path)
+        return load_pair(image_path, mask_path)
+
+    monkeypatch.setattr("floodseg.train.load_pair", counting_load_pair)
+    again = ds.get(0)                     # a second get reads the files again
+    assert reads == [entries[0].image_path] and again[0] is not image
+    np.testing.assert_array_equal(again[0], image)
+    np.testing.assert_array_equal(again[1], mask)
 
 
 def test_train_without_validation_logs_dashes(entries):
@@ -87,6 +99,28 @@ def test_validation_scores_the_kept_model_at_native_size(entries, tmp_path):
     report = evaluate(load_model(tmp_path / "kept.gacm").predict_proba, load_pairs(val))
     row = result.rows[result.best_epoch - 1]
     assert (row.val_iou, row.val_dice) == (report.mean_iou, report.mean_dice)
+
+
+def test_generators_of_entries_validate_every_epoch(entries, tmp_path):
+    written = write_flood_set(tmp_path, count=2, size=24, seed=4)
+    val = [ManifestEntry(img, mask, "test") for img, mask in written]
+    model = tiny_model(seed=2)
+    scored = []
+
+    def on_epoch(row):
+        report = evaluate(model.predict_proba, load_pairs(val))
+        scored.append((report.mean_iou, report.mean_dice))
+
+    result = train_model(model, iter(entries), (e for e in val), epochs=2, batch_size=2,
+                         lr=0.01, seed=2, on_epoch=on_epoch)
+    assert [(r.val_iou, r.val_dice) for r in result.rows] == scored
+    assert all(isinstance(v, float) for pair in scored for v in pair)
+    (tmp_path / "kept.gacm").write_bytes(result.model_bytes)
+    report = evaluate(load_model(tmp_path / "kept.gacm").predict_proba, load_pairs(val))
+    assert scored[result.best_epoch - 1] == (report.mean_iou, report.mean_dice)
+    listed = train_model(tiny_model(seed=2), entries, val, epochs=2, batch_size=2, lr=0.01,
+                         seed=2)
+    assert (listed.model_bytes, listed.rows) == (result.model_bytes, result.rows)
 
 
 def test_identical_runs_are_bit_identical(entries):
@@ -149,8 +183,7 @@ def test_a_freeze_that_leaves_no_parameter_to_train_is_refused_before_any_pair_i
     def fail(*args, **kwargs):
         raise AssertionError("a pair was read before freeze was checked")
 
-    for name in ("load_pair", "load_pairs"):
-        monkeypatch.setattr(f"floodseg.train.{name}", fail)
+    monkeypatch.setattr("floodseg.train.load_pair", fail)
     model = tiny_model()
     before = serialize_model(model)
     with pytest.raises(ValueError, match="^train_model: freeze enc,dec,gat,cheb,head leaves "
@@ -184,7 +217,8 @@ def test_early_stop_on_train_dice(entries):
     assert len(result.rows) == 1
 
 
-def test_early_stop_reads_each_train_pair_once(entries, monkeypatch):
+def test_early_stop_reads_each_train_pair_once_for_its_step_and_once_for_the_score(
+        entries, monkeypatch):
     reads = []
 
     def counting_load_pair(image_path, mask_path):
@@ -195,7 +229,32 @@ def test_early_stop_reads_each_train_pair_once(entries, monkeypatch):
     monkeypatch.setattr("floodseg.train.load_pair", counting_load_pair)
     train_model(tiny_model(), entries, epochs=1, batch_size=2, seed=0,
                 early_stop_train_dice=0.99)
-    assert sorted(reads) == sorted(e.image_path for e in entries)
+    # the score walks the entries in manifest order after the epoch's steps
+    assert sorted(reads[:4]) == sorted(e.image_path for e in entries)
+    assert reads[4:] == [e.image_path for e in entries]
+
+
+@pytest.fixture(scope="module")
+def entries_128(tmp_path_factory):
+    written = write_flood_set(tmp_path_factory.mktemp("set128"), count=32, size=128, seed=3)
+    return [ManifestEntry(img, mask, "train") for img, mask in written]
+
+
+@pytest.mark.parametrize("early_stop", [0.0, 0.99])
+def test_train_model_memory_does_not_grow_with_the_corpus(entries_128, early_stop):
+    peaks = []
+    for count in (4, 32):
+        spec = ModelSpec(input_size=128, widths=(2, 4), seed=0)
+        model = init_params(build_model(spec), 0)
+        tracemalloc.start()
+        try:
+            result = train_model(model, entries_128[:count], entries_128[:count], epochs=1,
+                                 batch_size=4, seed=0, early_stop_train_dice=early_stop)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        assert len(result.rows) == 1 and result.rows[0].val_dice is not None
+    assert peaks[1] - peaks[0] < 2 << 20, peaks
 
 
 def test_non_finite_loss_raises_numeric_failure(entries):
@@ -209,8 +268,10 @@ def test_non_finite_loss_raises_numeric_failure(entries):
 def test_argument_validation(entries):
     with pytest.raises(ValueError):
         train_model(tiny_model(), entries, loss="huber")
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^train_model: batch_size must be >= 1, got 0$"):
         train_model(tiny_model(), entries, batch_size=0)
+    with pytest.raises(ValueError, match=r"^train_model: epochs must be >= 0, got -1$"):
+        train_model(tiny_model(), entries, epochs=-1)
     with pytest.raises(ValueError):
         train_model(tiny_model(), [], epochs=1)
 
