@@ -33,11 +33,6 @@ class UsageError(Exception):
     """Bad arguments or configuration; maps to exit code 1."""
 
 
-class Config(dict):
-    """A command's settings; ``given`` names those set by a flag or a ``--config`` file."""
-    given = frozenset()
-
-
 def _parse_bool(text: str) -> bool:
     lowered = text.strip().lower()
     if lowered in ("1", "true", "yes", "on"):
@@ -102,8 +97,6 @@ KEYS = {
     "crop": (int, 256),
     "steps": (int, 100),
     "per_channel": (_parse_bool, False),
-    "init_base": (_parse_bool, False),
-    "base_channels": (int, 8),
     "pred_threshold": (float, 0.5),
     "deterministic": (_parse_bool, False),
 }
@@ -149,7 +142,7 @@ def _resolve_config(command: str, args: list) -> dict:
             from_flags.append((key, value))
 
     _, keys, _ = COMMANDS[command]
-    config = Config((key, KEYS[key][1]) for key in keys + ("deterministic",))
+    config = {key: KEYS[key][1] for key in keys + ("deterministic",)}
     # a flag beats a file, a later value an earlier; "-" reads as "_" in either
     settings = {key.replace("-", "_"): text for key, text in from_files + from_flags}
     for key, text in settings.items():
@@ -162,7 +155,6 @@ def _resolve_config(command: str, args: list) -> dict:
             config[key] = parser(text)
         except (TypeError, ValueError) as exc:
             raise UsageError(f"bad value for {key!r}: {exc}") from exc
-    config.given = frozenset(settings)
     if config.get("float_width", 32) not in (32, 64):
         raise UsageError(f"float_width must be 32 or 64, got {config['float_width']}")
     if not 0 <= config.get("pred_threshold", 0) <= 1:
@@ -258,8 +250,7 @@ def cmd_eval(config: dict) -> int:
     if config["report"]:
         _check_output_file(config["report"])
     net = _load_mask_model(config["model"])
-    entries = floodseg.read_split(config["manifest"], config["split"])
-    pairs = (floodseg.load_pair(e.image_path, e.mask_path) for e in entries)
+    pairs = floodseg.dataio.load_pairs(floodseg.read_split(config["manifest"], config["split"]))
     report = str(floodseg.evaluate(net.predict_proba, pairs, config["pred_threshold"]))
     print(report)
     if config["report"]:
@@ -277,34 +268,15 @@ def cmd_predict(config: dict) -> int:
 
 
 def cmd_reprogram(config: dict) -> int:
-    base_path = Path(config["base_model"])
-    if make_base := config["init_base"] and not base_path.is_file():
-        _check_output_file(base_path)
-    elif not base_path.is_file():
-        raise floodseg.DataError(f"base model not found: {base_path}")
-    else:
-        base = floodseg.load_model(base_path)
-        if base.spec.program != "none":
-            raise floodseg.DataError(f"{base_path}: model is already reprogrammed; "
-                                     "reprogram its base model instead")
-        # a loaded base fixes the two keys a pretrained one is built from
-        for key, value in (("input_size", base.spec.input_size),
-                           ("base_channels", base.spec.out_channels)):
-            if key in config.given and config[key] != value:
-                raise UsageError(f"{key} {config[key]} differs from the base model's {value} "
-                                 f"in {base_path}")
-    pairs = floodseg.dataio.load_pairs(floodseg.read_split(config["manifest"], "train"))
-    # The run's own checks of its settings, before a base is pretrained and written.
+    base = floodseg.load_model(config["base_model"])
+    if base.spec.program != "none":
+        raise floodseg.DataError(f"{Path(config['base_model'])}: model is already reprogrammed; "
+                                 "reprogram its base model instead")
+    pairs = list(floodseg.dataio.load_pairs(floodseg.read_split(config["manifest"], "train")))
+    # The run's own checks of its settings, before the first forward pass and line of output.
     floodseg.convnn.loss_named(config["loss"])
     floodseg.train.check_schedule(len(pairs), config["steps"], config["batch_size"])
     floodseg.Adam({}, **_adam(config))
-    if make_base:
-        base = floodseg.reprogram.make_pretrained_base(
-            c_old=config["base_channels"], size=config["input_size"], seed=config["seed"])
-        floodseg.save_model(base, base_path)
-        print(f"pretrained base: {base_path}")
-        base = floodseg.load_model(base_path)
-
     wrapper = floodseg.ReprogramWrapper(base, per_channel=config["per_channel"],
                                         seed=config["seed"])
     print(f"frozen base checksum: {wrapper.base_checksum}")
@@ -352,8 +324,7 @@ COMMANDS = {
     "predict": (cmd_predict, ("model", "image", "output", "pred_threshold"),
                 "write a predicted mask for one image"),
     "reprogram": (cmd_reprogram, ("base_model", "manifest", "out_dir", "seed", "loss") + _ADAM
-                  + ("steps", "batch_size", "per_channel", "init_base", "base_channels",
-                     "input_size"),
+                  + ("steps", "batch_size", "per_channel"),
                   "train an input/output program around a frozen base model"),
     "gradcheck": (cmd_gradcheck, ("seed",), "finite-difference check of every layer and loss"),
     "dataset-stats": (cmd_dataset_stats, ("dataset_dir",),

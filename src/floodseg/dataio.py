@@ -329,9 +329,9 @@ def load_pair(image_path, mask_path) -> ImagePair:
     return ImagePair(image, mask, Path(image_path).stem)
 
 
-def load_pairs(entries) -> list[ImagePair]:
-    """Manifest entries as ``load_pair`` pairs."""
-    return [load_pair(e.image_path, e.mask_path) for e in entries]
+def load_pairs(entries):
+    """Manifest entries as ``load_pair`` pairs, each read as the generator is walked."""
+    return (load_pair(e.image_path, e.mask_path) for e in entries)
 
 
 @dataclass
@@ -352,8 +352,9 @@ def prepare_dataset(dataset_dir, out_dir, seed: int = 0, *,
     as ``<stem>_<variant>_<crop>``. Test pairs are referenced at their
     original paths. The positive-pixel fraction is ``dataset_stats``'s, over
     every source mask at native resolution; that pass reads every pair, so a
-    bad pair is refused before anything is written. A ``crop`` outside
-    1..``resize`` is refused before anything is read.
+    bad pair is refused before anything is written, and so is a path that a
+    manifest line cannot hold. A ``crop`` outside 1..``resize`` is refused
+    before anything is read.
     """
     _check_crop(crop)
     if crop > resize:
@@ -361,6 +362,10 @@ def prepare_dataset(dataset_dir, out_dir, seed: int = 0, *,
     fraction = dataset_stats(dataset_dir)[1]     # before writing: out_dir may be dataset_dir
     train, test = split_dataset(discover_pairs(dataset_dir), seed)
     out_root = Path(out_dir)
+    for path in [str(out_root)] + [str(p) for pair in train + test for p in pair]:
+        if "\t" in path or path.splitlines() != [path]:     # what read_manifest splits at
+            raise DataError(f"prepare: a manifest line cannot hold the path {path!r}: "
+                            "it has a tab or a line break")
     os.makedirs(out_root, exist_ok=True)
 
     entries = [ManifestEntry(str(image_path), str(mask_path), "test")

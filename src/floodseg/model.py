@@ -24,7 +24,7 @@ the table by name.
 Model files (.gacm) hold a small header (magic, version, kind, float width),
 the length-prefixed configuration JSON, and the raw little-endian parameter
 payload in declaration order; nothing else, so the file size is exactly
-header + width * parameter_count bytes. ``encode_gacm`` and ``decode_gacm``
+header + width * parameter_count bytes. ``encode_gacm`` and ``load_model``
 are the format's one writer and one reader. The configuration leaves out
 the program keys when no program is set.
 """
@@ -365,13 +365,10 @@ def encode_gacm(config: dict, params: dict, width: int) -> bytes:
                              for p in params.values())
 
 
-def decode_gacm(path, build):
-    """The model in the .gacm file at ``path``.
-
-    ``build(config, dtype)`` makes it from the decoded configuration object
-    and the file's float type, and the payload fills its ``params`` in dict
-    order. Any file that cannot be read back is a ``ModelFormatError``.
-    """
+def load_model(path) -> Model:
+    """The model in the .gacm file at ``path``, built from its configuration block and
+    filled from its payload in ``params`` order; any file that cannot be read back or
+    built is a ``ModelFormatError``."""
     source, path = path, Path(path)
     if not path.is_file():
         raise ModelFormatError(f"model file not found: {path}")
@@ -393,7 +390,11 @@ def decode_gacm(path, build):
     block = blob[start:start + config_len]
     if len(block) != config_len:
         raise ModelFormatError(f"{path}: truncated configuration block")
-    built = build(decode_config(block, source), np.float32 if width == 4 else np.float64)
+    spec = ModelSpec.from_config(decode_config(block, source), source)
+    try:
+        built = build_model(spec, np.float32 if width == 4 else np.float64)
+    except (ValueError, MemoryError) as exc:
+        raise ModelFormatError(f"{source}: cannot build the configured model: {exc}") from exc
     payload = blob[start + config_len:]
     expected = sum(p.data.size for p in built.params.values()) * width
     if len(payload) != expected:
@@ -426,18 +427,6 @@ def serialize_model(model: Model) -> bytes:
 
 def save_model(model: Model, path):
     Path(path).write_bytes(serialize_model(model))
-
-
-def load_model(path) -> Model:
-    """The model in a .gacm file; any unreadable or unbuildable file is a ``ModelFormatError``."""
-    def build(config: dict, dtype) -> Model:
-        spec = ModelSpec.from_config(config, path)
-        try:
-            return build_model(spec, dtype)
-        except (ValueError, MemoryError) as exc:
-            raise ModelFormatError(f"{path}: cannot build the configured model: {exc}") from exc
-
-    return decode_gacm(path, build)
 
 
 def model_checksum(model: Model) -> str:

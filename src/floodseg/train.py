@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .convnn import loss_named
-from .dataio import load_pair, model_arrays
+from .dataio import load_pair, load_pairs, model_arrays
 from .metrics import evaluate
 from .model import Model, serialize_model
 from .optim import Adam
@@ -58,10 +58,13 @@ def train_step(forward, optimizer: Adam, loss_fn, samples, batch_id: str) -> flo
 
 
 def check_schedule(count: int, steps: int, batch_size: int):
-    """``train_for_steps``'s check: ``ValueError`` unless count, batch_size >= 1, steps >= 0."""
-    if not count or batch_size < 1 or steps < 0:
-        raise ValueError(f"train_for_steps: need samples, batch_size >= 1 and steps >= 0, "
-                         f"got {count} samples, batch_size {batch_size} and {steps} steps")
+    """``train_for_steps``'s check: a ``ValueError`` names the first bad setting."""
+    if not count:
+        raise ValueError("train_for_steps: no samples")
+    if batch_size < 1:
+        raise ValueError(f"train_for_steps: batch_size must be >= 1, got {batch_size}")
+    if steps < 0:
+        raise ValueError(f"train_for_steps: steps must be >= 0, got {steps}")
 
 
 def train_for_steps(forward, optimizer: Adam, loss_fn, data, steps: int,
@@ -110,11 +113,6 @@ class PairDataset:
     def get(self, index: int) -> tuple[np.ndarray, np.ndarray]:
         entry = self.entries[index]
         return model_arrays(load_pair(entry.image_path, entry.mask_path), self.size, self.dtype)
-
-
-def _pairs(entries):
-    """Each entry's ``load_pair``, read as the generator is walked."""
-    return (load_pair(e.image_path, e.mask_path) for e in entries)
 
 
 @dataclass
@@ -183,7 +181,7 @@ def train_model(model: Model, train_entries, val_entries=(), *, loss: str = "dic
 
         val_iou = val_dice = None
         if val_entries:
-            report = evaluate(model.predict_proba, _pairs(val_entries))
+            report = evaluate(model.predict_proba, load_pairs(val_entries))
             val_iou, val_dice = report.mean_iou, report.mean_dice
             if val_dice > best_dice:
                 best_dice = val_dice
@@ -193,7 +191,7 @@ def train_model(model: Model, train_entries, val_entries=(), *, loss: str = "dic
         rows.append(row)
         if on_epoch is not None:
             on_epoch(row)
-        if early_stop_train_dice and (evaluate(model.predict_proba, _pairs(train_ds.entries))
+        if early_stop_train_dice and (evaluate(model.predict_proba, load_pairs(train_ds.entries))
                                       .mean_dice >= early_stop_train_dice):
             break
 

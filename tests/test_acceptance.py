@@ -21,7 +21,8 @@ from floodseg.dataio import (ImagePair, ManifestEntry, binarize_mask, load_image
 from floodseg.graphnn import (ChebParams, GatParams, Graph, build_grid_graph,
                               cheb_conv, gat_conv, normalized_laplacian)
 from floodseg.metrics import dice_score, evaluate, iou
-from floodseg.model import ModelSpec, build_model, init_params
+from floodseg.model import ModelSpec, build_model, init_params, save_model
+from floodseg.reprogram import make_pretrained_base
 from floodseg.synthetic import write_flood_set
 from floodseg.tensor import Tensor
 from floodseg.train import train_model
@@ -237,11 +238,7 @@ def test_loss_comparison_study_is_reported_not_gated(tmp_path):
 def test_reprogramming_trains_wrapper_without_touching_base(workspace, capsys):
     root = workspace["root"]
     base = root / "accept_base.gacm"
-    assert main(["reprogram", "--base_model", str(base),
-                 "--manifest", str(workspace["manifest"]),
-                 "--out_dir", str(root / "rp_init"), "--init_base", "true",
-                 "--base_channels", "4", "--input_size", "16", "--steps", "0"]) == 0
-    capsys.readouterr()
+    save_model(make_pretrained_base(c_old=4, size=16, seed=0), base)
     base_bytes = base.read_bytes()
 
     assert main(["reprogram", "--base_model", str(base),

@@ -213,7 +213,7 @@ def test_every_key_a_command_does_not_read_is_refused_before_any_work(tmp_path, 
                 assert main([command] + needed + flags) == 1
                 assert capsys.readouterr() == ("", f"error: {command} does not read {key!r}\n")
             refused += 1
-    assert refused == 8 * 39 - 65
+    assert refused == 8 * 37 - 62
     assert sorted(p.name for p in tmp_path.iterdir()) == ["run.cfg"]     # no out_dir made
 
 
@@ -229,7 +229,7 @@ class RecordingConfig(dict):
         return super().__getitem__(key)
 
 
-def test_each_handler_reads_exactly_the_keys_in_its_row(workspace, trained, tmp_path,
+def test_each_handler_reads_exactly_the_keys_in_its_row(workspace, trained, small_base, tmp_path,
                                                          monkeypatch):
     monkeypatch.setattr("floodseg.checks.run_gradient_suite",
                         lambda seed=0: [CheckResult("stub", 0.0, 1e-5)])
@@ -237,7 +237,6 @@ def test_each_handler_reads_exactly_the_keys_in_its_row(workspace, trained, tmp_
     raw = ["--dataset_dir", str(workspace["raw"])]
     manifest = ["--manifest", str(workspace["manifest"])]
     model = ["--model", str(trained / "model.gacm")]
-    # reprogram pretrains a missing base: only that path reads input_size and base_channels
     flags = {"synthetic": ["--out_dir", str(tmp_path / "raw"), "--count", "2", "--size", "8",
                            "--blob_scale", "0.5"],
              "prepare": raw + ["--out_dir", str(tmp_path / "prep"), "--resize", "16",
@@ -245,10 +244,8 @@ def test_each_handler_reads_exactly_the_keys_in_its_row(workspace, trained, tmp_
              "train": manifest + ["--out_dir", str(tmp_path / "train")] + TRAIN_FLAGS,
              "eval": model + manifest + ["--report", str(tmp_path / "report.tsv")],
              "predict": model + ["--image", str(image), "--output", str(tmp_path / "pred.pgm")],
-             "reprogram": manifest + ["--base_model", str(tmp_path / "base.gacm"),
-                                      "--init_base", "true", "--out_dir", str(tmp_path / "rp"),
-                                      "--base_channels", "2", "--input_size", "8",
-                                      "--steps", "1"],
+             "reprogram": manifest + ["--base_model", str(small_base),
+                                      "--out_dir", str(tmp_path / "rp"), "--steps", "1"],
              "gradcheck": [],
              "dataset-stats": raw}
     assert sorted(flags) == sorted(COMMANDS)
@@ -271,8 +268,7 @@ def test_a_seed_outside_the_32_bit_range_is_refused_before_any_work(
     manifest = ["--manifest", str(workspace["manifest"])]
     flags = {"prepare": out + ["--dataset_dir", str(workspace["raw"])],
              "train": out + manifest,
-             "reprogram": out + manifest + ["--base_model", str(tmp_path / "base.gacm"),
-                                            "--init_base", "true"],
+             "reprogram": out + manifest + ["--base_model", str(tmp_path / "base.gacm")],
              "gradcheck": []}
     assert main([command, "--seed", seed] + flags[command]) == 1
     assert capsys.readouterr() == ("", f"error: bad value for 'seed': must lie in 0..2**32-1, "
@@ -308,13 +304,9 @@ LIBRARY_DEFAULTS = [
       for key in ("loss", "epochs", "batch_size", "seed", "freeze", "early_stop_train_dice")),
     *((floodseg.reprogram_train, key, key) for key in ("loss", "batch_size", "seed")),
     *((floodseg.ReprogramWrapper, key, key) for key in ("per_channel", "seed")),
-    (floodseg.reprogram.make_pretrained_base, "c_old", "base_channels"),
-    (floodseg.reprogram.make_pretrained_base, "size", "input_size"),
 ]
-# The two that differ on purpose, (library, CLI): a library call trains one
-# epoch, and a library-built pretrained base is small enough for a test.
-DIFFERENT_DEFAULTS = {("train_model", "epochs"): (1, 10),
-                      ("make_pretrained_base", "size"): (32, 256)}
+# The one that differs on purpose, (library, CLI): a library call trains one epoch.
+DIFFERENT_DEFAULTS = {("train_model", "epochs"): (1, 10)}
 
 
 def test_each_cli_default_is_the_library_default_it_stands_for():
@@ -411,6 +403,25 @@ def test_prepare_refuses_a_crop_outside_one_to_resize_before_making_out_dir(tmp_
     assert not out.exists()
 
 
+@pytest.mark.parametrize("raw_name,out_name", [("raw", "p\ttab"), ("raw\u2028x", "out"),
+                                               ("raw", "p\nline"), ("raw\tx", "out")],
+                         ids=["tab_in_out_dir", "line_separator_in_dataset_dir",
+                              "newline_in_out_dir", "tab_in_dataset_dir"])
+def test_prepare_refuses_a_path_that_a_manifest_line_cannot_hold_before_writing(
+        tmp_path, capsys, raw_name, out_name):
+    # read_manifest splits fields at a tab and lines where str.splitlines does
+    raw = tmp_path / raw_name
+    write_flood_set(raw, count=4, size=16, seed=1)
+    out = tmp_path / out_name
+    assert main(["prepare", "--dataset_dir", str(raw), "--out_dir", str(out),
+                 "--resize", "16", "--crop", "8"]) == 2
+    bad = out if out_name != "out" else split_dataset(discover_pairs(raw), 0)[0][0][0]
+    assert capsys.readouterr() == ("", f"error: prepare: a manifest line cannot hold the path "
+                                       f"{str(bad)!r}: it has a tab or a line break\n")
+    assert sorted(p.name for p in tmp_path.iterdir()) == [raw_name]
+    assert len(list(raw.iterdir())) == 8
+
+
 def test_prepare_and_dataset_stats_refuse_a_test_mask_of_another_size(tmp_path, capsys):
     raw = tmp_path / "raw"
     write_flood_set(raw, count=4, size=16, seed=1)
@@ -459,6 +470,7 @@ def test_train_refuses_a_freeze_that_leaves_nothing_to_train(workspace, tmp_path
         raise AssertionError("a pair was read before freeze was checked")
 
     monkeypatch.setattr("floodseg.train.load_pair", fail)
+    monkeypatch.setattr("floodseg.dataio.load_pair", fail)     # behind load_pairs
     out = tmp_path / "frozen"
     assert main(["train", "--manifest", str(workspace["manifest"]), "--out_dir", str(out),
                  "--freeze", "enc,dec,gat,cheb,head"] + TRAIN_FLAGS + ["--epochs", "2"]) == 1
@@ -650,11 +662,11 @@ def test_predict_refuses_an_unbuildable_model_as_a_format_error(workspace, tmp_p
 
 def test_reprogram_freezes_base_and_logs_losses(workspace, tmp_path, capsys):
     base_path = tmp_path / "base.gacm"
+    floodseg.save_model(floodseg.reprogram.make_pretrained_base(c_old=4, size=16), base_path)
     out = tmp_path / "rp"
     code = main(["reprogram", "--base_model", str(base_path),
                  "--manifest", str(workspace["manifest"]), "--out_dir", str(out),
-                 "--init_base", "true", "--base_channels", "4",
-                 "--input_size", "16", "--steps", "5", "--batch_size", "2"])
+                 "--steps", "5", "--batch_size", "2"])
     assert code == 0
     out_text = capsys.readouterr().out
     checksums = [line.split(": ")[1] for line in out_text.splitlines()
@@ -667,7 +679,7 @@ def test_reprogram_freezes_base_and_logs_losses(workspace, tmp_path, capsys):
     steps = [line for line in log if not line.startswith("#")]
     assert len(steps) == 5
 
-    # reuse the saved base without init_base: the written model holds the base's layers
+    # a second run on the same base: the written model holds the base's layers
     out2 = tmp_path / "rp2"
     assert main(["reprogram", "--base_model", str(base_path),
                  "--manifest", str(workspace["manifest"]), "--out_dir", str(out2),
@@ -678,18 +690,50 @@ def test_reprogram_freezes_base_and_logs_losses(workspace, tmp_path, capsys):
         assert model.params[name].data.tobytes() == p.data.tobytes()
 
 
-def test_reprogram_refuses_negative_steps(workspace, tmp_path, capsys):
+def test_reprogram_refuses_negative_steps(workspace, small_base, tmp_path, capsys):
     out = tmp_path / "rp"
-    assert main(["reprogram", "--base_model", str(tmp_path / "base.gacm"),
+    assert main(["reprogram", "--base_model", str(small_base),
                  "--manifest", str(workspace["manifest"]), "--out_dir", str(out),
-                 "--init_base", "true", "--base_channels", "4",
-                 "--input_size", "16", "--steps", "-3", "--batch_size", "2"]) == 1
-    assert "error: train_for_steps: " in capsys.readouterr().err
-    assert not (out / "wrapper.gacm").exists()
+                 "--steps", "-3", "--batch_size", "2"]) == 1
+    assert capsys.readouterr() == ("", "error: train_for_steps: steps must be >= 0, got -3\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flags,error", [
+    (["--init_base", "true"], "unknown configuration key 'init_base'"),
+    (["--base_channels", "4"], "unknown configuration key 'base_channels'"),
+    (["--input_size", "16"], "reprogram does not read 'input_size'"),
+    (["--config", "init_base = true"], "unknown configuration key 'init_base'"),
+    (["--config", "base_channels = 2"], "unknown configuration key 'base_channels'"),
+    (["--config", "input_size = 8"], "reprogram does not read 'input_size'")],
+    ids=["init_base", "base_channels", "input_size", "init_base_in_a_file",
+         "base_channels_in_a_file", "input_size_in_a_file"])
+def test_reprogram_takes_no_key_that_would_make_a_base(workspace, small_base, tmp_path, capsys,
+                                                       flags, error):
+    # a config file's line is refused as its flag is, even at the base's own value
+    if flags[0] == "--config":
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(flags[1] + "\n", encoding="utf-8")
+        flags = ["--config", str(cfg)]
+    assert main(["reprogram", "--base_model", str(small_base), "--manifest",
+                 str(workspace["manifest"]), "--out_dir", str(tmp_path / "rp")] + flags) == 1
+    assert capsys.readouterr() == ("", f"error: {error}\n")
+    assert not (tmp_path / "rp").exists()
+
+
+def test_reprogram_log_echoes_only_the_keys_reprogram_reads(workspace, small_base, tmp_path):
+    out = tmp_path / "rp"
+    assert main(["reprogram", "--base_model", str(small_base), "--manifest",
+                 str(workspace["manifest"]), "--out_dir", str(out), "--steps", "1",
+                 "--batch_size", "2"]) == 0
+    log = (out / "reprogram.log").read_text(encoding="utf-8").splitlines()
+    echoed = [line[2:].split("=", 1)[0] for line in log if line.startswith("# ")]
+    assert echoed == sorted(COMMANDS["reprogram"][1] + ("deterministic",))
+    assert len(echoed) == 13 and f"# base_model={small_base}" in log
 
 
 def test_a_manifest_without_train_rows_is_the_same_data_error_for_train_and_reprogram(
-        workspace, tmp_path, capsys):
+        workspace, small_base, tmp_path, capsys):
     manifest = tmp_path / "test_only.tsv"
     write_manifest(manifest, [e for e in read_manifest(workspace["manifest"])
                               if e.split == "test"])
@@ -697,12 +741,9 @@ def test_a_manifest_without_train_rows_is_the_same_data_error_for_train_and_repr
     assert main(["train", "--manifest", str(manifest),
                  "--out_dir", str(tmp_path / "out")] + TRAIN_FLAGS) == 2
     assert capsys.readouterr().err == expected
-    base = tmp_path / "base.gacm"
-    assert main(["reprogram", "--base_model", str(base), "--manifest", str(manifest),
-                 "--out_dir", str(tmp_path / "rp"), "--init_base", "true",
-                 "--base_channels", "2", "--input_size", "8", "--steps", "1"]) == 2
+    assert main(["reprogram", "--base_model", str(small_base), "--manifest", str(manifest),
+                 "--out_dir", str(tmp_path / "rp"), "--steps", "1"]) == 2
     assert capsys.readouterr().err == expected
-    assert not base.exists()
 
 
 def test_reprogram_missing_base_is_a_data_error(workspace, tmp_path):
@@ -722,7 +763,7 @@ def test_reprogram_refuses_a_missing_base_before_the_manifest_is_read(
     base = tmp_path / "none.gacm"
     assert main(["reprogram", "--base_model", str(base), "--manifest",
                  str(workspace["manifest"]), "--out_dir", str(tmp_path / "out")] + flags) == 2
-    assert capsys.readouterr() == ("", f"error: base model not found: {base}\n")
+    assert capsys.readouterr() == ("", f"error: model file not found: {base}\n")
     assert not list(tmp_path.iterdir())
 
 
@@ -732,33 +773,6 @@ def small_base(tmp_path_factory):
     path = tmp_path_factory.mktemp("base") / "base.gacm"
     floodseg.save_model(floodseg.reprogram.make_pretrained_base(c_old=2, size=8, steps=1), path)
     return path
-
-
-@pytest.mark.parametrize("flags,wrong", [
-    (["--input_size", "99", "--base_channels", "99"], "input_size 99 differs from the base "
-                                                      "model's 8"),
-    (["--base_channels", "3"], "base_channels 3 differs from the base model's 2"),
-    (["--init_base", "true", "--input_size", "16"], "input_size 16 differs from the base "
-                                                    "model's 8"),
-    (["--config", "FILE"], "base_channels 8 differs from the base model's 2")],
-    ids=["both", "base_channels", "init_base_with_a_file", "config_file_default_value"])
-def test_reprogram_refuses_a_set_key_that_differs_from_a_loaded_base_before_any_pair_is_read(
-        workspace, small_base, tmp_path, monkeypatch, capsys, flags, wrong):
-    # A base that is loaded, not pretrained, fixes input_size and base_channels. A
-    # value set for either, even its default (8 channels, from the file), must match.
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text("base_channels = 8\n", encoding="utf-8")
-    flags = [str(cfg) if flag == "FILE" else flag for flag in flags]
-
-    def fail(*args, **kwargs):
-        raise AssertionError("a pair was read before the base was checked")
-
-    monkeypatch.setattr("floodseg.dataio.read_split", fail)
-    out = tmp_path / "rp"
-    assert main(["reprogram", "--base_model", str(small_base), "--manifest",
-                 str(workspace["manifest"]), "--out_dir", str(out), "--steps", "1"] + flags) == 1
-    assert capsys.readouterr() == ("", f"error: {wrong} in {small_base}\n")
-    assert not out.exists()
 
 
 def test_reprogram_refuses_a_reprogrammed_base_before_any_pair_is_read(
@@ -835,17 +849,6 @@ def test_eval_and_predict_refuse_an_old_wrapper_file_and_a_bad_program(
     assert not (tmp_path / "pred.pgm").exists()
 
 
-@pytest.mark.parametrize("flags", [[], ["--input_size", "8", "--base_channels", "2"],
-                                   ["--init_base", "true", "--base_channels", "2"]],
-                         ids=["unset", "equal", "init_base_equal"])
-def test_reprogram_takes_an_unset_or_equal_key_with_a_loaded_base(workspace, small_base,
-                                                                  tmp_path, flags):
-    assert main(["reprogram", "--base_model", str(small_base), "--manifest",
-                 str(workspace["manifest"]), "--out_dir", str(tmp_path / "rp"),
-                 "--steps", "1", "--batch_size", "2"] + flags) == 0
-    assert (tmp_path / "rp" / "wrapper.gacm").is_file()
-
-
 @pytest.mark.parametrize("command", ["synthetic", "prepare", "train", "reprogram"])
 @pytest.mark.parametrize("out_dir", ["afile", "afile/sub"], ids=["file", "below_a_file"])
 def test_an_out_dir_that_is_a_file_is_refused_before_any_work(workspace, tmp_path, capsys,
@@ -857,20 +860,19 @@ def test_an_out_dir_that_is_a_file_is_refused_before_any_work(workspace, tmp_pat
                          "--crop", "8"],
              "train": ["--manifest", str(workspace["manifest"])] + TRAIN_FLAGS,
              "reprogram": ["--manifest", str(workspace["manifest"]), "--base_model", str(base),
-                           "--init_base", "true", "--base_channels", "2",
-                           "--input_size", "8", "--steps", "1"]}
+                           "--steps", "1"]}
     assert main([command, "--out_dir", str(tmp_path / out_dir)] + flags[command]) == 2
     assert capsys.readouterr() == ("", f"error: cannot make out_dir {tmp_path / out_dir}: "
                                        f"{tmp_path / 'afile'} is not a directory\n")
-    assert sorted(p.name for p in tmp_path.iterdir()) == ["afile"]     # no base either
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["afile"]
 
 
-@pytest.mark.parametrize("command", ["eval", "predict", "reprogram"])
+@pytest.mark.parametrize("command", ["eval", "predict"])
 @pytest.mark.parametrize("target", ["nodir/out", "afile/out", "adir"],
                          ids=["missing", "file", "directory"])
 def test_an_output_whose_parent_is_not_a_directory_is_refused_before_loading(
         workspace, tmp_path, capsys, monkeypatch, command, target):
-    """Also an output that is itself a directory, and the base ``reprogram`` would pretrain."""
+    """Also an output that is itself a directory."""
     (tmp_path / "afile").write_text("not a directory\n", encoding="utf-8")
     (tmp_path / "adir").mkdir()
 
@@ -878,15 +880,11 @@ def test_an_output_whose_parent_is_not_a_directory_is_refused_before_loading(
         raise AssertionError("work was done before the output was checked")
 
     monkeypatch.setattr("floodseg.model.load_model", fail)
-    monkeypatch.setattr("floodseg.reprogram.make_pretrained_base", fail)
     output = tmp_path / target
     image = next(iter(sorted(workspace["raw"].glob("*.ppm"))))
     model = ["--model", str(tmp_path / "model.gacm")]
     flags = {"eval": model + ["--manifest", str(workspace["manifest"]), "--report", str(output)],
-             "predict": model + ["--image", str(image), "--output", str(output)],
-             "reprogram": ["--manifest", str(workspace["manifest"]), "--base_model", str(output),
-                           "--init_base", "true", "--out_dir", str(tmp_path / "out"),
-                           "--base_channels", "2", "--input_size", "8", "--steps", "1"]}
+             "predict": model + ["--image", str(image), "--output", str(output)]}
     assert main([command] + flags[command]) == 2
     reason = ("it is a directory" if target == "adir"
               else f"{output.parent} is not a directory")
@@ -962,12 +960,11 @@ def test_gradcheck_failure_exits_with_numeric_code(monkeypatch, capsys):
 # ---- robustness -------------------------------------------------------------
 
 
-def test_reprogram_with_fewer_pairs_than_batch_size(workspace, tmp_path):
+def test_reprogram_with_fewer_pairs_than_batch_size(workspace, small_base, tmp_path):
     train_pairs = [e for e in read_manifest(workspace["manifest"]) if e.split == "train"]
     assert len(train_pairs) < 64
-    assert main(["reprogram", "--base_model", str(tmp_path / "base.gacm"),
+    assert main(["reprogram", "--base_model", str(small_base),
                  "--manifest", str(workspace["manifest"]), "--out_dir", str(tmp_path / "rp"),
-                 "--init_base", "true", "--base_channels", "2", "--input_size", "8",
                  "--steps", "2", "--batch_size", "64"]) == 0
 
 
@@ -1001,12 +998,12 @@ def test_eval_rejects_malformed_config_block_as_data_error(workspace, tmp_path, 
     ("reprogram", ["--lr", "0"]),
     ("train", ["--epochs", "-1"]),
 ])
-def test_bad_library_arguments_end_in_an_error_line(workspace, tmp_path, command, flags):
-    # each is refused before anything is written: no --out_dir, and no base
+def test_bad_library_arguments_end_in_an_error_line(workspace, small_base, tmp_path, command,
+                                                    flags):
+    # each is refused before anything is written or printed: no --out_dir
     paths = {"train": ["--out_dir", str(tmp_path / "out")] + TRAIN_FLAGS,
-             "reprogram": ["--out_dir", str(tmp_path / "rp"), "--init_base", "true",
-                           "--base_model", str(tmp_path / "base.gacm"),
-                           "--base_channels", "2", "--input_size", "8", "--steps", "1"]}
+             "reprogram": ["--out_dir", str(tmp_path / "rp"), "--base_model", str(small_base),
+                           "--steps", "1"]}
     env = dict(os.environ, PYTHONPATH=str(Path(floodseg.__file__).parents[1]))
     result = subprocess.run([sys.executable, "-m", "floodseg.cli", command,
                              "--manifest", str(workspace["manifest"])] + paths[command] + flags,
@@ -1017,10 +1014,14 @@ def test_bad_library_arguments_end_in_an_error_line(workspace, tmp_path, command
     assert result.stdout == "" and not list(tmp_path.iterdir())
     if "huber" in flags:        # train and reprogram refuse a loss with the same line
         assert result.stderr == "error: unknown loss 'huber', expected one of ['bce', 'dice']\n"
-    if command == "train" and flags[0] in ("--batch_size", "--epochs"):
+    if flags[0] in ("--batch_size", "--epochs", "--steps"):
         key, value = flags[0][2:], flags[1]
-        bound = {"batch_size": ">= 1", "epochs": ">= 0"}[key]
-        assert result.stderr == f"error: train_model: {key} must be {bound}, got {value}\n"
+        bound = {"batch_size": ">= 1", "epochs": ">= 0", "steps": ">= 0"}[key]
+        owner = {"train": "train_model", "reprogram": "train_for_steps"}[command]
+        assert result.stderr == f"error: {owner}: {key} must be {bound}, got {value}\n"
+    if "--lr" in flags:
+        assert result.stderr == ("error: Adam: lr 0.0 is out of range (lr and eps must be "
+                                 "finite and > 0, betas in [0, 1))\n")
 
 
 DETERMINISTIC_PROBE = """

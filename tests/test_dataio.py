@@ -2,6 +2,7 @@
 
 import hashlib
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,8 +11,8 @@ from hypothesis import strategies as st
 
 from floodseg.dataio import (DataError, ImagePair, PnmError, augment_expand,
                              binarize_mask, discover_pairs, five_crop, load_image,
-                             load_mask, load_pair, model_arrays, prepare_dataset,
-                             read_manifest,
+                             load_mask, load_pair, load_pairs, model_arrays,
+                             prepare_dataset, read_manifest,
                              resize_bilinear, resize_pair, save_image, save_mask,
                              split_dataset, write_manifest, ManifestEntry)
 from floodseg.dataio import _parse_pnm
@@ -278,6 +279,24 @@ def test_manifest_round_trip(tmp_path):
     path = tmp_path / "manifest.tsv"
     write_manifest(path, entries)
     assert read_manifest(path) == entries
+
+
+def test_load_pairs_reads_each_pair_when_it_is_drawn(tmp_path, monkeypatch):
+    written = write_flood_set(tmp_path, count=3, size=8, seed=2)
+    reads = []
+
+    def counting(image_path, mask_path):
+        reads.append(image_path)
+        return load_pair(image_path, mask_path)
+
+    monkeypatch.setattr("floodseg.dataio.load_pair", counting)
+    pairs = load_pairs(ManifestEntry(img, mask, "test") for img, mask in written)
+    assert reads == []
+    first = next(pairs)
+    assert reads == [written[0][0]]
+    np.testing.assert_array_equal(first.image, load_pair(*written[0]).image)
+    assert [p.source_id for p in pairs] == [Path(img).stem for img, _ in written[1:]]
+    assert reads == [img for img, _ in written]
 
 
 def test_manifest_validation(tmp_path):

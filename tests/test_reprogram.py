@@ -242,7 +242,7 @@ def test_training_validates_inputs():
         reprogram_train(wrapper, pairs, steps=1, loss="hinge")
     with pytest.raises(ValueError):
         reprogram_train(wrapper, [], steps=1)
-    with pytest.raises(ValueError, match="-1 steps"):
+    with pytest.raises(ValueError, match=r"^train_for_steps: steps must be >= 0, got -1$"):
         reprogram_train(wrapper, pairs, steps=-1)
     next(iter(wrapper.base.params.values())).data += 1.0
     with pytest.raises(FrozenBaseError):

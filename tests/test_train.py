@@ -13,8 +13,8 @@ from floodseg.model import Model, ModelSpec, build_model, init_params, load_mode
 from floodseg.optim import Adam
 from floodseg.synthetic import write_flood_set
 from floodseg.tensor import Tensor, _toposort
-from floodseg.train import (EpochLog, NumericFailure, PairDataset, train_for_steps,
-                            train_model, train_step)
+from floodseg.train import (EpochLog, NumericFailure, PairDataset, check_schedule,
+                            train_for_steps, train_model, train_step)
 
 
 @pytest.fixture(scope="module")
@@ -184,6 +184,7 @@ def test_a_freeze_that_leaves_no_parameter_to_train_is_refused_before_any_pair_i
         raise AssertionError("a pair was read before freeze was checked")
 
     monkeypatch.setattr("floodseg.train.load_pair", fail)
+    monkeypatch.setattr("floodseg.dataio.load_pair", fail)     # behind load_pairs
     model = tiny_model()
     before = serialize_model(model)
     with pytest.raises(ValueError, match="^train_model: freeze enc,dec,gat,cheb,head leaves "
@@ -191,6 +192,25 @@ def test_a_freeze_that_leaves_no_parameter_to_train_is_refused_before_any_pair_i
         train_model(model, entries, entries, epochs=2, freeze=("enc", "dec", "gat", "cheb",
                                                                  "head"))
     assert serialize_model(model) == before
+
+
+@pytest.mark.parametrize("count,steps,batch_size,message", [
+    (0, 1, 1, "no samples"),
+    (4, 1, 0, "batch_size must be >= 1, got 0"),
+    (4, -1, 2, "steps must be >= 0, got -1"),
+    (4, -1, 0, "batch_size must be >= 1, got 0")],
+    ids=["no_samples", "batch_size", "steps", "first_bad_setting"])
+def test_train_for_steps_refuses_a_schedule_naming_the_setting_before_any_step(
+        entries, count, steps, batch_size, message):
+    model = tiny_model(seed=9)
+    before = serialize_model(model)
+    data = [PairDataset(entries, 16).get(i) for i in range(count)]
+    with pytest.raises(ValueError) as info:
+        train_for_steps(model.forward, Adam(model.params, lr=0.01), dice_loss, data,
+                        steps, batch_size, seed=0)
+    assert str(info.value) == f"train_for_steps: {message}"
+    assert serialize_model(model) == before
+    check_schedule(4, 0, 1)        # zero steps over one-sample batches is a schedule
 
 
 def test_freezing_by_requires_grad_matches_discarding_frozen_gradients(entries):
