@@ -18,8 +18,8 @@ __version__ = "0.1.0"
 _EXPORTS = {
     "tensor": ("ShapeError", "TapeError", "Tensor", "grad_check", "no_grad"),
     "convnn": ("bce_loss", "conv2d", "dice_loss", "maxpool2", "upsample2"),
-    "graphnn": ("ChebParams", "GatParams", "Graph", "NormalizedLaplacian",
-                "build_grid_graph", "center_of_mass", "cheb_conv", "gat_conv"),
+    "graphnn": ("Graph", "NormalizedLaplacian", "build_grid_graph", "center_of_mass",
+                "cheb_conv", "gat_conv"),
     "dataio": ("DataError", "ImagePair", "PnmError", "augment_expand", "binarize_mask",
                "discover_pairs", "five_crop", "load_image", "load_mask", "load_pair",
                "prepare_dataset", "read_manifest", "read_split", "resize_bilinear",

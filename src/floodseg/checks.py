@@ -14,8 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .convnn import bce_loss, conv2d, dice_loss, maxpool2, upsample2
-from .graphnn import (ChebParams, GatParams, Graph, build_grid_graph, cheb_conv,
-                      center_of_mass, gat_conv, neighbour_sum, normalized_laplacian)
+from .graphnn import (Graph, build_grid_graph, cheb_conv, center_of_mass, gat_conv,
+                      neighbour_sum, normalized_laplacian)
 from .model import ModelSpec, build_model, init_params, input_transform, output_map
 from .tensor import Tensor, grad_check, no_grad, tmean
 
@@ -99,13 +99,11 @@ def _builders():
             ("upsample2", _probed(upsample2, (2, 3, 3))),
             ("neighbour_sum", _probed(lambda w, x: neighbour_sum(w, x, star),
                                       (5, 4), (5, 2))),
-            ("gat_conv", _probed(lambda x, w, a: gat_conv(x, grid, GatParams(w, a)),
-                                 (6, 3), (4, 3), (8,))),
-            ("cheb_conv", _probed(lambda x, *thetas: cheb_conv(x, lap, ChebParams(list(thetas))),
+            ("gat_conv", _probed(lambda x, w, a: gat_conv(x, grid, w, a), (6, 3), (4, 3), (8,))),
+            ("cheb_conv", _probed(lambda x, *thetas: cheb_conv(x, lap, thetas),
                                   (4, 2), *[(3, 2)] * 4)),
-            ("cheb_conv_isolated",
-             _probed(lambda x, *thetas: cheb_conv(x, isolated, ChebParams(list(thetas))),
-                     (5, 2), *[(3, 2)] * 3)),
+            ("cheb_conv_isolated", _probed(lambda x, *thetas: cheb_conv(x, isolated, thetas),
+                                           (5, 2), *[(3, 2)] * 3)),
             ("center_of_mass", _center_of_mass),
             ("input_transform", _probed(input_transform, (3, 4, 4), (4, 4), (4, 4))),
             ("output_map", _probed(output_map, (5, 3, 3), (1, 5, 1, 1), (1,))),
@@ -120,9 +118,12 @@ def end_to_end_check(seed: int = 0) -> CheckResult:
     Uses a wider finite-difference step than the per-layer checks: through a
     ~600-parameter composite the loss is O(1) while many gradient coordinates
     are O(1e-7), so at step 1e-6 float64 cancellation noise (~1e-10 absolute
-    on the quotient) would swamp the comparison. Much wider steps fail the
-    other way (a bias perturbation can push a pre-activation across its
-    leaky-relu kink); 1e-5 clears both regimes.
+    on the quotient) would swamp the comparison. Wider steps can cross a
+    leaky-relu kink. No step clears both at every seed: at 1e-5, 7 of seeds
+    0-15 fail. Seed 1 (``gradcheck --seed 1`` exits 3) is cancellation on a
+    right gradient: input pixel 237's, 1.81685e-8, reads 1.81632e-8 (relative
+    error 2.9e-4), and 1.81688e-8 (1.5e-5) at step 1e-4; but steps of 3e-5 and
+    1e-4 fail 4 and 9 of those seeds.
     """
     rng = np.random.RandomState(seed)
     spec = ModelSpec(input_size=16, widths=(2, 3), gat_out=3, cheb_order=2, cheb_out=3,

@@ -280,7 +280,17 @@ class ManifestEntry:
     split: str                # "train" or "test"
 
 
+def _check_manifest_paths(caller: str, paths):
+    """Refuse a path with a tab or a line break, which ``read_manifest`` splits on."""
+    for path in map(str, paths):
+        if "\t" in path or path.splitlines() != [path]:
+            raise DataError(f"{caller}: a manifest line cannot hold the path {path!r}: "
+                            "it has a tab or a line break")
+
+
 def write_manifest(path, entries):
+    _check_manifest_paths("write_manifest",
+                          [p for e in entries for p in (e.image_path, e.mask_path)])
     with open(path, "w", encoding="utf-8") as fh:
         for e in entries:
             fh.write(f"{e.image_path}\t{e.mask_path}\t{e.split}\n")
@@ -362,10 +372,7 @@ def prepare_dataset(dataset_dir, out_dir, seed: int = 0, *,
     fraction = dataset_stats(dataset_dir)[1]     # before writing: out_dir may be dataset_dir
     train, test = split_dataset(discover_pairs(dataset_dir), seed)
     out_root = Path(out_dir)
-    for path in [str(out_root)] + [str(p) for pair in train + test for p in pair]:
-        if "\t" in path or path.splitlines() != [path]:     # what read_manifest splits at
-            raise DataError(f"prepare: a manifest line cannot hold the path {path!r}: "
-                            "it has a tab or a line break")
+    _check_manifest_paths("prepare", [out_root, *(p for pair in train + test for p in pair)])
     os.makedirs(out_root, exist_ok=True)
 
     entries = [ManifestEntry(str(image_path), str(mask_path), "test")

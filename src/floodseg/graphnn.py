@@ -1,12 +1,12 @@
 """Graph layers used at the network bottleneck.
 
 The bottleneck feature grid is treated as a graph: one node per spatial cell,
-edges between neighbouring cells. ``gat_conv`` mixes node features with
-learned attention over each node's neighbourhood (self-loop included), both
-of its leaky-relus at GAT's slope ``tensor.LEAKY_SLOPE`` (0.2); ``cheb_conv``
-applies a Chebyshev polynomial of the rescaled normalized Laplacian, and
-``center_of_mass`` appends per-channel soft-centroid coordinates as two extra
-constant feature channels.
+edges between neighbouring cells. ``gat_conv(features, graph, weight, attn)``
+mixes node features by learned attention over each node's neighbourhood and
+itself, both leaky-relus at GAT's slope ``tensor.LEAKY_SLOPE`` (0.2);
+``cheb_conv(features, laplacian, thetas)`` applies a Chebyshev polynomial of
+the rescaled normalized Laplacian; ``center_of_mass`` appends per-channel
+soft-centroid coordinates as two extra constant feature channels.
 
 Both layers sum over neighbourhoods with the tape primitive
 ``neighbour_sum``, through the graph's neighbour table ``Graph.index``, in
@@ -24,7 +24,6 @@ dense float64 views, built and cached only when called; no layer reads them.
 from __future__ import annotations
 
 import numbers
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -209,40 +208,19 @@ def neighbour_sum(w: Tensor, x: Tensor, graph: Graph) -> Tensor:
     return record_op(out, (w, x), backward)
 
 
-@dataclass
-class GatParams:
-    """Attention layer parameters: feature projection and edge scorer."""
-
-    weight: Tensor            # (out_dim, in_dim)
-    attn: Tensor              # (2 * out_dim,)
-
-    def __post_init__(self):
-        if self.weight.data.ndim != 2:
-            raise ShapeError(f"GatParams: weight must be 2-D, got {self.weight.data.shape}")
-        out_dim = self.weight.data.shape[0]
-        if self.attn.data.shape != (2 * out_dim,):
-            raise ShapeError(f"GatParams: attn shape {self.attn.data.shape} != ({2 * out_dim},)")
-
-    @property
-    def in_dim(self) -> int:
-        return self.weight.data.shape[1]
-
-    @property
-    def out_dim(self) -> int:
-        return self.weight.data.shape[0]
-
-
 _MASK_OFF = 1e30
 
 
-def gat_conv(features: Tensor, graph: Graph, params: GatParams, return_attention: bool = False):
+def gat_conv(features: Tensor, graph: Graph, weight: Tensor, attn: Tensor,
+             return_attention: bool = False):
     """Attention-weighted neighbourhood mixing over graph nodes.
 
     Each node attends to its neighbours and itself: scores are a leaky-relu
-    of a learned linear form on the projected feature pair, normalized with a
-    softmax per node, and the output is a leaky-relu of the attention-weighted
-    sum of projected neighbour features. Off-neighbourhood entries are pushed
-    to -1e30 before the softmax so they contribute exactly zero weight.
+    of the linear form ``attn`` (2 out_dim,) on the pair of features projected
+    by ``weight`` (out_dim, in_dim), normalized with a softmax per node, and the
+    output is a leaky-relu of the attention-weighted sum of projected neighbour
+    features. Off-neighbourhood entries are pushed to -1e30 before the softmax
+    so they contribute exactly zero weight.
 
     The scores, the 0/1 mask, the -1e30 offset and the softmax are dense
     n x n: the mask and the offset are made per call by ``graph.neighbourhood``
@@ -257,13 +235,15 @@ def gat_conv(features: Tensor, graph: Graph, params: GatParams, return_attention
     n, f = features.data.shape
     if n != graph.node_count:
         raise ShapeError(f"gat_conv: {n} feature rows for {graph.node_count} graph nodes")
-    if f != params.in_dim:
-        raise ShapeError(f"gat_conv: feature dim {f} != layer in_dim {params.in_dim}")
-    fo = params.out_dim
+    if weight.data.ndim != 2 or weight.data.shape[1] != f:
+        raise ShapeError(f"gat_conv: weight must be (out_dim, {f}), got {weight.data.shape}")
+    fo = weight.data.shape[0]
+    if attn.data.shape != (2 * fo,):
+        raise ShapeError(f"gat_conv: attn shape {attn.data.shape} != ({2 * fo},)")
     dtype = features.data.dtype
 
-    z = matmul(features, transpose(params.weight))              # (n, out)
-    attn_col = reshape(params.attn, (2 * fo, 1))
+    z = matmul(features, transpose(weight))                     # (n, out)
+    attn_col = reshape(attn, (2 * fo, 1))
     source_score = matmul(z, attn_col[:fo, :])                  # (n, 1)
     target_score = matmul(z, attn_col[fo:, :])                  # (n, 1)
     scores = leaky_relu(source_score + transpose(target_score))
@@ -281,33 +261,11 @@ def gat_conv(features: Tensor, graph: Graph, params: GatParams, return_attention
     return out
 
 
-@dataclass
-class ChebParams:
-    """One weight matrix per Chebyshev polynomial order, 0..K."""
-
-    thetas: list = field(default_factory=list)
-
-    def __post_init__(self):
-        if not self.thetas:
-            raise ShapeError("ChebParams: need at least theta_0")
-        shape = self.thetas[0].data.shape
-        for i, th in enumerate(self.thetas):
-            if th.data.ndim != 2 or th.data.shape != shape:
-                raise ShapeError(f"ChebParams: theta_{i} shape {th.data.shape} != {shape}")
-
-    @property
-    def order(self) -> int:
-        return len(self.thetas) - 1
-
-    @property
-    def in_dim(self) -> int:
-        return self.thetas[0].data.shape[1]
-
-
-def cheb_conv(features: Tensor, laplacian: NormalizedLaplacian, params: ChebParams) -> Tensor:
+def cheb_conv(features: Tensor, laplacian: NormalizedLaplacian, thetas) -> Tensor:
     """Chebyshev-polynomial graph filter of the rescaled Laplacian.
 
-    Builds T_0 = X, T_1 = L~ X, T_k = 2 L~ T_{k-1} - T_{k-2} and returns
+    ``thetas`` holds one (out_dim, in_dim) weight per order, 0..K. Builds
+    T_0 = X, T_1 = L~ X, T_k = 2 L~ T_{k-1} - T_{k-2} and returns
     sum_k T_k theta_k^T. Order 0 never touches the Laplacian, so it is the
     graph-independent linear map X theta_0^T.
 
@@ -321,18 +279,24 @@ def cheb_conv(features: Tensor, laplacian: NormalizedLaplacian, params: ChebPara
     n, f = features.data.shape
     if n != laplacian.node_count:
         raise ShapeError(f"cheb_conv: {n} feature rows for {laplacian.node_count} graph nodes")
-    if f != params.in_dim:
-        raise ShapeError(f"cheb_conv: feature dim {f} != layer in_dim {params.in_dim}")
+    if not thetas:
+        raise ShapeError("cheb_conv: need at least theta_0")
+    shape = thetas[0].data.shape
+    if len(shape) != 2 or shape[1] != f:
+        raise ShapeError(f"cheb_conv: theta_0 must be (out_dim, {f}), got {shape}")
+    for k, theta in enumerate(thetas):
+        if theta.data.shape != shape:
+            raise ShapeError(f"cheb_conv: theta_{k} shape {theta.data.shape} != {shape}")
 
-    out = matmul(features, transpose(params.thetas[0]))
-    if params.order == 0:
+    out = matmul(features, transpose(thetas[0]))
+    if len(thetas) == 1:
         return out
     weights = Tensor(laplacian.weights.astype(features.data.dtype, copy=False))
     t_prev, t_curr = features, neighbour_sum(weights, features, laplacian.graph)
-    out = out + matmul(t_curr, transpose(params.thetas[1]))
-    for k in range(2, params.order + 1):
+    out = out + matmul(t_curr, transpose(thetas[1]))
+    for theta in thetas[2:]:
         t_next = 2.0 * neighbour_sum(weights, t_curr, laplacian.graph) - t_prev
-        out = out + matmul(t_next, transpose(params.thetas[k]))
+        out = out + matmul(t_next, transpose(theta))
         t_prev, t_curr = t_curr, t_next
     return out
 

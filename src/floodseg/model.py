@@ -43,8 +43,8 @@ import numpy as np
 
 from .convnn import conv2d, maxpool2, upsample2
 from .dataio import model_input, resize_bilinear
-from .graphnn import (ChebParams, GatParams, build_grid_graph, cheb_conv, center_of_mass,
-                      gat_conv, is_int, normalized_laplacian)
+from .graphnn import (build_grid_graph, cheb_conv, center_of_mass, gat_conv, is_int,
+                      normalized_laplacian)
 from .tensor import ShapeError, Tensor, concat, leaky_relu, no_grad, reshape, sigmoid, transpose
 
 VARIANTS = ("gac-unet", "plain-unet")
@@ -279,11 +279,8 @@ class Model:
             skips.append(h)
             h = maxpool2(h)
         if self.graph is not None:
-            gat = GatParams(p["gat.weight"], p["gat.attn"])
-            cheb = ChebParams([p[f"cheb.theta{k}"] for k in range(spec.cheb_order + 1)])
             n, _, gh, gw = h.data.shape
-            h = reshape(concat([self._graph_stage(h[i], gat, cheb) for i in range(n)], axis=0),
-                        (n, -1, gh, gw))
+            h = reshape(concat([self._graph_stage(h[i]) for i in range(n)]), (n, -1, gh, gw))
         for i in range(spec.stages, 0, -1):
             h = upsample2(h)
             h = concat([h, skips[i - 1]], axis=1)
@@ -293,13 +290,15 @@ class Model:
             out = output_map(out, p["reprog.out.w"], p["reprog.out.b"])
         return reshape(out, x.data.shape[:-3] + out.data.shape[1:])
 
-    def _graph_stage(self, h: Tensor, gat: GatParams, cheb: ChebParams) -> Tensor:
+    def _graph_stage(self, h: Tensor) -> Tensor:
         """The gac-unet bottleneck of one sample's (C, g, g) grid; the graph layers take
         one sample's nodes at a time."""
         c, gh, gw = h.data.shape
+        p = self.params
         nodes = transpose(reshape(h, (c, gh * gw)))
-        nodes = gat_conv(nodes, self.graph, gat)
-        nodes = cheb_conv(nodes, self.laplacian, cheb)
+        nodes = gat_conv(nodes, self.graph, p["gat.weight"], p["gat.attn"])
+        nodes = cheb_conv(nodes, self.laplacian,
+                          [p[f"cheb.theta{k}"] for k in range(self.spec.cheb_order + 1)])
         h = reshape(transpose(nodes), (self.spec.cheb_out, gh, gw))
         if self.spec.com:
             _, h = center_of_mass(h)

@@ -57,9 +57,6 @@ class ReprogramWrapper:
         out_w = self.params["reprog.out.w"].data
         out_w[...] = glorot_uniform(np.random.RandomState(seed), out_w.shape, out_w.dtype)
 
-    def forward(self, x: Tensor) -> Tensor:
-        return self.model.forward(x)
-
     def verify_frozen(self):
         current = model_checksum(self.base)
         if current != self.base_checksum:
@@ -80,7 +77,7 @@ def dataset_loss(wrapper: ReprogramWrapper, pairs, loss: str = "dice") -> float:
     total = 0.0
     with no_grad():
         for image, target in data:
-            total += loss_fn(wrapper.forward(Tensor(image)), Tensor(target)).item()
+            total += loss_fn(wrapper.model.forward(Tensor(image)), Tensor(target)).item()
     return total / len(data)
 
 
@@ -100,7 +97,7 @@ def reprogram_train(wrapper: ReprogramWrapper, pairs, steps: int, *, loss: str =
     except TypeError as exc:    # a misspelt keyword of this call, not of Adam's
         raise TypeError(f"reprogram_train: {exc}") from None
     data = _wrapper_data(wrapper, pairs)
-    losses = train_for_steps(wrapper.forward, optimizer, loss_fn, data, steps,
+    losses = train_for_steps(wrapper.model.forward, optimizer, loss_fn, data, steps,
                              batch_size, seed)
     wrapper.verify_frozen()
     return losses

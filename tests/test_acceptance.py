@@ -18,8 +18,8 @@ from floodseg.checks import (END_TO_END_TOLERANCE, LAYER_TOLERANCE,
 from floodseg.cli import main
 from floodseg.dataio import (ImagePair, ManifestEntry, binarize_mask, load_image,
                              load_mask, read_manifest, resize_bilinear)
-from floodseg.graphnn import (ChebParams, GatParams, Graph, build_grid_graph,
-                              cheb_conv, gat_conv, normalized_laplacian)
+from floodseg.graphnn import (Graph, build_grid_graph, cheb_conv, gat_conv,
+                              normalized_laplacian)
 from floodseg.metrics import dice_score, evaluate, iou
 from floodseg.model import ModelSpec, build_model, init_params, save_model
 from floodseg.reprogram import make_pretrained_base
@@ -105,8 +105,7 @@ def test_chebyshev_filter_matches_spectral_oracle_on_small_graphs():
             for k, theta in enumerate(thetas):
                 basis = vecs @ np.diag(np.cos(k * np.arccos(mu))) @ vecs.T
                 want += basis @ x @ theta.T
-            got = cheb_conv(Tensor(x), lap,
-                            ChebParams([Tensor(t) for t in thetas])).data
+            got = cheb_conv(Tensor(x), lap, [Tensor(t) for t in thetas]).data
             worst = max(worst, float(np.abs(got - want).max()))
             evaluations += 1
     assert worst < 1e-8
@@ -122,9 +121,8 @@ def test_attention_is_normalized_and_permutation_equivariant():
     for _ in range(50):
         graph = _random_connected_graph(rng, 6)
         x = rng.uniform(-1, 1, (6, 4))
-        params = GatParams(weight=Tensor(rng.uniform(-1, 1, (3, 4))),
-                           attn=Tensor(rng.uniform(-1, 1, 6)))
-        out, attention = gat_conv(Tensor(x), graph, params, return_attention=True)
+        params = Tensor(rng.uniform(-1, 1, (3, 4))), Tensor(rng.uniform(-1, 1, 6))
+        out, attention = gat_conv(Tensor(x), graph, *params, return_attention=True)
         row_sums = attention.data.sum(axis=1)
         worst_rowsum = max(worst_rowsum, float(np.abs(row_sums - 1.0).max()))
         off_mask = graph.attention_mask() == 0.0
@@ -134,7 +132,7 @@ def test_attention_is_normalized_and_permutation_equivariant():
         mapped = [(int(perm[u]), int(perm[v])) for u, v in graph.edges]
         permuted_x = np.empty_like(x)
         permuted_x[perm] = x
-        out_perm = gat_conv(Tensor(permuted_x), Graph(6, mapped), params).data
+        out_perm = gat_conv(Tensor(permuted_x), Graph(6, mapped), *params).data
         worst_equiv = max(worst_equiv, float(np.abs(out_perm[perm] - out.data).max()))
     assert worst_rowsum < 1e-6
     assert worst_equiv < 1e-10

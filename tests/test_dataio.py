@@ -281,6 +281,20 @@ def test_manifest_round_trip(tmp_path):
     assert read_manifest(path) == entries
 
 
+@pytest.mark.parametrize("image, mask", [("a\tb.ppm", "a.pgm"), ("a.ppm", "a\u2028b.pgm")],
+                         ids=["tab_in_image", "line_separator_in_mask"])
+def test_write_manifest_refuses_a_path_a_line_cannot_hold_before_opening_the_file(
+        tmp_path, image, mask):
+    path = tmp_path / "manifest.tsv"
+    entries = [ManifestEntry("ok.ppm", "ok.pgm", "train"), ManifestEntry(image, mask, "test")]
+    with pytest.raises(DataError) as err:
+        write_manifest(path, entries)
+    bad = image if "\t" in image else mask
+    assert str(err.value) == (f"write_manifest: a manifest line cannot hold the path "
+                              f"{bad!r}: it has a tab or a line break")
+    assert not path.exists()
+
+
 def test_load_pairs_reads_each_pair_when_it_is_drawn(tmp_path, monkeypatch):
     written = write_flood_set(tmp_path, count=3, size=8, seed=2)
     reads = []

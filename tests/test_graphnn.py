@@ -6,7 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from floodseg.graphnn import (ChebParams, GatParams, Graph, NormalizedLaplacian,
+from floodseg.graphnn import (Graph, NormalizedLaplacian,
                               build_grid_graph, center_of_mass, cheb_conv,
                               gat_conv, neighbour_sum, normalized_laplacian)
 from floodseg.model import ModelSpec, build_model, init_params
@@ -266,12 +266,12 @@ def gat_conv_peak(record: bool) -> float:
     rng = np.random.RandomState(13)
     graph = build_grid_graph(32, 32)
     x = Tensor(rng.uniform(-1, 1, (n, 16)), dtype=np.float32)
-    params = GatParams(Tensor(rng.uniform(-1, 1, (8, 16)), requires_grad=True, dtype=np.float32),
-                       Tensor(rng.uniform(-1, 1, 16), requires_grad=True, dtype=np.float32))
+    weight = Tensor(rng.uniform(-1, 1, (8, 16)), requires_grad=True, dtype=np.float32)
+    attn = Tensor(rng.uniform(-1, 1, 16), requires_grad=True, dtype=np.float32)
     tracemalloc.start()
     try:
         with contextlib.nullcontext() if record else no_grad():
-            out = gat_conv(x, graph, params)
+            out = gat_conv(x, graph, weight, attn)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -401,7 +401,7 @@ def test_cheb_conv_matches_the_recurrence_on_the_dense_scaled_laplacian():
         for _ in range(2, 4):
             terms.append(2.0 * lap.scaled @ terms[-1] - terms[-2])
         want = sum(t @ theta.T for t, theta in zip(terms, thetas))
-        assert_relative(cheb_conv(f64(x), lap, ChebParams([f64(t) for t in thetas])).data, want)
+        assert_relative(cheb_conv(f64(x), lap, [f64(t) for t in thetas]).data, want)
         # an isolated node's diagonal entry is -1: its features are negated
         isolated = g.degrees == 0
         step = neighbour_sum(f64(lap.weights), f64(x), lap.graph).data
@@ -413,7 +413,7 @@ def test_gat_conv_sums_its_own_attention_over_the_neighbour_table():
     for g in oracle_graphs():
         x = rng.uniform(-1, 1, (g.node_count, 4))
         w, a = rng.uniform(-1, 1, (3, 4)), rng.uniform(-1, 1, 6)
-        out, att = gat_conv(f64(x), g, GatParams(f64(w), f64(a)), return_attention=True)
+        out, att = gat_conv(f64(x), g, f64(w), f64(a), return_attention=True)
         v = att.data @ (x @ w.T)
         assert_relative(out.data, np.where(v > 0, v, 0.2 * v))
 
@@ -425,11 +425,11 @@ def test_float32_cheb_conv_peaks_far_below_one_dense_array():
     rng = np.random.RandomState(19)
     lap = normalized_laplacian(build_grid_graph(64, 64))
     x = Tensor(rng.uniform(-1, 1, (n, f)), dtype=np.float32)
-    params = ChebParams([Tensor(rng.uniform(-1, 1, (f, f)), dtype=np.float32) for _ in range(3)])
+    thetas = [Tensor(rng.uniform(-1, 1, (f, f)), dtype=np.float32) for _ in range(3)]
     tracemalloc.start()
     try:
         with no_grad():
-            out = cheb_conv(x, lap, params)
+            out = cheb_conv(x, lap, thetas)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -507,8 +507,7 @@ def test_gat_matches_scalar_oracle_on_a_path():
     x = rng.uniform(-1, 1, (3, 4))
     w = rng.uniform(-1, 1, (2, 4))
     a = rng.uniform(-1, 1, 4)
-    params = GatParams(f64(w), f64(a))
-    out, att = gat_conv(f64(x), g, params, return_attention=True)
+    out, att = gat_conv(f64(x), g, f64(w), f64(a), return_attention=True)
     want_out, want_att = gat_oracle(x, w, a, g.attention_mask())
     np.testing.assert_allclose(att.data, want_att, atol=1e-10)
     np.testing.assert_allclose(out.data, want_out, atol=1e-10)
@@ -519,8 +518,8 @@ def test_gat_attention_rows_sum_to_one():
     for _ in range(10):
         n = rng.randint(2, 9)
         g = random_connected_graph(rng, n)
-        params = GatParams(f64(rng.uniform(-1, 1, (3, 5))), f64(rng.uniform(-1, 1, 6)))
-        _, att = gat_conv(f64(rng.uniform(-1, 1, (n, 5))), g, params,
+        params = f64(rng.uniform(-1, 1, (3, 5))), f64(rng.uniform(-1, 1, 6))
+        _, att = gat_conv(f64(rng.uniform(-1, 1, (n, 5))), g, *params,
                           return_attention=True)
         np.testing.assert_allclose(att.data.sum(axis=1), np.ones(n), atol=1e-6)
         # masked-out pairs carry exactly zero weight
@@ -530,16 +529,15 @@ def test_gat_attention_rows_sum_to_one():
 def test_gat_identical_nodes_split_attention_evenly():
     g = Graph(2, [(0, 1)])
     x = f64(np.ones((2, 3)))
-    params = GatParams(f64(np.ones((2, 3))), f64(np.ones(4)))
-    _, att = gat_conv(x, g, params, return_attention=True)
+    _, att = gat_conv(x, g, f64(np.ones((2, 3))), f64(np.ones(4)), return_attention=True)
     np.testing.assert_allclose(att.data, np.full((2, 2), 0.5), atol=1e-12)
 
 
 def test_gat_isolated_node_attends_to_itself():
     rng = np.random.RandomState(3)
     g = Graph(3, [(0, 1)])                       # node 2 isolated
-    params = GatParams(f64(rng.uniform(-1, 1, (2, 3))), f64(rng.uniform(-1, 1, 4)))
-    _, att = gat_conv(f64(rng.uniform(-1, 1, (3, 3))), g, params, return_attention=True)
+    params = f64(rng.uniform(-1, 1, (2, 3))), f64(rng.uniform(-1, 1, 4))
+    _, att = gat_conv(f64(rng.uniform(-1, 1, (3, 3))), g, *params, return_attention=True)
     np.testing.assert_allclose(att.data[2], [0.0, 0.0, 1.0], atol=1e-12)
 
 
@@ -549,27 +547,41 @@ def test_gat_is_permutation_equivariant():
         n = 6
         g = random_connected_graph(rng, n)
         x = rng.uniform(-1, 1, (n, 4))
-        params = GatParams(f64(rng.uniform(-1, 1, (3, 4))), f64(rng.uniform(-1, 1, 6)))
+        params = f64(rng.uniform(-1, 1, (3, 4))), f64(rng.uniform(-1, 1, 6))
         perm = rng.permutation(n)
         relabeled = Graph(n, [(perm[u], perm[v]) for u, v in g.edges])
-        base = gat_conv(f64(x), g, params).data
+        base = gat_conv(f64(x), g, *params).data
         # node i moves to label perm[i]: row perm[i] of the permuted run
         # must reproduce row i of the base run
         permuted_x = np.empty_like(x)
         permuted_x[perm] = x
-        permuted = gat_conv(f64(permuted_x), relabeled, params).data
+        permuted = gat_conv(f64(permuted_x), relabeled, *params).data
         np.testing.assert_allclose(permuted[perm], base, atol=1e-10)
 
 
 def test_gat_shape_validation():
     g = Graph(2, [(0, 1)])
-    params = GatParams(f64(np.ones((2, 3))), f64(np.ones(4)))
+    params = f64(np.ones((2, 3))), f64(np.ones(4))
     with pytest.raises(ShapeError):
-        gat_conv(f64(np.ones((3, 3))), g, params)        # node mismatch
+        gat_conv(f64(np.ones((3, 3))), g, *params)       # node mismatch
     with pytest.raises(ShapeError):
-        gat_conv(f64(np.ones((2, 5))), g, params)        # feature mismatch
+        gat_conv(f64(np.ones((2, 5))), g, *params)       # feature mismatch
     with pytest.raises(ShapeError):
-        GatParams(f64(np.ones((2, 3))), f64(np.ones(3)))
+        gat_conv(f64(np.ones((2, 3))), g, f64(np.ones((2, 3))), f64(np.ones(3)))
+
+
+@pytest.mark.parametrize("weight, attn, message", [
+    ((3,), (6,), "gat_conv: weight must be (out_dim, 3), got (3,)"),
+    ((2, 3, 1), (4,), "gat_conv: weight must be (out_dim, 3), got (2, 3, 1)"),
+    ((2, 4), (4,), "gat_conv: weight must be (out_dim, 3), got (2, 4)"),
+    ((2, 3), (3,), "gat_conv: attn shape (3,) != (4,)"),
+    ((2, 3), (4, 1), "gat_conv: attn shape (4, 1) != (4,)"),
+], ids=["weight_1d", "weight_3d", "weight_width", "attn_length", "attn_2d"])
+def test_gat_conv_refuses_a_parameter_of_the_wrong_shape(weight, attn, message):
+    with pytest.raises(ShapeError) as err:
+        gat_conv(f64(np.ones((2, 3))), Graph(2, [(0, 1)]), f64(np.ones(weight)),
+                 f64(np.ones(attn)))
+    assert str(err.value) == message
 
 
 # ---- Chebyshev filter ----------------------------------------------------------
@@ -590,7 +602,7 @@ def test_cheb_hand_case_on_two_node_path():
     g = Graph(2, [(0, 1)])
     x = f64([[1.0], [-1.0]])                     # eigenvector of the scaled Laplacian
     thetas = [f64([[2.0]]), f64([[3.0]]), f64([[5.0]])]
-    out = cheb_conv(x, NormalizedLaplacian(g), ChebParams(thetas))
+    out = cheb_conv(x, NormalizedLaplacian(g), thetas)
     np.testing.assert_allclose(out.data, [[10.0], [-10.0]], atol=1e-12)
 
 
@@ -598,12 +610,12 @@ def test_cheb_order_zero_ignores_the_graph():
     rng = np.random.RandomState(5)
     x = rng.uniform(-1, 1, (4, 3))
     theta = rng.uniform(-1, 1, (2, 3))
-    params = ChebParams([f64(theta)])
+    thetas = [f64(theta)]
     path = NormalizedLaplacian(Graph(4, [(0, 1), (1, 2), (2, 3)]))
     full = NormalizedLaplacian(Graph(4, [(u, v) for u in range(4) for v in range(u + 1, 4)]))
-    np.testing.assert_array_equal(cheb_conv(f64(x), path, params).data,
-                                  cheb_conv(f64(x), full, params).data)
-    np.testing.assert_allclose(cheb_conv(f64(x), path, params).data, x @ theta.T,
+    np.testing.assert_array_equal(cheb_conv(f64(x), path, thetas).data,
+                                  cheb_conv(f64(x), full, thetas).data)
+    np.testing.assert_allclose(cheb_conv(f64(x), path, thetas).data, x @ theta.T,
                                atol=1e-12)
 
 
@@ -617,18 +629,34 @@ def test_cheb_matches_spectral_oracle_on_random_graphs():
         fi, fo = rng.randint(1, 5), rng.randint(1, 5)
         thetas = [rng.uniform(-1, 1, (fo, fi)) for _ in range(order + 1)]
         x = rng.uniform(-1, 1, (n, fi))
-        got = cheb_conv(f64(x), lap, ChebParams([f64(t) for t in thetas])).data
+        got = cheb_conv(f64(x), lap, [f64(t) for t in thetas]).data
         np.testing.assert_allclose(got, cheb_oracle(x, lap.matrix, thetas), atol=1e-8)
 
 
 def test_cheb_validation():
-    with pytest.raises(ShapeError):
-        ChebParams([])
-    with pytest.raises(ShapeError):
-        ChebParams([f64(np.ones((2, 3))), f64(np.ones((3, 2)))])
     lap = NormalizedLaplacian(Graph(2, [(0, 1)]))
+    x = f64(np.ones((2, 3)))
     with pytest.raises(ShapeError):
-        cheb_conv(f64(np.ones((3, 3))), lap, ChebParams([f64(np.ones((2, 3)))]))
+        cheb_conv(x, lap, [])
+    with pytest.raises(ShapeError):
+        cheb_conv(x, lap, [f64(np.ones((2, 3))), f64(np.ones((3, 2)))])
+    with pytest.raises(ShapeError):
+        cheb_conv(f64(np.ones((3, 3))), lap, [f64(np.ones((2, 3)))])
+
+
+@pytest.mark.parametrize("shapes, message", [
+    ([], "cheb_conv: need at least theta_0"),
+    ([(3,)], "cheb_conv: theta_0 must be (out_dim, 3), got (3,)"),
+    ([(2, 3, 1)], "cheb_conv: theta_0 must be (out_dim, 3), got (2, 3, 1)"),
+    ([(2, 3), (6,)], "cheb_conv: theta_1 shape (6,) != (2, 3)"),
+    ([(2, 3), (2, 3), (3, 2)], "cheb_conv: theta_2 shape (3, 2) != (2, 3)"),
+    ([(2, 4), (2, 4)], "cheb_conv: theta_0 must be (out_dim, 3), got (2, 4)"),
+], ids=["empty", "theta0_1d", "theta0_3d", "theta1_1d", "theta2_shape", "theta_width"])
+def test_cheb_conv_refuses_thetas_of_the_wrong_shape(shapes, message):
+    lap = NormalizedLaplacian(Graph(2, [(0, 1)]))
+    with pytest.raises(ShapeError) as err:
+        cheb_conv(f64(np.ones((2, 3))), lap, [f64(np.ones(shape)) for shape in shapes])
+    assert str(err.value) == message
 
 
 # ---- soft centroids -------------------------------------------------------------
